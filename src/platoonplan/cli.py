@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -131,12 +132,7 @@ def run_pipeline(
     amap = {a.id: a for a in assignments}
 
     if routes is None:
-        routes = {}
-        for a in assignments:
-            r = _route_for_assignment(net, a)
-            if r is None:
-                raise ScenarioError(f"assignment {a.id}: no route exists")
-            routes[a.id] = r
+        routes = route_assignments(net, assignments)
 
     default_plans = {aid: default_plan(amap[aid], routes[aid], run.model) for aid in amap}
 
@@ -202,10 +198,43 @@ def run_pipeline(
     )
 
 
+def route_assignments(net: RoadNetwork, assignments: list[Assignment]) -> dict:
+    """Shortest route per assignment id, in assignment order.
+
+    Assignments are routed grouped by the node where their start edge ends,
+    so each such node's shortest-path tree is built once.
+    """
+    by_exit: dict = {}
+    for a in assignments:
+        by_exit.setdefault(net.edge_head(a.start.edge), []).append(a)
+    found = {a.id: _route_for_assignment(net, a) for group in by_exit.values() for a in group}
+    for a in assignments:
+        if found[a.id] is None:
+            raise ScenarioError(f"assignment {a.id}: no route exists")
+    return {a.id: found[a.id] for a in assignments}
+
+
 def _route_for_assignment(net: RoadNetwork, a: Assignment):
     from .road_network import shortest_route
 
     return shortest_route(net, a.start, a.dest)
+
+
+def _time_in_domain(plan: VehiclePlan, t: float) -> Optional[float]:
+    """t inside plan's domain [t_start, t_arrival), moved there if it overruns by
+    at most 1 µs, else None.
+
+    A follower's merge or split time and its leader's departure or arrival
+    denote the same instant but can differ in the last float bit.
+    """
+    lo, hi = plan.times[0], plan.times[-1]
+    if lo <= t < hi:
+        return t
+    if lo - 1e-6 <= t < lo:
+        return lo
+    if hi <= t <= hi + 1e-6:
+        return math.nextafter(hi, lo)
+    return None
 
 
 def check_follower_coincidence(result: PipelineResult, net: RoadNetwork) -> list[str]:
@@ -219,7 +248,11 @@ def check_follower_coincidence(result: PipelineResult, net: RoadNetwork) -> list
         t = t_m
         while t < t_sp:
             own = sample(plan, t).position
-            lead = sample(leader_plan, t).position
+            t_lead = _time_in_domain(leader_plan, t)
+            if t_lead is None:
+                problems.append(f"{truck} at t={t:.1f}: leader is not on the road")
+                break
+            lead = sample(leader_plan, t_lead).position
             if not positions_coincide(net, own, lead, tol=1e-6):
                 problems.append(
                     f"{truck} at t={t:.1f}: {own} vs leader {lead}"
@@ -315,8 +348,13 @@ def cmd_plan(args) -> int:
     net = load_network(args.network)
     assignments = scenario.load_assignments(args.assignments)
     for a in assignments:
-        net.check_position(a.start)
-        net.check_position(a.dest)
+        try:
+            net.check_position(a.start)
+            net.check_position(a.dest)
+        except ValueError as exc:
+            raise ScenarioError(f"assignment {a.id}: {exc}") from exc
+        if a.start == a.dest:
+            raise ScenarioError(f"assignment {a.id}: start and destination coincide")
 
     result = run_pipeline(net, assignments, run)
     problems = validate_all(result, run.model)

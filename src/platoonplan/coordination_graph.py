@@ -8,11 +8,12 @@ possibly platoon.
 
 from __future__ import annotations
 
+import bisect
 import csv
 
 from .fuel_model import FuelModel
 from .planning import Assignment, VehiclePlan, adapted_plan, default_speed
-from .road_network import Route, common_subpaths, route_length
+from .road_network import Route, _shareable_window, common_subpaths, route_length
 
 WEIGHT_FLOOR = 1e-12  # savings at or below this are float dust, not edges
 
@@ -58,59 +59,49 @@ def prune_pairs(
 ) -> list[tuple[str, str]]:
     """Ordered pairs (follower, leader) that could conceivably platoon.
 
-    A pair survives when the routes share at least one fully traversed edge
-    and a merge is time-feasible somewhere on a shared segment. The test is
-    sound: the admissible-merge region is an arc interval ending at the
-    segment end, so feasibility at the segment end (with slightly relaxed
-    speed bounds) is implied whenever any merge point exists.
+    A pair survives when both routes drive some edge end to end and the
+    follower, leaving at its start time, can reach that edge's end at a
+    constant speed within (slightly relaxed) speed bounds exactly when the
+    leader's default plan passes it. The test is sound: the admissible-merge
+    region is an arc interval ending at a shared segment's end, and every
+    segment end is the end of a shared edge, so feasibility there is implied
+    whenever any merge point exists.
+
+    Each edge keeps the sorted times at which leaders pass its end; a
+    follower bisects for the leaders inside its reachable time window, so
+    only pairs that meet on some edge are ever looked at.
     """
-    ids = sorted(assignments)
-    trucks_on_edge: dict = {}
-    windows = {}
-    for n in ids:
-        r = routes[n]
-        lo = 0 if r.start_offset == 0.0 else 1
-        hi = len(r.edges) - 1 if r.dest_offset == r.lengths[-1] else len(r.edges) - 2
-        windows[n] = (lo, hi)
-        for i in range(lo, hi + 1):
-            trucks_on_edge.setdefault(r.edges[i], []).append(n)
-
-    candidates = set()
-    for trucks in trucks_on_edge.values():
-        for n in trucks:
-            for m in trucks:
-                if n != m:
-                    candidates.add((n, m))
-
     v_lo = model.v_min * (1.0 - 1e-9) - 1e-9
     v_hi = model.v_max * (1.0 + 1e-9) + 1e-9
-    speeds = {
-        n: default_speed(
-            model, route_length(routes[n]), assignments[n].t_deadline - assignments[n].t_start
-        )
-        for n in ids
-    }
 
-    kept = []
-    for n, m in sorted(candidates):
-        follower, leader = assignments[n], assignments[m]
-        v_leader = speeds[m]
-        feasible = False
-        for seg in common_subpaths(routes[n], routes[m]):
-            d0 = routes[n].arc_at_edge_start(seg.a_start)
-            alpha = leader.t_start + routes[m].arc_at_edge_start(seg.b_start) / v_leader
-            # Catch-up speed evaluated at the segment end.
-            denom = (alpha - follower.t_start) + seg.length_m / v_leader
-            numer = d0 + seg.length_m
-            if denom > 0 and v_lo <= numer / denom <= v_hi:
-                feasible = True
-                break
-            if abs(denom) <= 1e-12 and numer <= 1e-9:
-                feasible = True
-                break
-        if feasible:
-            kept.append((n, m))
-    return kept
+    # (edge, follower id, start time, arc at the edge's end) per driven edge.
+    visits = []
+    passages: dict = {}
+    for n, a in assignments.items():
+        r = routes[n]
+        v = default_speed(model, route_length(r), a.t_deadline - a.t_start)
+        lo, hi = _shareable_window(r)
+        covered = sum(r.lengths[:lo])
+        for i in range(lo, hi + 1):
+            covered += r.lengths[i]
+            arc_end = covered - r.start_offset  # == r.arc_at_edge_start(i + 1)
+            visits.append((r.edges[i], n, a.t_start, arc_end))
+            passages.setdefault(r.edges[i], []).append((a.t_start + arc_end / v, n))
+
+    index = {}
+    for e, entries in passages.items():
+        entries.sort()
+        index[e] = ([t for t, _ in entries], [m for _, m in entries])
+
+    kept = set()
+    for e, n, t0, arc_end in visits:
+        times, leaders = index[e]
+        first = bisect.bisect_left(times, t0 + arc_end / v_hi)
+        last = bisect.bisect_right(times, t0 + arc_end / v_lo)
+        for m in leaders[first:last]:
+            if m != n:
+                kept.add((n, m))
+    return sorted(kept)
 
 
 def build(

@@ -11,6 +11,7 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass
@@ -127,8 +128,15 @@ def route_length(r: Route) -> float:
     return sum(r.lengths[:-1]) + r.dest_offset - r.start_offset
 
 
+@functools.lru_cache(maxsize=1)
 def _dijkstra(net: RoadNetwork, source) -> tuple[dict, dict]:
-    """Node distances and predecessor edges from a source node."""
+    """Node distances and predecessor edges from a source node.
+
+    The last tree is kept, so consecutive queries from one source (routes
+    grouped by exit node) cost one search. Networks hash by identity, so a
+    tree never serves another network object; callers must not mutate the
+    returned dicts.
+    """
     dist = {source: 0.0}
     pred: dict = {}
     heap = [(0.0, source)]

@@ -169,8 +169,8 @@ def load_assignments(path: str) -> list[Assignment]:
                     t_deadline=float(entry["t_deadline_s"]),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"{path}: malformed assignment entry {entry!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"{path}: malformed assignment entry {entry!r}: {exc}") from exc
     ids = [a.id for a in assignments]
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"{path}: duplicate assignment ids")

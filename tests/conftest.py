@@ -9,8 +9,11 @@ from platoonplan import (
     FuelModel,
     Position,
     RoadNetwork,
+    common_subpaths,
     make_route,
+    route_length,
 )
+from platoonplan.planning import default_speed
 
 KMH = 1.0 / 3.6
 
@@ -36,6 +39,55 @@ def quadrature_fuel(model, plan, steps_per_piece=400):
         for _ in range(steps_per_piece):
             total += rate * v * dt
     return total
+
+
+def _reference_prune_pairs(assignments, routes, model):
+    """Independent oracle for prune_pairs: the pairwise segment-end test.
+
+    Collects every ordered pair that shares a fully traversed edge, then
+    keeps it when the follower's constant catch-up speed to some shared
+    segment's end, arriving with the leader's default plan, lies within the
+    relaxed speed bounds. Quadratic in the trucks per edge.
+    """
+    ids = sorted(assignments)
+    trucks_on_edge: dict = {}
+    for n in ids:
+        r = routes[n]
+        lo = 0 if r.start_offset == 0.0 else 1
+        hi = len(r.edges) - 1 if r.dest_offset == r.lengths[-1] else len(r.edges) - 2
+        for i in range(lo, hi + 1):
+            trucks_on_edge.setdefault(r.edges[i], []).append(n)
+
+    candidates = set()
+    for trucks in trucks_on_edge.values():
+        for n in trucks:
+            for m in trucks:
+                if n != m:
+                    candidates.add((n, m))
+
+    v_lo = model.v_min * (1.0 - 1e-9) - 1e-9
+    v_hi = model.v_max * (1.0 + 1e-9) + 1e-9
+    speeds = {
+        n: default_speed(
+            model, route_length(routes[n]), assignments[n].t_deadline - assignments[n].t_start
+        )
+        for n in ids
+    }
+
+    kept = []
+    for n, m in sorted(candidates):
+        follower, leader = assignments[n], assignments[m]
+        v_leader = speeds[m]
+        for seg in common_subpaths(routes[n], routes[m]):
+            d0 = routes[n].arc_at_edge_start(seg.a_start)
+            alpha = leader.t_start + routes[m].arc_at_edge_start(seg.b_start) / v_leader
+            # Catch-up speed evaluated at the segment end.
+            denom = (alpha - follower.t_start) + seg.length_m / v_leader
+            numer = d0 + seg.length_m
+            if denom > 0 and v_lo <= numer / denom <= v_hi:
+                kept.append((n, m))
+                break
+    return kept
 
 
 def chain_network(segment_lengths, prefix="e"):

@@ -2,10 +2,25 @@
 
 import csv
 import json
+import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from platoonplan.cli import main, run_montecarlo, write_montecarlo_csv
+from platoonplan import Position, VehiclePlan, make_route, shortest_route
+from platoonplan.cli import (
+    check_follower_coincidence,
+    main,
+    route_assignments,
+    run_montecarlo,
+    write_montecarlo_csv,
+)
+from platoonplan.planning import Assignment
+from platoonplan.road_network import _dijkstra
+from platoonplan.scenario import grid_network
+
+from conftest import chain_network
 
 
 def _write_scenario_config(path, **scenario):
@@ -108,6 +123,80 @@ def test_missing_file_exits_2(tmp_path):
                "--assignments", str(tmp_path / "nada.json"),
                "--out-dir", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda e: e["start"].update(edge="nowhere"),
+        lambda e: e["dest"].update(offset_m=1500.0),
+        lambda e: e.update(dest=dict(e["start"])),
+        lambda e: e.update(t_start_s="soon"),
+        lambda e: e.update(t_start_s=50.0, t_deadline_s=50.0),
+    ],
+    ids=["unknown-edge", "offset-beyond-edge", "dest-at-start", "non-numeric-start",
+         "deadline-at-start"],
+)
+def test_bad_assignment_exits_2(tmp_path, edit):
+    cfg, network, assignments = _generate(
+        tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+    )
+    doc = json.loads(assignments.read_text())
+    edit(doc[0])
+    assignments.write_text(json.dumps(doc))
+    rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
+               "--config", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+
+
+def test_grouped_routing_matches_per_assignment_routes():
+    net = grid_network(4, 4, 1000.0)
+    edges = sorted(net.edges)
+    rng = random.Random(7)
+    assignments = [
+        # Same edge, destination ahead of the start: a one-edge route.
+        Assignment("same", Position(edges[0], 100.0), Position(edges[0], 900.0), 0.0, 100.0),
+    ]
+    while len(assignments) < 40:
+        frm = Position(rng.choice(edges), rng.choice([0.0, 400.0]))
+        to = Position(rng.choice(edges), rng.choice([600.0, 1000.0]))
+        if frm.edge != to.edge:
+            assignments.append(Assignment(f"a{len(assignments)}", frm, to, 0.0, 1e4))
+    routes = route_assignments(net, assignments)
+    assert list(routes) == [a.id for a in assignments]
+    assert routes["same"].edges == (edges[0],)
+    for a in assignments:
+        _dijkstra.cache_clear()
+        assert routes[a.id] == shortest_route(net, a.start, a.dest)
+
+
+def test_coincidence_check_tolerates_one_ulp_before_leader_start():
+    """A follower merging at the leader's departure may be one float bit early."""
+    net = chain_network([10_000.0, 10_000.0, 10_000.0])
+    v = 25.0
+    t_merge = 10_000.0 / v
+    t_leader = math.nextafter(t_merge, math.inf)
+    leader = VehiclePlan(
+        route=make_route(net, ["e1", "e2"], 0.0, 10_000.0),
+        speeds=(v,),
+        times=(t_leader, t_leader + 20_000.0 / v),
+        follower_flags=(0,),
+    )
+    follower = VehiclePlan(
+        route=make_route(net, ["e0", "e1", "e2"], 0.0, 10_000.0),
+        speeds=(v, v),
+        times=(0.0, t_merge, t_merge + 20_000.0 / v),
+        follower_flags=(0, 1),
+        platoon_leader_id="lead",
+    )
+    result = SimpleNamespace(stage4_plans={"lead": leader, "foll": follower})
+    assert check_follower_coincidence(result, net) == []
+    # A leader that departs a second late is reported, not raised.
+    late = VehiclePlan(leader.route, leader.speeds, (t_merge + 1.0, t_merge + 801.0), (0,))
+    result.stage4_plans["lead"] = late
+    assert check_follower_coincidence(result, net) == [
+        f"foll at t={t_merge:.1f}: leader is not on the road"
+    ]
 
 
 def test_exact_subcommand_on_graph_dump(tmp_path):

@@ -6,7 +6,7 @@ from platoonplan import Assignment, Position, build, default_plan, make_route, p
 from platoonplan.coordination_graph import CoordinationGraph, load_graph_csv, save_graph_csv
 from platoonplan.scenario import ScenarioConfig, generate
 
-from conftest import chain_network
+from conftest import _reference_prune_pairs, chain_network
 
 
 def _defaults(model, assignments, routes):
@@ -135,6 +135,18 @@ def test_prune_is_sound_against_unpruned_build(model):
         full, cache_f = build(amap, routes, dplans, model, prune=False)
         assert pruned.weight == full.weight
         assert set(cache_p) == set(cache_f)
+
+
+@pytest.mark.parametrize("n", [200, 800])
+@pytest.mark.parametrize("slack_s", [0.0, 1800.0])
+def test_prune_matches_reference_on_seeded_grids(model, n, slack_s):
+    """The per-edge index keeps exactly the pairs of the pairwise segment-end test."""
+    cfg = ScenarioConfig(n_assignments=n, seed=n + int(slack_s), deadline_slack_s=slack_s)
+    _, assignments, routes = generate(cfg, model)
+    amap = {a.id: a for a in assignments}
+    pairs = prune_pairs(amap, routes, model)
+    assert pairs == _reference_prune_pairs(amap, routes, model)
+    assert pairs == sorted(set(pairs))
 
 
 def test_graph_csv_roundtrip(model, worked_pair, tmp_path):

@@ -1,0 +1,54 @@
+"""Property checks on small random networks with partial first and last edges."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from platoonplan import Assignment, Position, build, default_plan, prune_pairs  # noqa: E402
+from platoonplan.road_network import route_length, shortest_route  # noqa: E402
+from platoonplan.scenario import grid_network  # noqa: E402
+
+from conftest import _reference_prune_pairs  # noqa: E402
+
+EDGE_M = 20_000.0
+
+
+@st.composite
+def fleets(draw):
+    """A 2x4 grid and up to ten trucks whose trips start and end mid-edge."""
+    net = grid_network(2, 4, EDGE_M)
+    edges = sorted(net.edges)
+    offsets = st.sampled_from([0.0, 5000.0, 12_500.0, EDGE_M])
+    trucks = draw(st.integers(min_value=2, max_value=10))
+    assignments, routes = {}, {}
+    for k in range(trucks):
+        frm = Position(draw(st.sampled_from(edges)), draw(offsets))
+        to = Position(draw(st.sampled_from(edges)), draw(offsets))
+        try:
+            route = shortest_route(net, frm, to)
+        except ValueError:  # start and destination coincide
+            continue
+        if route is None:
+            continue
+        t_start = draw(st.sampled_from([0.0, 30.0, 90.0, 200.0]))
+        slack = draw(st.sampled_from([0.0, 300.0]))
+        aid = f"t{k}"
+        window = route_length(route) / 22.0 + slack  # 79.2 km/h, inside the default bounds
+        assignments[aid] = Assignment(aid, frm, to, t_start, t_start + window)
+        routes[aid] = route
+    return assignments, routes
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+def test_pruned_build_equals_unpruned_build(model, fleet):
+    assignments, routes = fleet
+    dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
+    pruned, cache_p = build(assignments, routes, dplans, model, prune=True)
+    full, cache_f = build(assignments, routes, dplans, model, prune=False)
+    assert pruned.weight == full.weight
+    assert set(cache_p) == set(cache_f)
+    assert set(_reference_prune_pairs(assignments, routes, model)) <= set(
+        prune_pairs(assignments, routes, model)
+    )

@@ -336,3 +336,25 @@ def test_network_invariants_enforced():
         RoadNetwork(["A", "B"], [("e1", "A", "B", 10.0), ("e2", "A", "B", 10.0)])
     with pytest.raises(NetworkFormatError):
         RoadNetwork(["A"], [("e1", "A", "B", 10.0)])
+
+
+def test_route_cache_never_crosses_networks_with_shared_node_names():
+    """Same node names, different edges: each network gets its own tree."""
+
+    def diamond(direct_m):
+        return RoadNetwork(
+            ["S", "A", "B", "C", "T"],
+            [
+                ("in", "S", "A", 1000.0),
+                ("ab", "A", "B", direct_m),
+                ("ac", "A", "C", 10.0),
+                ("cb", "C", "B", 10.0),
+                ("out", "B", "T", 1000.0),
+            ],
+        )
+
+    short, detour = diamond(1.0), diamond(100.0)
+    frm, to = Position("in", 0.0), Position("out", 1000.0)
+    for _ in range(2):
+        assert shortest_route(short, frm, to).edges == ("in", "ab", "out")
+        assert shortest_route(detour, frm, to).edges == ("in", "ac", "cb", "out")
