@@ -25,10 +25,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from . import evaluation, scenario
+from . import evaluation, road_network, scenario
 from .coordination_graph import build, load_graph_csv, save_graph_csv
 from .fuel_model import FuelModel, plan_fuel
 from .joint_optimization import (
@@ -79,11 +79,7 @@ class RunConfig:
     seed: int = 0
     exact_selection: bool = False
     exact_limit: int = 20
-    solver: SolverSettings = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.solver is None:
-            self.solver = SolverSettings()
+    solver: SolverSettings = field(default_factory=SolverSettings)
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -95,6 +91,7 @@ def load_config(path: Optional[str]) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read config {path}: {exc}") from exc
     solver_block = doc.get("solver", {})
+    defaults = SolverSettings()
     return RunConfig(
         model=FuelModel.from_config(doc.get("fuel", {})),
         scenario=ScenarioConfig.from_json(doc.get("scenario", {})),
@@ -102,9 +99,9 @@ def load_config(path: Optional[str]) -> RunConfig:
         seed=int(doc.get("seed", 0)),
         exact_limit=int(doc.get("exact_limit", 20)),
         solver=SolverSettings(
-            tol=float(solver_block.get("tol", 1e-8)),
-            max_iter=int(solver_block.get("max_iter", 200)),
-            barrier_mu=float(solver_block.get("barrier_mu", 10.0)),
+            tol=float(solver_block.get("tol", defaults.tol)),
+            max_iter=int(solver_block.get("max_iter", defaults.max_iter)),
+            barrier_mu=float(solver_block.get("barrier_mu", defaults.barrier_mu)),
         ),
     )
 
@@ -207,17 +204,15 @@ def route_assignments(net: RoadNetwork, assignments: list[Assignment]) -> dict:
     by_exit: dict = {}
     for a in assignments:
         by_exit.setdefault(net.edge_head(a.start.edge), []).append(a)
-    found = {a.id: _route_for_assignment(net, a) for group in by_exit.values() for a in group}
+    found = {
+        a.id: road_network.shortest_route(net, a.start, a.dest)
+        for group in by_exit.values()
+        for a in group
+    }
     for a in assignments:
         if found[a.id] is None:
             raise ScenarioError(f"assignment {a.id}: no route exists")
     return {a.id: found[a.id] for a in assignments}
-
-
-def _route_for_assignment(net: RoadNetwork, a: Assignment):
-    from .road_network import shortest_route
-
-    return shortest_route(net, a.start, a.dest)
 
 
 def _time_in_domain(plan: VehiclePlan, t: float) -> Optional[float]:

@@ -14,15 +14,15 @@ With affine consumption each objective term is c2 / T + const with c2 >= 0,
 so the problem is convex with linear constraints. The synchronization
 equalities are eliminated through a null-space parameterization; the
 inequalities are handled by a logarithmic-barrier Newton method started from
-a strictly interior point (found by a small LP), followed by an active-set
-polish. Degenerate groups whose feasible set has an empty interior are
-reduced by converting permanently tight rows into equalities; a fully
-pinned group returns its initial point.
+a strictly interior point (found by a small LP), followed by a primal
+active-set crossover whose ratio test keeps every iterate feasible.
+Degenerate groups whose feasible set has an empty interior are reduced by
+converting permanently tight rows into equalities; a fully pinned group
+returns its initial point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -317,6 +317,7 @@ def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
 
 _ZERO_ROW = 1e-12
 _INTERIOR_EPS = 1e-9
+_ACT_TOL = 1e-3  # relative slack at which a row counts as active
 
 
 @dataclass
@@ -417,7 +418,7 @@ def _newton_centering(prob, red, y, t, max_steps, rel_tol=1e-9):
     Stops when half the squared Newton decrement is small relative to the
     centering objective, which keeps late barrier stages (huge t) from
     chasing decrements below the float64 noise floor. Path following only
-    needs approximate centering; the final polish supplies precision.
+    needs approximate centering; the crossover supplies precision.
     """
     steps = 0
     for _ in range(max_steps):
@@ -457,124 +458,72 @@ def _newton_centering(prob, red, y, t, max_steps, rel_tol=1e-9):
     return y, steps
 
 
-def _minimize_on_face(prob, red, y, act: np.ndarray):
-    """Newton minimizer of F restricted to {active rows tight}; None on failure."""
-    E = red.Gy[act]
-    if act.size:
-        y_p, *_ = np.linalg.lstsq(E, red.hy[act], rcond=None)
-        N = null_space(E)
-        if N.size == 0:
-            x = red.x(y_p)
-            return y_p if np.all(x > 0) else None
-        y_cur = y_p + N @ (N.T @ (y - y_p))
-    else:
-        N = np.eye(red.dim)
-        y_cur = y.copy()
+def _independent(E: np.ndarray, row: np.ndarray) -> bool:
+    """row lies outside the row space of E, which has full row rank."""
+    if E.shape[0] == 0:
+        return True
+    coef = np.linalg.lstsq(E.T, row, rcond=None)[0]
+    return float(np.linalg.norm(row - E.T @ coef)) > 1e-9 * float(np.linalg.norm(row))
 
-    for _ in range(40):
-        x = red.x(y_cur)
-        if np.any(x <= 0):
-            return None
-        g = N.T @ (red.Z.T @ prob.grad(x))
-        d2 = prob.hess_diag(x)
-        ZN = red.Z @ N
-        H = (ZN * d2[:, None]).T @ ZN
+
+def _crossover(prob, red, y) -> np.ndarray:
+    """Primal active-set pass from a feasible barrier iterate to its optimal face.
+
+    The working set starts as the nearly tight rows, tightest first, each kept
+    only if it raises the rank. Every round takes a Newton step of F on the
+    working face, cut short by a ratio test so that no other row is crossed
+    (Nocedal & Wright, Numerical Optimization, section 16.5). A blocking row
+    joins the set if it is independent, else the pass stops; at a converged
+    full step the row with the most negative multiplier leaves, or the pass
+    stops. Every iterate is feasible; the lowest-objective one is returned.
+    """
+    scale = 1.0 + np.abs(red.hy)
+    s = red.slack(y)
+    work: list = []
+    for k in np.argsort(s / scale):
+        if s[k] > _ACT_TOL * scale[k]:
+            break
+        if _independent(red.Gy[work], red.Gy[k]):
+            work.append(int(k))
+    best_y, best_f = y, prob.objective(red.x(y))
+    for _ in range(8):
+        x = red.x(y)
+        gF = prob.grad(x)
+        E = red.Gy[work]
+        H = (red.Z * prob.hess_diag(x)[:, None]).T @ red.Z
+        K = np.block([[H, E.T], [E, np.zeros((len(work), len(work)))]])
         try:
-            step = np.linalg.solve(H, -g)
+            sol = np.linalg.solve(K, np.concatenate([-(red.Z.T @ gF), s[work]]))
         except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        ndec = float(g @ step)
-        alpha = 1.0
-        f0 = prob.objective(x)
-        while alpha > 1e-14:
-            y_new = y_cur + alpha * (N @ step)
-            x_new = red.x(y_new)
-            if np.all(x_new > 0) and prob.objective(x_new) <= f0 + 0.25 * alpha * ndec:
+            break
+        d, mu = sol[: red.dim], sol[red.dim :]
+        # Longest step up to 1 that keeps every row outside the set satisfied.
+        ds = red.Gy @ d
+        ds[work] = 0.0
+        pos = ds > 0
+        ratio = np.full(ds.shape, np.inf)
+        ratio[pos] = np.maximum(s[pos], 0.0) / ds[pos]
+        k = int(np.argmin(ratio))
+        alpha = min(1.0, float(ratio[k]))
+        y = y + alpha * d
+        s = red.slack(y)
+        f = prob.objective(red.x(y))
+        if f <= best_f + 1e-14 * abs(best_f):  # a tie in rounding goes to the later iterate
+            best_y, best_f = y, f
+        if alpha < 1.0 - 1e-9:
+            if not _independent(E, red.Gy[k]):
                 break
-            alpha *= 0.5
-        else:
-            break
-        y_cur = y_new
-        if -ndec <= 1e-16 * (1.0 + abs(f0)):
-            break
-    return y_cur
-
-
-def _polish(prob, red, y, act_mask, rounds=8):
-    """Active-set refinement seeded by a guessed set of binding rows.
-
-    Each round minimizes F on the current face, then repairs the set: the
-    most violated inactive row is added, or the active row with the most
-    negative multiplier (which blocks descent) is dropped. Returns the best
-    feasible face minimum found, or None.
-    """
-    act_set = set(np.where(act_mask)[0])
-    feas_scale = 1e-9 * (1.0 + np.abs(red.hy))
-    best = None
-    seed = y
-    for _ in range(rounds):
-        act = np.array(sorted(act_set), dtype=int)
-        y_new = _minimize_on_face(prob, red, seed, act)
-        if y_new is None:
-            break
-        seed = y_new
-        s = red.slack(y_new)
-        violated = np.where(s < -feas_scale)[0]
-        violated = [k for k in violated if k not in act_set]
-        if violated:
-            act_set.add(min(violated, key=lambda k: s[k] / (1.0 + abs(red.hy[k]))))
-            continue
-        if best is None or prob.objective(red.x(y_new)) <= prob.objective(red.x(best)):
-            best = y_new
-        if act.size == 0:
-            break
-        gF = prob.grad(red.x(y_new))
-        g_y = red.Z.T @ gF
-        mu, *_ = np.linalg.lstsq(red.Gy[act].T, -g_y, rcond=None)
-        mu_floor = -1e-9 * (1.0 + float(np.max(np.abs(gF))))
-        if np.min(mu) >= mu_floor:
-            break
-        act_set.discard(int(act[int(np.argmin(mu))]))
-    return best
-
-
-def _crossover(prob, red, y, t) -> np.ndarray:
-    """Snap a barrier iterate onto its optimal face via active-set polish.
-
-    The barrier multipliers 1 / (t * slack) sit near the true values for
-    binding rows and near 1/t for slack rows, so the two clusters are split
-    at their geometric mean; a few coarser thresholds are tried as well and
-    the stationarity residual picks the winner. Returns the best point found
-    (possibly y itself when every polish is rejected).
-    """
-    lam = 1.0 / (t * red.slack(y))
-    lam_max = float(np.max(lam))
-    lam_min = float(np.min(lam))
-    thresholds = {math.sqrt(lam_max * max(lam_min, 1e-300))}
-    thresholds.update(f * lam_max for f in (1e-1, 1e-3))
-    best_y = y
-    best_res = _kkt_residual(prob, red, y)
-    seen = set()
-    obj_ref = prob.objective(red.x(y))
-    for thr in sorted(thresholds, reverse=True):
-        mask = lam >= thr
-        key = mask.tobytes()
-        if key in seen or not np.any(mask):
-            continue
-        seen.add(key)
-        y_pol = _polish(prob, red, y, mask)
-        if y_pol is None or prob.objective(red.x(y_pol)) > obj_ref:
-            continue
-        res = _kkt_residual(prob, red, y_pol)
-        if res < best_res:
-            best_res = res
-            best_y = y_pol
+            work.append(k)
+        elif float(np.max(np.abs(red.Z @ d))) <= 1e-9 * (1.0 + float(np.max(np.abs(x)))):
+            # Converged on this face: stop, or free the row that blocks descent.
+            mu_floor = -1e-9 * (1.0 + float(np.max(np.abs(gF))))
+            if mu.size == 0 or float(np.min(mu)) >= mu_floor:
+                break
+            del work[int(np.argmin(mu))]
     return best_y
 
 
-def _kkt_residual(prob, red, y, act_tol=1e-3) -> float:
+def _kkt_residual(prob, red, y) -> float:
     """Distance of -grad F from the cone of active constraint normals.
 
     Measured in the reduced space (equalities are quotiented out), relative
@@ -587,7 +536,7 @@ def _kkt_residual(prob, red, y, act_tol=1e-3) -> float:
     g_y = red.Z.T @ gF
     scale = 1.0 + float(np.max(np.abs(gF)))
     s = red.slack(y)
-    act = np.where(s <= act_tol * (1.0 + np.abs(red.hy)))[0]
+    act = np.where(s <= _ACT_TOL * (1.0 + np.abs(red.hy)))[0]
     if act.size == 0:
         return float(np.max(np.abs(g_y))) / scale
     M = red.Gy[act].T
@@ -649,7 +598,7 @@ def solve(
                 gap = m_rows / t
                 if gap <= settings.tol * (1.0 + abs(prob.objective(red.x(y)))):
                     gap_converged = True
-                    y_best = _crossover(prob, red, y, t)
+                    y_best = _crossover(prob, red, y)
                     if _kkt_residual(prob, red, y_best) <= max(settings.tol, 1e-10):
                         break
                 if steps_total >= budget or t > 1e60:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from platoonplan import (
@@ -13,6 +14,7 @@ from platoonplan import (
     make_route,
     route_length,
 )
+from platoonplan.joint_optimization import _assemble
 from platoonplan.planning import default_speed
 
 KMH = 1.0 / 3.6
@@ -88,6 +90,17 @@ def _reference_prune_pairs(assignments, routes, model):
                 kept.append((n, m))
                 break
     return kept
+
+
+def stage4_infeasibility(group, sol, model):
+    """Largest relative excess of the solution over the group's G x <= h rows.
+
+    Each row's excess is divided by 1 + |h|, so a feasible solution gives a
+    value of at most 1e-9 even when rounding breaks a tight row slightly.
+    """
+    prob = _assemble(group, model)
+    x = np.concatenate([sol.times[member] for member in group.members()])
+    return float(np.max((prob.G @ x - prob.h) / (1.0 + np.abs(prob.h))))
 
 
 def chain_network(segment_lengths, prefix="e"):

@@ -22,7 +22,7 @@ from platoonplan import (
 )
 from platoonplan.joint_optimization import CoordinationGroup
 
-from conftest import chain_network
+from conftest import chain_network, stage4_infeasibility
 
 
 def _check_constraints(group, sol, model, tol=1e-6):
@@ -308,3 +308,53 @@ def test_solver_runs_with_custom_settings(model, worked_pair):
     sol = solve(group, model, SolverSettings(tol=1e-6, max_iter=80, barrier_mu=20.0))
     assert sol.converged
     assert sol.objective <= group_objective(group, model, group.initial_times)
+
+
+def test_solve_stays_feasible_on_rank_deficient_faces(model, monkeypatch):
+    """Near the optimum of this fleet's group a0588 (10 trucks, 87 variables)
+    the nearly tight rows are linearly dependent and not all consistent.
+    Every group's solution must still satisfy G x <= h and be stationary, and
+    the stage-4 plans must validate: a box row broken by 5.5e-7 relative once
+    gave a speed below v_min here.
+    """
+    from platoonplan import cli
+    from platoonplan.scenario import ScenarioConfig, generate
+
+    checked = []
+
+    def checked_solve(group, fuel, settings=None):
+        sol = solve(group, fuel, settings)
+        assert stage4_infeasibility(group, sol, fuel) <= 1e-9, group.leader_id
+        assert sol.kkt_residual <= 1e-8, group.leader_id
+        checked.append(group.leader_id)
+        return sol
+
+    monkeypatch.setattr(cli, "solve", checked_solve)
+    run = cli.RunConfig(model=model, scenario=ScenarioConfig(n_assignments=800, seed=201))
+    net, assignments, routes = generate(run.scenario, model)
+    result = cli.run_pipeline(net, assignments, run, routes=routes)
+    assert "a0588" in checked
+    assert cli.validate_all(result, model) == []
+
+
+def test_crossover_step_stops_at_the_row_it_would_cross():
+    """min 1/x on 50 <= x <= 120 from x = 100: the Newton step (to x = 150)
+    would cross the upper bound, so the ratio test stops on it, the row joins
+    the working set, and its positive multiplier ends the pass at x = 120.
+    """
+    from platoonplan.joint_optimization import _crossover, _Problem, _reduce
+
+    prob = _Problem(
+        x0=np.array([100.0]),
+        c2=np.array([1.0]),
+        c0=0.0,
+        A=np.zeros((0, 1)),
+        b=np.zeros(0),
+        G=np.array([[-1.0], [1.0]]),
+        h=np.array([-50.0, 120.0]),
+        var_slices={},
+    )
+    red = _reduce(prob, prob.x0, np.eye(1))
+    x = red.x(_crossover(prob, red, np.zeros(1)))
+    assert x[0] == pytest.approx(120.0, rel=1e-12)
+    assert x[0] <= 120.0

@@ -5,11 +5,23 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from platoonplan import Assignment, Position, build, default_plan, prune_pairs  # noqa: E402
+from platoonplan import (  # noqa: E402
+    Assignment,
+    Position,
+    build,
+    build_group,
+    cluster,
+    default_plan,
+    extract_plans,
+    prune_pairs,
+    solve,
+    validate,
+)
+from platoonplan.joint_optimization import _assemble  # noqa: E402
 from platoonplan.road_network import route_length, shortest_route  # noqa: E402
 from platoonplan.scenario import grid_network  # noqa: E402
 
-from conftest import _reference_prune_pairs  # noqa: E402
+from conftest import _reference_prune_pairs, stage4_infeasibility  # noqa: E402
 
 EDGE_M = 20_000.0
 
@@ -52,3 +64,28 @@ def test_pruned_build_equals_unpruned_build(model, fleet):
     assert set(_reference_prune_pairs(assignments, routes, model)) <= set(
         prune_pairs(assignments, routes, model)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+def test_stage4_solutions_are_feasible_stationary_and_no_worse(model, fleet):
+    assignments, routes = fleet
+    dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
+    graph, plan_cache = build(assignments, routes, dplans, model)
+    leader_set = cluster(graph)
+    groups: dict = {}
+    for follower, leader in leader_set.follower_of.items():
+        groups.setdefault(leader, []).append(follower)
+    for leader, members in sorted(groups.items()):
+        group = build_group(
+            assignments[leader],
+            dplans[leader],
+            [(assignments[f], plan_cache[(f, leader)]) for f in sorted(members)],
+        )
+        sol = solve(group, model)
+        start = _assemble(group, model)
+        assert stage4_infeasibility(group, sol, model) <= 1e-9
+        assert sol.objective <= start.objective(start.x0)
+        assert sol.kkt_residual <= 1e-8
+        for member, plan in extract_plans(group, sol, model).items():
+            assert validate(plan, assignments[member], model) == []
