@@ -58,6 +58,7 @@ from .scenario import ScenarioConfig, ScenarioError
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
+SELECTION_RULES = ("greedy", "random")
 
 
 def _log(event: str, **fields) -> None:
@@ -83,6 +84,7 @@ class RunConfig:
 
 
 def load_config(path: Optional[str]) -> RunConfig:
+    """Parse a config file; any malformed or out-of-range value is a ScenarioError."""
     doc = {}
     if path is not None:
         try:
@@ -90,20 +92,26 @@ def load_config(path: Optional[str]) -> RunConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read config {path}: {exc}") from exc
-    solver_block = doc.get("solver", {})
-    defaults = SolverSettings()
-    return RunConfig(
-        model=FuelModel.from_config(doc.get("fuel", {})),
-        scenario=ScenarioConfig.from_json(doc.get("scenario", {})),
-        selection=doc.get("selection", "greedy"),
-        seed=int(doc.get("seed", 0)),
-        exact_limit=int(doc.get("exact_limit", 20)),
-        solver=SolverSettings(
-            tol=float(solver_block.get("tol", defaults.tol)),
-            max_iter=int(solver_block.get("max_iter", defaults.max_iter)),
-            barrier_mu=float(solver_block.get("barrier_mu", defaults.barrier_mu)),
-        ),
-    )
+    try:
+        solver_block = doc.get("solver", {})
+        defaults = SolverSettings()
+        run = RunConfig(
+            model=FuelModel.from_config(doc.get("fuel", {})),
+            scenario=ScenarioConfig.from_json(doc.get("scenario", {})),
+            selection=doc.get("selection", "greedy"),
+            seed=int(doc.get("seed", 0)),
+            exact_limit=int(doc.get("exact_limit", 20)),
+            solver=SolverSettings(
+                tol=float(solver_block.get("tol", defaults.tol)),
+                max_iter=int(solver_block.get("max_iter", defaults.max_iter)),
+                barrier_mu=float(solver_block.get("barrier_mu", defaults.barrier_mu)),
+            ),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid config {path}: {exc}") from exc
+    if run.selection not in SELECTION_RULES:
+        raise ScenarioError(f"invalid config {path}: unknown selection {run.selection!r}")
+    return run
 
 
 @dataclass
@@ -375,7 +383,10 @@ def cmd_plan(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    graph = load_graph_csv(args.graph_csv)
+    try:
+        graph = load_graph_csv(args.graph_csv)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid graph CSV {args.graph_csv}: {exc}") from exc
     leader_set = exact(graph, limit=args.limit)
     doc = {
         "leaders": sorted(leader_set.leaders),
@@ -476,6 +487,7 @@ def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
 
 
 def cmd_montecarlo(args) -> int:
+    load_config(args.config)  # a bad config is an input error, not a failed row per run
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = run_montecarlo(
         args.config, sizes, args.runs, args.seed, args.selection, args.jobs
@@ -488,10 +500,13 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    histogram = {int(k): float(v) for k, v in doc.pop("histogram", {}).items()}
-    rep = evaluation.RunReport(histogram=histogram, **doc)
+    try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        histogram = {int(k): float(v) for k, v in doc.pop("histogram", {}).items()}
+        rep = evaluation.RunReport(histogram=histogram, **doc)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid report {args.report}: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     evaluation.write_metrics_csv(rep, os.path.join(args.out_dir, "metrics.csv"))
     evaluation.write_histogram_csv(rep.histogram, os.path.join(args.out_dir, "histogram.csv"))
@@ -519,7 +534,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--config", default=None)
     p_plan.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))
     p_plan.add_argument(
-        "--selection", choices=("greedy", "random"), default=_env_default("SELECTION", None)
+        "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", None)
     )
     p_plan.add_argument("--seed", type=int, default=_env_default("SEED", None, int))
     p_plan.add_argument("--exact", action="store_true", help="exact leader selection")
@@ -542,7 +557,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sizes", default="50,200,800")
     p_mc.add_argument("--seed", type=int, default=_env_default("SEED", 0, int))
     p_mc.add_argument(
-        "--selection", choices=("greedy", "random"), default=_env_default("SELECTION", "greedy")
+        "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", "greedy")
     )
     p_mc.add_argument("--jobs", type=int, default=_env_default("JOBS", 1, int))
     p_mc.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))

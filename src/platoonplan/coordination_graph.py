@@ -13,7 +13,7 @@ import csv
 
 from .fuel_model import FuelModel
 from .planning import Assignment, VehiclePlan, adapted_plan, default_speed
-from .road_network import Route, _shareable_window, common_subpaths, route_length
+from .road_network import Route, common_subpaths, route_length
 
 WEIGHT_FLOOR = 1e-12  # savings at or below this are float dust, not edges
 
@@ -80,11 +80,8 @@ def prune_pairs(
     for n, a in assignments.items():
         r = routes[n]
         v = default_speed(model, route_length(r), a.t_deadline - a.t_start)
-        lo, hi = _shareable_window(r)
-        covered = sum(r.lengths[:lo])
-        for i in range(lo, hi + 1):
-            covered += r.lengths[i]
-            arc_end = covered - r.start_offset  # == r.arc_at_edge_start(i + 1)
+        for i in r.shareable:
+            arc_end = r.arc_at_edge_start(i + 1)
             visits.append((r.edges[i], n, a.t_start, arc_end))
             passages.setdefault(r.edges[i], []).append((a.t_start + arc_end / v, n))
 

@@ -18,57 +18,37 @@ from .fuel_model import FuelModel, plan_fuel
 CHAIN_GAP_S = 60.0  # consecutive arrivals within this gap platoon spontaneously
 
 
-@dataclass(frozen=True)
-class EdgeArrivalEvent:
-    edge: str
-    truck: str
-    t_arrival: float
-    driven_m: float
+def spontaneous_baseline(default_plans: dict, model: FuelModel) -> float:
+    """Fuel saved (kg) by per-edge platoons of trucks arriving within 60 s chains.
 
-
-def edge_arrival_events(default_plans: dict) -> dict:
-    """Per edge, every default-plan visit with its arrival time.
-
-    A constant-speed plan reaches edge i of its route at the start time plus
-    the prefix distance over the plan speed; partially driven first/last
-    edges count with the meters actually driven.
+    A constant-speed plan reaches edge i of its route at its start time plus
+    the route's arc to that edge over the plan speed; partially driven
+    first/last edges count with the meters actually driven. Arrival times
+    per edge are sorted; maximal chains with consecutive gaps of at most one
+    minute form platoons driving at their default speeds. The earliest truck
+    of each chain leads (no saving), the rest pay follower rates over their
+    driven meters. Trajectories are not altered.
     """
     by_edge: dict = {}
     for truck, plan in default_plans.items():
         v = plan.speeds[0]
         r = plan.route
         for i, eid in enumerate(r.edges):
-            arc = r.arc_at_edge_start(i)
             driven = r.lengths[i]
             if i == 0:
                 driven -= r.start_offset
             if i == len(r.edges) - 1:
                 driven -= r.lengths[i] - r.dest_offset
-            if driven <= 0:
-                continue
-            t = plan.times[0] + max(arc, 0.0) / v
-            by_edge.setdefault(eid, []).append(EdgeArrivalEvent(eid, truck, t, driven))
-    return by_edge
-
-
-def spontaneous_baseline(default_plans: dict, model: FuelModel) -> float:
-    """Fuel saved (kg) by per-edge platoons of trucks arriving within 60 s chains.
-
-    Arrival times per edge are sorted; maximal chains with consecutive gaps
-    of at most one minute form platoons driving at their default speeds. The
-    earliest truck of each chain leads (no saving), the rest pay follower
-    rates over their driven meters. Trajectories are not altered.
-    """
+            if driven > 0:
+                t = plan.times[0] + max(r.arc_at_edge_start(i), 0.0) / v
+                by_edge.setdefault(eid, []).append((t, truck, driven, v))
     saving = 0.0
-    for _, visits in edge_arrival_events(default_plans).items():
-        visits.sort(key=lambda e: (e.t_arrival, e.truck))
-        chain_start = 0
-        for i in range(1, len(visits) + 1):
-            if i == len(visits) or visits[i].t_arrival - visits[i - 1].t_arrival > CHAIN_GAP_S:
-                for event in visits[chain_start + 1 : i]:
-                    v = default_plans[event.truck].speeds[0]
-                    saving += (model.solo_rate(v) - model.follower_rate(v)) * event.driven_m
-                chain_start = i
+    for visits in by_edge.values():
+        visits.sort()
+        # A visit within a minute of the previous one follows in its chain.
+        for (t_prev, *_), (t, _, driven, v) in zip(visits, visits[1:]):
+            if t - t_prev <= CHAIN_GAP_S:
+                saving += (model.solo_rate(v) - model.follower_rate(v)) * driven
     return saving
 
 

@@ -1,12 +1,14 @@
 """Affine fuel-per-distance model for solo/lead and platoon-follower driving.
 
 All internal units are SI: meters, seconds, kilograms. Config files carry
-speeds in km/h and are converted on load.
+speeds in km/h and are converted on load. `FuelModel.clamp_speed` is the
+package's one rounding guard on speeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 KMH = 1.0 / 3.6  # multiply km/h by this to get m/s
 
@@ -52,6 +54,14 @@ class FuelModel:
                     f"follower consumption exceeds solo consumption at v={v:.3f} m/s"
                 )
 
+    def clamp_speed(self, v: float) -> Optional[float]:
+        """v snapped into [v_min, v_max], or None if it misses by more than
+        1e-9 * v_max (the rounding of closed-form and solver speeds)."""
+        guard = 1e-9 * self.v_max
+        if v < self.v_min - guard or v > self.v_max + guard:
+            return None
+        return min(max(v, self.v_min), self.v_max)
+
     def solo_rate(self, v: float) -> float:
         """kg/m when driving alone or leading a platoon."""
         return self.a0 * v + self.b0
@@ -77,11 +87,9 @@ class FuelModel:
 def per_distance(model: FuelModel, v: float, follower: bool) -> float:
     """Fuel consumption in kg per meter at speed v (m/s).
 
-    Raises ValueError for speeds outside [v_min, v_max] (tiny float slack
-    allowed).
+    Raises ValueError for speeds that `FuelModel.clamp_speed` rejects.
     """
-    tol = 1e-9 * model.v_max
-    if v < model.v_min - tol or v > model.v_max + tol:
+    if model.clamp_speed(v) is None:
         raise ValueError(
             f"speed {v:.6f} m/s outside [{model.v_min:.6f}, {model.v_max:.6f}]"
         )

@@ -23,6 +23,7 @@ returns its initial point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -229,85 +230,59 @@ class _Problem:
 
 
 def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
+    """The program over all members' segment times, concatenated in members() order.
+
+    G rows: speed boxes as -I and I, then one deadline indicator row per member.
+    A rows per follower: merge synchronization unless trivial, then platoon pairs.
+    """
     members = group.members()
-    var_slices = {}
-    offset = 0
-    for member in members:
-        k = len(group.distances[member])
-        var_slices[member] = slice(offset, offset + k)
-        offset += k
-    n = offset
+    sizes = [len(group.distances[member]) for member in members]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    var_slices = {member: slice(lo, hi) for member, lo, hi in zip(members, ends, ends[1:])}
+    n = ends[-1]
 
-    x0 = np.empty(n)
-    c2 = np.empty(n)
-    c0 = 0.0
-    for member in members:
-        sl = var_slices[member]
-        w = np.asarray(group.distances[member])
-        p = np.asarray(group.platoon_flags[member])
-        x0[sl] = group.initial_times[member]
-        slope = np.where(p == 1, model.ap, model.a0)
-        inter = np.where(p == 1, model.bp, model.b0)
-        c2[sl] = slope * w * w
-        c0 += float(np.sum(inter * w))
+    def stacked(per_member: dict) -> np.ndarray:
+        return np.concatenate([np.asarray(per_member[m], dtype=float) for m in members])
 
-    eq_rows = []
-    eq_rhs = []
-    lead_sl = var_slices[group.leader_id]
+    w = stacked(group.distances)
+    platoon = stacked(group.platoon_flags) == 1
+    x0 = stacked(group.initial_times)
+    c2 = np.where(platoon, model.ap, model.a0) * w * w
+    constant = np.where(platoon, model.bp, model.b0) * w
+    c0 = sum(float(np.sum(constant[sl])) for sl in var_slices.values())
+
+    # Equalities as (+1 columns, -1 columns, right-hand side).
+    equalities = []
+    lead = var_slices[group.leader_id].start
     for fid in group.follower_ids:
-        sl = var_slices[fid]
+        f = var_slices[fid].start
         i_m, i_sp = group.merge_index[fid], group.split_index[fid]
-        has_head = group.platoon_flags[fid][0] == 0
+        head = int(group.platoon_flags[fid][0] == 0)
         # Merge synchronization: follower start + head time equals the
         # leader's arrival at the merge segment, i.e.
         # T_head - sum(leader prefix) = t_start_leader - t_start_follower.
-        row = np.zeros(n)
-        if has_head:
-            row[sl.start] = 1.0
-        row[lead_sl.start : lead_sl.start + i_m] -= 1.0
         rhs = group.t_start[group.leader_id] - group.t_start[fid]
-        if np.any(row):
-            eq_rows.append(row)
-            eq_rhs.append(rhs)
+        if head or i_m:
+            equalities.append((range(f, f + head), range(lead, lead + i_m), rhs))
         elif abs(rhs) > 1e-6:
             raise InconsistentGroupError(
                 f"follower {fid} merges at the leader's start but departs elsewhere in time"
             )
         # Equal traversal times while platooning.
-        first_platoon = sl.start + (1 if has_head else 0)
-        for j in range(i_sp - i_m + 1):
-            row = np.zeros(n)
-            row[first_platoon + j] = 1.0
-            row[lead_sl.start + i_m + j] = -1.0
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-    A = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-    b = np.array(eq_rhs) if eq_rhs else np.zeros(0)
+        equalities.extend(([f + head + j], [lead + i_m + j], 0.0) for j in range(i_sp - i_m + 1))
+    A = np.zeros((len(equalities), n))
+    for r, (plus, minus, _) in enumerate(equalities):
+        A[r, plus] = 1.0
+        A[r, minus] = -1.0
+    b = np.array([rhs for _, _, rhs in equalities], dtype=float)
 
-    g_rows = []
-    h_vals = []
-    for j in range(n):
-        lo = np.zeros(n)
-        lo[j] = -1.0
-        g_rows.append(lo)
-    for member in members:
-        sl = var_slices[member]
-        w = np.asarray(group.distances[member])
-        h_vals.extend(list(-w / model.v_max))
-    for j in range(n):
-        hi = np.zeros(n)
-        hi[j] = 1.0
-        g_rows.append(hi)
-    for member in members:
-        w = np.asarray(group.distances[member])
-        h_vals.extend(list(w / model.v_min))
-    for member in members:
-        row = np.zeros(n)
-        row[var_slices[member]] = 1.0
-        g_rows.append(row)
-        h_vals.append(group.t_deadline[member] - group.t_start[member])
-    G = np.array(g_rows)
-    h = np.array(h_vals)
+    deadline_rows = np.repeat(np.eye(len(members)), sizes, axis=1)
+    G = np.vstack([np.diag(np.full(n, -1.0)), np.eye(n), deadline_rows])
+    h = np.concatenate([
+        -w / model.v_max,
+        w / model.v_min,
+        [group.t_deadline[m] - group.t_start[m] for m in members],
+    ])
     return _Problem(x0=x0, c2=c2, c0=c0, A=A, b=b, G=G, h=h, var_slices=var_slices)
 
 
@@ -657,7 +632,6 @@ def extract_plans(
     truck's start time; merge/split locations are untouched because the
     distance partition is fixed.
     """
-    guard = 1e-9 * model.v_max
     plans = {}
     for member in group.members():
         w = group.distances[member]
@@ -665,11 +639,9 @@ def extract_plans(
         speeds = []
         for wi, ti in zip(w, times_rel):
             v = float(wi / ti)
-            if v > model.v_max and v <= model.v_max + guard:
-                v = model.v_max
-            elif v < model.v_min and v >= model.v_min - guard:
-                v = model.v_min
-            speeds.append(v)
+            # Snap rounding dust; a real violation is left for validate().
+            clamped = model.clamp_speed(v)
+            speeds.append(v if clamped is None else clamped)
         breakpoints = [group.t_start[member]]
         for ti in times_rel:
             breakpoints.append(breakpoints[-1] + ti)

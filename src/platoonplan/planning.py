@@ -4,7 +4,8 @@ A vehicle plan is a route plus a piecewise-constant speed schedule. The
 default plan drives the whole route at the cheapest feasible constant speed.
 An adapted plan reshapes a follower's schedule into (catch-up, platoon
 behind a leader, finish) so that the two trajectories coincide on a shared
-stretch of road.
+stretch of road. Route geometry (arcs, shareable edges) comes from
+`road_network.Route` and the speed guard from `FuelModel.clamp_speed`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from typing import Optional
 from .fuel_model import FuelModel, plan_fuel
 from .road_network import Position, Route, SharedSegment, common_subpaths, route_length
 
-# Arc positions are resolved to this tolerance; speeds get a matching
-# relative guard so closed-form boundary solutions never fail validation.
+# Arc positions in the closed-form merge/split search are resolved to this
+# many meters; speeds use FuelModel.clamp_speed, so closed-form boundary
+# solutions never fail validation.
 ARC_TOL = 1e-9
-REL_TOL = 1e-9
-DIST_TOL = 1e-6  # meters, distance-conservation check
+DIST_TOL = 1e-6  # meters: distance conservation and route end positions
 
 
 class InfeasibleDeadlineError(ValueError):
@@ -82,11 +83,12 @@ def default_speed(model: FuelModel, distance: float, window: float) -> float:
     v_cm = max(v_min, D / window); ties also resolve to the slowest.
     """
     v_cm = max(model.v_min, distance / window)
-    if v_cm > model.v_max * (1.0 + REL_TOL):
+    v = model.clamp_speed(v_cm)
+    if v is None:
         raise InfeasibleDeadlineError(
             f"required speed {v_cm:.3f} m/s exceeds v_max {model.v_max:.3f} m/s"
         )
-    return min(v_cm, model.v_max)
+    return v
 
 
 def default_plan(a: Assignment, r: Route, model: FuelModel) -> VehiclePlan:
@@ -99,14 +101,6 @@ def default_plan(a: Assignment, r: Route, model: FuelModel) -> VehiclePlan:
         times=(a.t_start, a.t_start + d / v),
         follower_flags=(0,),
     )
-
-
-def _clamp_speed(v: float, model: FuelModel) -> Optional[float]:
-    """Snap v into [v_min, v_max]; None if it misses by more than the guard."""
-    guard = REL_TOL * model.v_max
-    if v < model.v_min - guard or v > model.v_max + guard:
-        return None
-    return min(max(v, model.v_min), model.v_max)
 
 
 def _segment_candidate(
@@ -169,7 +163,7 @@ def _segment_candidate(
 
     pre_dist = d0 + s_merge
     if pre_dist > ARC_TOL:
-        v1 = _clamp_speed(pre_dist / (t_merge - t_start_f), model)
+        v1 = model.clamp_speed(pre_dist / (t_merge - t_start_f))
         if v1 is None:
             return None
     else:
@@ -181,7 +175,7 @@ def _segment_candidate(
 
     tail_dist = (seg_len - s_split) + d_tail
     if tail_dist > ARC_TOL:
-        v3 = _clamp_speed(max(v_cd_f, tail_dist / (t_deadline_f - t_split)), model)
+        v3 = model.clamp_speed(max(v_cd_f, tail_dist / (t_deadline_f - t_split)))
         if v3 is None:
             return None
         t_arrival = t_split + tail_dist / v3
@@ -295,16 +289,11 @@ def sample(plan: VehiclePlan, t: float) -> TrajectorySample:
         traveled += plan.speeds[i] * (plan.times[i + 1] - plan.times[i])
 
     route = plan.route
-    # Largest edge index whose start arc lies strictly before the traveled
-    # distance; falls back to the first edge at departure.
-    arc = -route.start_offset
-    edge_idx = 0
-    for i, length in enumerate(route.lengths):
-        if arc < traveled:
-            edge_idx = i
-        else:
-            break
-        arc += length
+    # Last edge whose start arc lies strictly before the traveled distance
+    # (so an edge boundary reads as the end of the earlier edge); the first
+    # edge at departure.
+    edges = range(len(route.edges))
+    edge_idx = max(bisect.bisect_left(edges, traveled, key=route.arc_at_edge_start) - 1, 0)
     offset = traveled - route.arc_at_edge_start(edge_idx)
     return TrajectorySample(
         position=Position(route.edges[edge_idx], offset),
@@ -326,9 +315,8 @@ def validate(plan: VehiclePlan, a: Assignment, model: FuelModel) -> list[str]:
     for t0, t1 in zip(plan.times, plan.times[1:]):
         if not t1 > t0:
             problems.append(f"times not strictly increasing at {t0} -> {t1}")
-    guard = REL_TOL * model.v_max
     for i, v in enumerate(plan.speeds):
-        if v < model.v_min - guard or v > model.v_max + guard:
+        if model.clamp_speed(v) is None:
             problems.append(f"speed {v:.9f} of piece {i} outside bounds")
     dist = sum(v * (plan.times[i + 1] - plan.times[i]) for i, v in enumerate(plan.speeds))
     d = route_length(plan.route)
@@ -336,6 +324,11 @@ def validate(plan: VehiclePlan, a: Assignment, model: FuelModel) -> list[str]:
         problems.append(f"distance conservation off by {dist - d:.3e} m")
     if abs(plan.times[0] - a.t_start) > 1e-9:
         problems.append(f"plan starts at {plan.times[0]}, assignment at {a.t_start}")
+    r = plan.route
+    if r.edges[0] != a.start.edge or abs(r.start_offset - a.start.offset) > DIST_TOL:
+        problems.append(f"route starts at {r.edges[0]}+{r.start_offset}, assignment at {a.start}")
+    if r.edges[-1] != a.dest.edge or abs(r.dest_offset - a.dest.offset) > DIST_TOL:
+        problems.append(f"route ends at {r.edges[-1]}+{r.dest_offset}, assignment at {a.dest}")
     if plan.times[-1] > a.t_deadline + 1e-6:
         problems.append(f"arrival {plan.times[-1]} misses deadline {a.t_deadline}")
     flags = plan.follower_flags

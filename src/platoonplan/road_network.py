@@ -6,6 +6,10 @@ the last edge; the distance covered is
 
     D = sum(length(e_i) for i in range(N - 1)) + dest_offset - start_offset.
 
+A route owns its geometry: the arc (distance from the route start) at which
+each edge begins, the distance covered, and the range of edges it drives
+end to end. Other modules ask the route instead of re-summing lengths.
+
 All operations are pure functions of immutable inputs.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -89,16 +94,32 @@ class RoadNetwork:
 
 @dataclass(frozen=True)
 class Route:
-    """Connected edge path with boundary offsets; lengths are cached."""
+    """Connected edge path with boundary offsets; lengths and their prefix sums are cached."""
 
     edges: tuple
     lengths: tuple
     start_offset: float
     dest_offset: float
 
+    @functools.cached_property
+    def prefix(self) -> tuple:
+        """prefix[i] = summed length of the first i edges, added left to right."""
+        return tuple(itertools.accumulate(self.lengths, initial=0.0))
+
     def arc_at_edge_start(self, i: int) -> float:
-        """Distance from the route start to the start node of edge i."""
-        return sum(self.lengths[:i]) - self.start_offset
+        """Distance from the route start to the start node of edge i (i <= len(edges))."""
+        return self.prefix[i] - self.start_offset
+
+    @property
+    def shareable(self) -> range:
+        """Indices of the edges driven end to end; empty if there are none.
+
+        A partially driven first or last edge is excluded: two vehicles can
+        only pair up on edges both drive end to end.
+        """
+        lo = 0 if self.start_offset == 0.0 else 1
+        hi = len(self.edges) if self.dest_offset == self.lengths[-1] else len(self.edges) - 1
+        return range(lo, hi)
 
 
 def make_route(net: RoadNetwork, edges, start_offset: float, dest_offset: float) -> Route:
@@ -125,7 +146,7 @@ def make_route(net: RoadNetwork, edges, start_offset: float, dest_offset: float)
 
 def route_length(r: Route) -> float:
     """Distance covered by the route (arrival-condition bookkeeping)."""
-    return sum(r.lengths[:-1]) + r.dest_offset - r.start_offset
+    return r.prefix[-2] + r.dest_offset - r.start_offset
 
 
 @functools.lru_cache(maxsize=1)
@@ -206,52 +227,27 @@ def shortest_route(net: RoadNetwork, frm: Position, to: Position) -> Optional[Ro
     return best
 
 
-def _shareable_window(r: Route) -> tuple[int, int]:
-    """Inclusive index range of fully traversed edges (may be empty: lo > hi)."""
-    lo = 0 if r.start_offset == 0.0 else 1
-    hi = len(r.edges) - 1 if r.dest_offset == r.lengths[-1] else len(r.edges) - 2
-    return lo, hi
-
-
 def common_subpaths(a: Route, b: Route) -> list[SharedSegment]:
     """All maximal runs of edges appearing contiguously and in order in both routes.
 
-    Partially traversed first/last edges are excluded from sharing; two
-    vehicles can only pair up on edges both drive end to end.
+    Only edges both routes drive end to end (`Route.shareable`) count.
+    Segments come in order of their start in `a`.
     """
-    a_lo, a_hi = _shareable_window(a)
-    b_lo, b_hi = _shareable_window(b)
-    if a_lo > a_hi or b_lo > b_hi:
-        return []
+    sa, sb = a.shareable, b.shareable
     positions_in_b: dict = {}
-    for j in range(b_lo, b_hi + 1):
+    for j in sb:
         positions_in_b.setdefault(b.edges[j], []).append(j)
 
     segments = []
-    i = a_lo
-    while i <= a_hi:
-        starts = positions_in_b.get(a.edges[i])
-        if not starts:
-            i += 1
-            continue
-        for j in starts:
+    for i in sa:
+        for j in positions_in_b.get(a.edges[i], ()):
             # Only start a run at a maximal left end.
-            if i > a_lo and j > b_lo and a.edges[i - 1] == b.edges[j - 1]:
+            if i > sa.start and j > sb.start and a.edges[i - 1] == b.edges[j - 1]:
                 continue
-            k = 0
-            while i + k <= a_hi and j + k <= b_hi and a.edges[i + k] == b.edges[j + k]:
+            k = 1
+            while i + k < sa.stop and j + k < sb.stop and a.edges[i + k] == b.edges[j + k]:
                 k += 1
-            segments.append(
-                SharedSegment(
-                    a_start=i,
-                    a_end=i + k - 1,
-                    b_start=j,
-                    b_end=j + k - 1,
-                    length_m=sum(a.lengths[i : i + k]),
-                )
-            )
-        i += 1
-    segments.sort(key=lambda s: s.a_start)
+            segments.append(SharedSegment(i, i + k - 1, j, j + k - 1, sum(a.lengths[i : i + k])))
     return segments
 
 

@@ -20,7 +20,7 @@ from .road_network import Position, RoadNetwork, route_length, shortest_node_rou
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario configuration or exhausted sampling."""
+    """Invalid scenario, config, report or graph input, or exhausted sampling."""
 
 
 @dataclass

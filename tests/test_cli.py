@@ -149,6 +149,56 @@ def test_bad_assignment_exits_2(tmp_path, edit):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        pytest.param("config", {"fuel": {"v_min_kmh": 100}}, id="config-v-min-above-default"),
+        pytest.param("config", {"solver": {"tol": "x"}}, id="config-tol-not-a-number"),
+        pytest.param("config", {"seed": "abc"}, id="config-seed-not-an-int"),
+        pytest.param("config", {"selection": "best"}, id="config-unknown-selection"),
+        pytest.param("montecarlo", {"solver": {"tol": "x"}}, id="montecarlo-config"),
+        pytest.param("graph", "src,dst,saving_kg\n1,2,x\n", id="graph-saving-not-a-number"),
+        pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
+        pytest.param("report", {"n_assignments": 3}, id="report-missing-fields"),
+    ],
+)
+def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
+    bad = tmp_path / "bad"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    if kind == "config":
+        _, network, assignments = _generate(
+            tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+        )
+        argv = ["plan", "--network", str(network), "--assignments", str(assignments),
+                "--config", str(bad), "--out-dir", str(tmp_path / "x")]
+    elif kind == "montecarlo":
+        argv = ["montecarlo", "--config", str(bad), "--runs", "1", "--sizes", "2",
+                "--out-dir", str(tmp_path / "x")]
+    elif kind == "graph":
+        argv = ["exact", "--graph-csv", str(bad), "--out", str(tmp_path / "leaders.json")]
+    else:
+        argv = ["report", "--report", str(bad), "--out-dir", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
+    assert events == ["input_error"]
+
+
+def test_infeasible_deadline_still_exits_1(tmp_path, capsys):
+    cfg, network, assignments = _generate(
+        tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+    )
+    doc = json.loads(assignments.read_text())
+    doc[0]["t_deadline_s"] = doc[0]["t_start_s"] + 1.0
+    assignments.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
+               "--config", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
+    assert events == ["run_error"]
+
+
 def test_grouped_routing_matches_per_assignment_routes():
     net = grid_network(4, 4, 1000.0)
     edges = sorted(net.edges)

@@ -20,7 +20,7 @@ from platoonplan import (
     solve,
     validate,
 )
-from platoonplan.joint_optimization import CoordinationGroup
+from platoonplan.joint_optimization import CoordinationGroup, _assemble
 
 from conftest import chain_network, stage4_infeasibility
 
@@ -358,3 +358,78 @@ def test_crossover_step_stops_at_the_row_it_would_cross():
     x = red.x(_crossover(prob, red, np.zeros(1)))
     assert x[0] == pytest.approx(120.0, rel=1e-12)
     assert x[0] <= 120.0
+
+
+def _seeded_fleet_groups(model, n=50, seed=7):
+    """The coordination groups of a generated fleet, as stage 4 builds them."""
+    from platoonplan import cli
+    from platoonplan.scenario import ScenarioConfig, generate
+
+    run = cli.RunConfig(model=model, scenario=ScenarioConfig(n_assignments=n, seed=seed))
+    net, assignments, routes = generate(run.scenario, model)
+    result = cli.run_pipeline(net, assignments, run, routes=routes)
+    followers_of = {}
+    for f, leader in sorted(result.leader_set.follower_of.items()):
+        followers_of.setdefault(leader, []).append(f)
+    return [
+        build_group(
+            result.assignments[leader],
+            result.default_plans[leader],
+            [(result.assignments[f], result.stage3_plans[f]) for f in fs],
+        )
+        for leader, fs in sorted(followers_of.items())
+    ]
+
+
+def test_assemble_matches_the_group_definition(model, worked_pair):
+    """_assemble's rows say what the group's fields say, checked row by row.
+
+    For random times x (members' segments concatenated in members() order):
+    G x <= h holds exactly on the rows where w / x lies within [v_min, v_max]
+    (lower rows, then upper rows) and where a truck's times fit between its
+    start and deadline. A x = b holds for the pairwise times and for any x
+    built from the synchronization rules: a follower's head ends when the
+    leader reaches the merge segment, and its platoon times copy the leader's.
+    """
+    rng = np.random.default_rng(5)
+    groups = [_worked_group(model, worked_pair)[2], *_seeded_fleet_groups(model)]
+    assert len(groups) > 3
+    all_held = set()
+    for group in groups:
+        members = group.members()
+        prob = _assemble(group, model)
+        ends = np.cumsum([0] + [len(group.distances[m]) for m in members])
+        w = np.concatenate([group.distances[m] for m in members])
+        window = [group.t_deadline[m] - group.t_start[m] for m in members]
+        x0 = np.concatenate([group.initial_times[m] for m in members])
+        assert np.array_equal(prob.x0, x0)
+
+        for lo, hi in [(model.v_min, model.v_max), (0.98 * model.v_min, 1.02 * model.v_max),
+                       (0.999 * model.v_max, model.v_max)] * 20:
+            x = w / rng.uniform(lo, hi, w.size)
+            speed = w / x
+            expected = np.concatenate([
+                speed <= model.v_max,
+                speed >= model.v_min,
+                [sum(x[a:b]) <= t for a, b, t in zip(ends, ends[1:], window)],
+            ])
+            held = prob.G @ x <= prob.h
+            assert np.array_equal(held, expected), group.leader_id
+            all_held.add(bool(held.all()))
+
+        assert np.allclose(prob.A @ x0, prob.b, rtol=0.0, atol=1e-6)
+        # Times that satisfy the synchronization rules by construction.
+        x = rng.uniform(100.0, 1000.0, w.size)
+        lead = x[: ends[1]]
+        expected_rows = 0
+        for k, fid in enumerate(group.follower_ids, start=1):
+            i_m, i_sp = group.merge_index[fid], group.split_index[fid]
+            head = int(group.platoon_flags[fid][0] == 0)
+            f = ends[k]
+            if head:
+                x[f] = group.t_start[group.leader_id] + lead[:i_m].sum() - group.t_start[fid]
+            x[f + head : f + head + i_sp - i_m + 1] = lead[i_m : i_sp + 1]
+            expected_rows += int(bool(head or i_m)) + (i_sp - i_m + 1)
+        assert prob.A.shape == (expected_rows, w.size)
+        assert np.allclose(prob.A @ x, prob.b, rtol=0.0, atol=1e-6)
+    assert all_held == {True, False}

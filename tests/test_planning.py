@@ -280,6 +280,19 @@ def test_validate_catches_violations(model):
     late = VehiclePlan(r, (model.v_min,), (0.0, 10_000.0 / model.v_min + 100.0), (0,))
     assert any("deadline" in p or "increasing" in p for p in validate(late, a, model))
 
+    # Routes that do not run from the assignment's start to its destination.
+    from platoonplan import make_route
+
+    starts_late = default_plan(a, make_route(net, ["e0"], 500.0, 10_000.0), model)
+    assert any("route starts" in p for p in validate(starts_late, a, model))
+    ends_early = default_plan(a, make_route(net, ["e0"], 0.0, 9_000.0), model)
+    assert any("route ends" in p for p in validate(ends_early, a, model))
+    two = chain_network([10_000.0, 10_000.0])
+    other_edge = default_plan(a, make_route(two, ["e1"], 0.0, 10_000.0), model)
+    problems = validate(other_edge, a, model)
+    assert any("route starts" in p for p in problems)
+    assert any("route ends" in p for p in problems)
+
 
 def test_adapted_plan_picks_best_of_two_shared_segments(model):
     """Routes sharing two disjoint stretches platoon once, on the better one."""

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from platoonplan import (
     Position,
     RoadNetwork,
     Route,
+    VehiclePlan,
     common_subpaths,
     load_network,
     make_route,
     positions_coincide,
     route_length,
+    sample,
     shortest_node_route,
     shortest_route,
 )
@@ -358,3 +361,37 @@ def test_route_cache_never_crosses_networks_with_shared_node_names():
     for _ in range(2):
         assert shortest_route(short, frm, to).edges == ("in", "ab", "out")
         assert shortest_route(detour, frm, to).edges == ("in", "ac", "cb", "out")
+
+
+def test_route_geometry_on_partial_chain_with_fractional_lengths():
+    """Arcs, shareable edges and sampling at boundaries, departure and the end."""
+    lengths = [1234.567, 2000.1, 777.7, 3100.33]
+    net = chain_network(lengths)
+    r = make_route(net, ["e0", "e1", "e2", "e3"], 400.25, 1500.3)
+    for i in range(len(lengths) + 1):
+        assert r.arc_at_edge_start(i) == pytest.approx(sum(lengths[:i]) - 400.25, abs=1e-9)
+    assert r.arc_at_edge_start(len(r.edges)) == pytest.approx(
+        route_length(r) + lengths[-1] - 1500.3, abs=1e-9
+    )
+
+    # Speed 16 m/s: t = arc / 16 is exact, so the plan reaches each arc exactly.
+    plan = VehiclePlan(r, (16.0,), (0.0, route_length(r) / 16.0), (0,))
+    assert sample(plan, 0.0).position == Position("e0", 400.25)
+    for i in range(1, len(lengths)):
+        at = sample(plan, r.arc_at_edge_start(i) / 16.0).position
+        assert at.edge == f"e{i - 1}"
+        assert at.offset == pytest.approx(lengths[i - 1], abs=1e-9)
+        assert positions_coincide(net, at, Position(f"e{i}", 0.0))
+        after = sample(plan, math.nextafter(r.arc_at_edge_start(i) / 16.0, math.inf)).position
+        assert after.edge == f"e{i}" and 0.0 < after.offset < 1e-9
+    end = sample(plan, math.nextafter(plan.times[-1], 0.0)).position
+    assert end.edge == "e3" and end.offset == pytest.approx(1500.3, abs=1e-9)
+
+    assert r.shareable == range(1, 3)  # partial first and last edges
+    assert make_route(net, ["e0", "e1", "e2", "e3"], 0.0, lengths[-1]).shareable == range(4)
+    assert make_route(net, ["e0", "e1"], 0.0, 5.0).shareable == range(1)
+    assert make_route(net, ["e1", "e2"], 1.0, lengths[2]).shareable == range(1, 2)
+    assert make_route(net, ["e1"], 0.0, lengths[1]).shareable == range(1)
+    single = make_route(net, ["e1"], 10.5, 900.0)
+    assert len(single.shareable) == 0
+    assert common_subpaths(single, single) == []
