@@ -104,7 +104,6 @@ def load_config(path: Optional[str]) -> RunConfig:
             solver=SolverSettings(
                 tol=float(solver_block.get("tol", defaults.tol)),
                 max_iter=int(solver_block.get("max_iter", defaults.max_iter)),
-                barrier_mu=float(solver_block.get("barrier_mu", defaults.barrier_mu)),
             ),
         )
     except (AttributeError, TypeError, ValueError) as exc:
@@ -178,6 +177,9 @@ def run_pipeline(
                 "objective_before_kg": before,
                 "objective_after_kg": sol.objective,
                 "kkt_residual": sol.kkt_residual,
+                "lp_calls": sol.lp_calls,
+                "degeneracy_rounds": sol.degeneracy_rounds,
+                "solve_s": sol.solve_s,
             }
         )
 
@@ -338,7 +340,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_selection(selection: Optional[str]) -> None:
+    """argparse checks choices only on command-line values, not on env defaults."""
+    if selection is not None and selection not in SELECTION_RULES:
+        raise ScenarioError(f"unknown selection {selection!r} from PLATOON_SELECTION")
+
+
 def cmd_plan(args) -> int:
+    _check_selection(args.selection)
     run = load_config(args.config)
     if args.selection is not None:
         run.selection = args.selection
@@ -487,6 +496,7 @@ def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
 
 
 def cmd_montecarlo(args) -> int:
+    _check_selection(args.selection)
     load_config(args.config)  # a bad config is an input error, not a failed row per run
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = run_montecarlo(

@@ -12,18 +12,18 @@ the variables of a convex program
 
 With affine consumption each objective term is c2 / T + const with c2 >= 0,
 so the problem is convex with linear constraints. The synchronization
-equalities are eliminated through a null-space parameterization; the
-inequalities are handled by a logarithmic-barrier Newton method started from
-a strictly interior point (found by a small LP), followed by a primal
-active-set crossover whose ratio test keeps every iterate feasible.
-Degenerate groups whose feasible set has an empty interior are reduced by
-converting permanently tight rows into equalities; a fully pinned group
-returns its initial point.
+equalities are eliminated through a null-space parameterization. A small LP
+finds a strictly interior start, from which a primal active-set Newton
+method with an empty initial working set reaches the optimal face; its ratio
+test keeps every iterate feasible. Degenerate groups whose feasible set has
+an empty interior are reduced by converting permanently tight rows into
+equalities; a fully pinned group returns its initial point.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,9 +47,8 @@ class InfeasibleGroupError(ValueError):
 
 @dataclass
 class SolverSettings:
-    tol: float = 1e-8
-    max_iter: int = 200
-    barrier_mu: float = 10.0
+    tol: float = 1e-8  # KKT residual at which a solution counts as converged
+    max_iter: int = 200  # active-set rounds per group
 
 
 @dataclass
@@ -82,8 +81,11 @@ class TimingSolution:
     times: dict
     objective: float
     kkt_residual: float
-    newton_steps: int = 0
+    newton_steps: int = 0  # active-set rounds
     converged: bool = True
+    lp_calls: int = 0
+    degeneracy_rounds: int = 0
+    solve_s: float = 0.0
 
 
 def _snap(value: float, grid: list[float]) -> float:
@@ -322,21 +324,19 @@ def _reduce(prob: _Problem, base: np.ndarray, Z: np.ndarray) -> _Reduced:
     """
     Gy_full = prob.G @ Z
     hy_full = prob.h - prob.G @ base
-    keep = []
-    for k in range(Gy_full.shape[0]):
-        if np.linalg.norm(Gy_full[k]) <= _ZERO_ROW:
-            if hy_full[k] < -1e-6:
-                raise InfeasibleGroupError(
-                    f"constraint row {k} violated by {-hy_full[k]:.3e} with no freedom left"
-                )
-        else:
-            keep.append(k)
-    rows = np.array(keep, dtype=int)
+    constant = np.linalg.norm(Gy_full, axis=1) <= _ZERO_ROW
+    broken = np.flatnonzero(constant & (hy_full < -1e-6))
+    if broken.size:
+        k = int(broken[0])
+        raise InfeasibleGroupError(
+            f"constraint row {k} violated by {-hy_full[k]:.3e} with no freedom left"
+        )
+    rows = np.flatnonzero(~constant)
     return _Reduced(base=base, Z=Z, Gy=Gy_full[rows], hy=hy_full[rows], rows=rows)
 
 
 def _interior_point(red: _Reduced):
-    """A strictly interior y, or (y_best, implicit_row_mask) when none exists.
+    """(y, implicit_row_mask or None, LPs solved) for a strictly interior y.
 
     Maximizes the minimum row-normalized slack by LP. If the optimum is
     (numerically) zero the feasible region is flat against some rows; each
@@ -347,10 +347,10 @@ def _interior_point(red: _Reduced):
     m, d = red.Gy.shape
     scale = 1.0 + np.abs(red.hy)
     if m == 0:
-        return np.zeros(d), None
+        return np.zeros(d), None, 0
     slack0 = red.slack(np.zeros(d))
     if np.min(slack0 / scale) > _INTERIOR_EPS:
-        return np.zeros(d), None
+        return np.zeros(d), None, 0
 
     norms = np.linalg.norm(red.Gy, axis=1)
     a_ub = np.hstack([red.Gy, norms[:, None]])
@@ -363,7 +363,7 @@ def _interior_point(red: _Reduced):
     y_star = res.x[:d]
     slack = red.slack(y_star)
     if np.min(slack / scale) > _INTERIOR_EPS:
-        return y_star, None
+        return y_star, None, 1
 
     candidates = np.where(slack / scale <= _INTERIOR_EPS)[0]
     witnesses = [y_star]
@@ -383,54 +383,7 @@ def _interior_point(red: _Reduced):
             implicit[k] = True
         else:
             witnesses.append(res_k.x)
-    y_bar = np.mean(witnesses, axis=0)
-    return y_bar, implicit
-
-
-def _newton_centering(prob, red, y, t, max_steps, rel_tol=1e-9):
-    """Damped Newton on t * F + log barrier; returns (y, steps_used).
-
-    Stops when half the squared Newton decrement is small relative to the
-    centering objective, which keeps late barrier stages (huge t) from
-    chasing decrements below the float64 noise floor. Path following only
-    needs approximate centering; the crossover supplies precision.
-    """
-    steps = 0
-    for _ in range(max_steps):
-        x = red.x(y)
-        s = red.slack(y)
-        grad = t * (red.Z.T @ prob.grad(x)) + red.Gy.T @ (1.0 / s)
-        d2 = t * prob.hess_diag(x)
-        H = (red.Z * d2[:, None]).T @ red.Z + (red.Gy / s[:, None]).T @ (red.Gy / s[:, None])
-        try:
-            step = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            H = H + 1e-12 * np.eye(H.shape[0]) * max(1.0, np.trace(H))
-            step = np.linalg.lstsq(H, -grad, rcond=None)[0]
-        decrement2 = float(-grad @ step)
-        phi0 = t * prob.objective(x) - float(np.sum(np.log(s)))
-        if decrement2 <= 0 or decrement2 / 2.0 <= rel_tol * (1.0 + abs(phi0)):
-            break
-        # Longest step keeping every slack positive.
-        ds = red.Gy @ step
-        pos = ds > 0
-        alpha = 1.0
-        if np.any(pos):
-            alpha = min(1.0, 0.99 * float(np.min(s[pos] / ds[pos])))
-        g_dot = float(grad @ step)
-        while alpha > 1e-14:
-            y_new = y + alpha * step
-            s_new = red.slack(y_new)
-            if np.all(s_new > 0):
-                phi_new = t * prob.objective(red.x(y_new)) - float(np.sum(np.log(s_new)))
-                if phi_new <= phi0 + 0.25 * alpha * g_dot:
-                    break
-            alpha *= 0.5
-        else:
-            break
-        y = y + alpha * step
-        steps += 1
-    return y, steps
+    return np.mean(witnesses, axis=0), implicit, 1 + candidates.size
 
 
 def _independent(E: np.ndarray, row: np.ndarray) -> bool:
@@ -441,61 +394,74 @@ def _independent(E: np.ndarray, row: np.ndarray) -> bool:
     return float(np.linalg.norm(row - E.T @ coef)) > 1e-9 * float(np.linalg.norm(row))
 
 
-def _crossover(prob, red, y) -> np.ndarray:
-    """Primal active-set pass from a feasible barrier iterate to its optimal face.
+def _active_set(prob, red, y, max_rounds: int = 200):
+    """Primal active-set Newton method from a feasible y; returns (y, rounds).
 
-    The working set starts as the nearly tight rows, tightest first, each kept
-    only if it raises the rank. Every round takes a Newton step of F on the
-    working face, cut short by a ratio test so that no other row is crossed
-    (Nocedal & Wright, Numerical Optimization, section 16.5). A blocking row
-    joins the set if it is independent, else the pass stops; at a converged
-    full step the row with the most negative multiplier leaves, or the pass
-    stops. Every iterate is feasible; the lowest-objective one is returned.
+    The working set starts empty. Every round takes a Newton step of F on the
+    working face, solving [[H, E^T], [E, 0]] [d; mu] = [-grad; s_W], cut short
+    by a ratio test so that no other row is crossed and backtracked until F
+    decreases enough (Armijo). A blocking row joins the set if it is
+    independent, else the method stops; once converged on the face, the row
+    with the most negative multiplier leaves, or the method stops (Nocedal &
+    Wright, Numerical Optimization, section 16.5). Rows whose step ds is
+    rounding noise never block: a truck copying a leader segment duplicates
+    its box rows, and a duplicate of a working row would stop the step at 0.
+    Every iterate is feasible.
     """
-    scale = 1.0 + np.abs(red.hy)
+    noise = 1e-12 * (1.0 + np.abs(red.hy))
     s = red.slack(y)
+    f = prob.objective(red.x(y))
     work: list = []
-    for k in np.argsort(s / scale):
-        if s[k] > _ACT_TOL * scale[k]:
-            break
-        if _independent(red.Gy[work], red.Gy[k]):
-            work.append(int(k))
-    best_y, best_f = y, prob.objective(red.x(y))
-    for _ in range(8):
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
         x = red.x(y)
         gF = prob.grad(x)
+        g = red.Z.T @ gF
         E = red.Gy[work]
-        H = (red.Z * prob.hess_diag(x)[:, None]).T @ red.Z
-        K = np.block([[H, E.T], [E, np.zeros((len(work), len(work)))]])
+        K = np.zeros((red.dim + len(work),) * 2)
+        K[: red.dim, : red.dim] = (red.Z * prob.hess_diag(x)[:, None]).T @ red.Z
+        K[: red.dim, red.dim :] = E.T
+        K[red.dim :, : red.dim] = E
         try:
-            sol = np.linalg.solve(K, np.concatenate([-(red.Z.T @ gF), s[work]]))
+            sol = np.linalg.solve(K, np.concatenate([-g, s[work]]))
         except np.linalg.LinAlgError:
             break
         d, mu = sol[: red.dim], sol[red.dim :]
         # Longest step up to 1 that keeps every row outside the set satisfied.
         ds = red.Gy @ d
         ds[work] = 0.0
-        pos = ds > 0
+        pos = ds > noise
         ratio = np.full(ds.shape, np.inf)
         ratio[pos] = np.maximum(s[pos], 0.0) / ds[pos]
         k = int(np.argmin(ratio))
-        alpha = min(1.0, float(ratio[k]))
-        y = y + alpha * d
+        alpha = blocked = min(1.0, float(ratio[k]))
+        f_new = prob.objective(red.x(y + alpha * d))
+        # Converged on the face: the step is tiny, or its predicted decrease
+        # is below the rounding of F (flat directions leave d at noise level).
+        slope = float(g @ d)
+        tiny = float(np.max(np.abs(red.Z @ d))) <= 1e-9 * (1.0 + float(np.max(np.abs(x))))
+        converged = tiny or -slope <= 1e-15 * (1.0 + abs(f))
+        if not converged:  # Armijo
+            while alpha > 1e-14 and f_new > f + 1e-4 * alpha * slope:
+                alpha *= 0.5
+                f_new = prob.objective(red.x(y + alpha * d))
+            if alpha <= 1e-14 < blocked:
+                break
+        y, f = y + alpha * d, f_new
         s = red.slack(y)
-        f = prob.objective(red.x(y))
-        if f <= best_f + 1e-14 * abs(best_f):  # a tie in rounding goes to the later iterate
-            best_y, best_f = y, f
-        if alpha < 1.0 - 1e-9:
+        if alpha < blocked:  # backtracked short of the blocking row
+            continue
+        if blocked < 1.0:
             if not _independent(E, red.Gy[k]):
                 break
             work.append(k)
-        elif float(np.max(np.abs(red.Z @ d))) <= 1e-9 * (1.0 + float(np.max(np.abs(x)))):
-            # Converged on this face: stop, or free the row that blocks descent.
+        elif converged:  # stop, or free the row that blocks descent
             mu_floor = -1e-9 * (1.0 + float(np.max(np.abs(gF))))
             if mu.size == 0 or float(np.min(mu)) >= mu_floor:
                 break
             del work[int(np.argmin(mu))]
-    return best_y
+    return y, rounds
 
 
 def _kkt_residual(prob, red, y) -> float:
@@ -524,11 +490,15 @@ def solve(
 ) -> TimingSolution:
     """Minimize the group's fuel subject to speed, deadline and sync constraints.
 
-    The pairwise plans provide a feasible start; the returned point is never
-    worse than it. Barrier iterations run until the duality-gap estimate
-    falls below tol * (1 + |objective|) or the Newton-step budget is spent,
-    in which case the best feasible iterate is returned with converged=False.
+    The equalities are eliminated through null_space(A). An LP finds a
+    strictly interior start; if the feasible set has no interior, the
+    permanently tight rows become equalities and the search repeats in the
+    smaller space. From the interior start, _active_set runs at most
+    settings.max_iter rounds. The pairwise plans are feasible, and the
+    returned point is never worse than them. converged means the KKT
+    residual at the returned point is at most max(settings.tol, 1e-10).
     """
+    t0 = time.perf_counter()
     if settings is None:
         settings = SolverSettings()
     prob = _assemble(group, model)
@@ -543,57 +513,26 @@ def solve(
     else:
         Z0 = np.eye(prob.x0.size)
 
-    base = prob.x0.copy()
-    Z = Z0
-    converged = True
-    steps_total = 0
-    x_found = prob.x0
+    red0 = red = _reduce(prob, prob.x0, Z0)
+    rounds = lp_calls = degeneracy_rounds = 0
 
     # Every degeneracy-elimination round removes at least one dimension.
     for _ in range(prob.x0.size + 2):
-        red = _reduce(prob, base, Z)
         if red.dim == 0:
-            x_found = base
+            x_found = red.base
             break
-        y0, implicit = _interior_point(red)
+        y0, implicit, lps = _interior_point(red)
+        lp_calls += lps
         if implicit is None:
-            # Barrier path following from the strictly interior start.
-            y = y0
-            m_rows = red.Gy.shape[0]
-            f_init = prob.objective(red.x(y))
-            t = max(1.0, m_rows / (0.1 * (1.0 + abs(f_init))))
-            budget = settings.max_iter
-            y_best = y
-            gap_converged = False
-            for _round in range(60):
-                y, used = _newton_centering(
-                    prob, red, y, t, max_steps=max(1, min(50, budget - steps_total))
-                )
-                steps_total += used
-                gap = m_rows / t
-                if gap <= settings.tol * (1.0 + abs(prob.objective(red.x(y)))):
-                    gap_converged = True
-                    y_best = _crossover(prob, red, y)
-                    if _kkt_residual(prob, red, y_best) <= max(settings.tol, 1e-10):
-                        break
-                if steps_total >= budget or t > 1e60:
-                    converged = gap_converged
-                    break
-                t *= settings.barrier_mu
-            else:
-                converged = gap_converged
-            x_found = red.x(y_best)
+            y, rounds = _active_set(prob, red, y0, settings.max_iter)
+            x_found = red.x(y)
             break
         # Degenerate feasible set: freeze the permanently tight rows as
         # equalities and retry in the smaller space.
-        base = red.x(y0)
-        x_found = base
-        E = red.Gy[implicit]
-        N = null_space(E)
-        if N.size == 0:
-            Z = np.zeros((prob.x0.size, 0))
-        else:
-            Z = red.Z @ N
+        degeneracy_rounds += 1
+        N = null_space(red.Gy[implicit])
+        Z = red.Z @ N if N.size else np.zeros((prob.x0.size, 0))
+        red = _reduce(prob, red.x(y0), Z)
     else:
         raise InfeasibleGroupError("degeneracy elimination did not terminate")
 
@@ -603,12 +542,7 @@ def solve(
     # Stationarity is reported in the space that quotients out only the
     # explicit equalities; implicitly tight rows appear among the active
     # inequalities there, whose opposing normals span the pinned directions.
-    if Z0.shape[1]:
-        red0 = _reduce(prob, prob.x0, Z0)
-        y_best = Z0.T @ (x_best - prob.x0)
-        kkt = _kkt_residual(prob, red0, y_best)
-    else:
-        kkt = 0.0
+    kkt = _kkt_residual(prob, red0, Z0.T @ (x_best - prob.x0))
 
     times = {
         member: tuple(float(t) for t in x_best[prob.var_slices[member]])
@@ -618,8 +552,11 @@ def solve(
         times=times,
         objective=prob.objective(x_best),
         kkt_residual=kkt,
-        newton_steps=steps_total,
-        converged=converged,
+        newton_steps=rounds,
+        converged=kkt <= max(settings.tol, 1e-10),
+        lp_calls=lp_calls,
+        degeneracy_rounds=degeneracy_rounds,
+        solve_s=time.perf_counter() - t0,
     )
 
 

@@ -44,16 +44,7 @@ class SetCoverInstance:
 
 def objective_value(g: CoordinationGraph, leaders) -> float:
     """Direct evaluation of F(L)."""
-    leaders = set(leaders)
-    total = 0.0
-    for n in g.nodes:
-        if n in leaders:
-            continue
-        for m, w in g.out_edges[n]:  # heaviest first
-            if m in leaders:
-                total += w
-                break
-    return total
+    return make_leader_set(g, leaders).objective
 
 
 def make_leader_set(g: CoordinationGraph, leaders) -> LeaderSet:

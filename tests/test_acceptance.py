@@ -238,6 +238,7 @@ def test_criterion_5_solo_constant_speed():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_trend_reproduction():
     runs = 30
     sizes = [50, 200, 800]

@@ -184,6 +184,43 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
     assert events == ["input_error"]
 
 
+@pytest.mark.parametrize("command", ["plan", "montecarlo"])
+def test_bad_selection_from_env_exits_2_with_input_error(tmp_path, capsys, monkeypatch, command):
+    """PLATOON_SELECTION is --selection's default, which argparse does not check."""
+    if command == "plan":
+        _, network, assignments = _generate(
+            tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+        )
+        argv = ["plan", "--network", str(network), "--assignments", str(assignments),
+                "--out-dir", str(tmp_path / "x")]
+    else:
+        argv = ["montecarlo", "--runs", "1", "--sizes", "2", "--out-dir", str(tmp_path / "x")]
+    monkeypatch.setenv("PLATOON_SELECTION", "best")
+    capsys.readouterr()
+    assert main(argv) == 2
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["input_error"]
+    assert "'best'" in events[0]["error"]
+
+
+def test_group_solved_events_carry_solver_telemetry(tmp_path, capsys):
+    cfg, network, assignments = _generate(tmp_path, n_assignments=50, seed=7)
+    capsys.readouterr()
+    rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
+               "--config", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    solved = [e for e in events if e["event"] == "group_solved"]
+    assert solved
+    for e in solved:
+        assert {"leader", "followers", "newton_steps", "converged", "objective_before_kg",
+                "objective_after_kg", "kkt_residual"} <= set(e)
+        assert isinstance(e["lp_calls"], int) and e["lp_calls"] >= 0
+        assert isinstance(e["degeneracy_rounds"], int) and e["degeneracy_rounds"] >= 0
+        assert e["lp_calls"] >= e["degeneracy_rounds"]
+        assert e["solve_s"] > 0.0
+
+
 def test_infeasible_deadline_still_exits_1(tmp_path, capsys):
     cfg, network, assignments = _generate(
         tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1

@@ -137,7 +137,7 @@ def test_prune_is_sound_against_unpruned_build(model):
         assert set(cache_p) == set(cache_f)
 
 
-@pytest.mark.parametrize("n", [200, 800])
+@pytest.mark.parametrize("n", [200, pytest.param(800, marks=pytest.mark.slow)])
 @pytest.mark.parametrize("slack_s", [0.0, 1800.0])
 def test_prune_matches_reference_on_seeded_grids(model, n, slack_s):
     """The per-edge index keeps exactly the pairs of the pairwise segment-end test."""
