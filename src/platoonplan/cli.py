@@ -28,10 +28,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import evaluation, road_network, scenario
 from .coordination_graph import build, load_graph_csv, save_graph_csv
 from .fuel_model import FuelModel, plan_fuel
 from .joint_optimization import (
+    InconsistentGroupError,
+    InfeasibleGroupError,
     SolverSettings,
     build_group,
     extract_plans,
@@ -132,7 +136,11 @@ def run_pipeline(
     run: RunConfig,
     routes: Optional[dict] = None,
 ) -> PipelineResult:
-    """Stages 1-4 over prepared assignments; raises on infeasible inputs."""
+    """Stages 1-4 over prepared assignments; raises on infeasible inputs.
+
+    A group whose solve or plan extraction fails keeps its stage-3 plans; its
+    group_logs entry has fallback set and the error.
+    """
     amap = {a.id: a for a in assignments}
 
     if routes is None:
@@ -165,16 +173,22 @@ def run_pipeline(
         before = sum(
             plan_fuel(run.model, stage3_plans[m]) for m in group.members()
         )
-        sol = solve(group, run.model, run.solver)
-        plans = extract_plans(group, sol, run.model)
+        entry = {"leader": leader, "followers": len(members), "objective_before_kg": before}
+        try:
+            sol = solve(group, run.model, run.solver)
+            plans = extract_plans(group, sol, run.model)
+        except (InconsistentGroupError, InfeasibleGroupError, np.linalg.LinAlgError) as exc:
+            # One failing group keeps its stage-3 plans instead of sinking the fleet.
+            stage4_plans.update((m, stage3_plans[m]) for m in group.members())
+            group_logs.append({**entry, "fallback": True, "error": f"{type(exc).__name__}: {exc}"})
+            continue
         stage4_plans.update(plans)
         group_logs.append(
             {
-                "leader": leader,
-                "followers": len(members),
+                **entry,
+                "fallback": False,
                 "newton_steps": sol.newton_steps,
                 "converged": sol.converged,
-                "objective_before_kg": before,
                 "objective_after_kg": sol.objective,
                 "kkt_residual": sol.kkt_residual,
                 "lp_calls": sol.lp_calls,
@@ -191,6 +205,7 @@ def run_pipeline(
         run.model,
         upper_bound_kg=upper_bound(graph),
         n_leaders=len(leader_set.leaders),
+        groups_fallback=sum(entry["fallback"] for entry in group_logs),
     )
     return PipelineResult(
         assignments=amap,
@@ -378,7 +393,7 @@ def cmd_plan(args) -> int:
         return EXIT_INFEASIBLE
     _write_outputs(args.out_dir, result, args.graph_csv)
     for entry in result.group_logs:
-        _log("group_solved", **entry)
+        _log("group_fallback" if entry["fallback"] else "group_solved", **entry)
     _log(
         "planned",
         out_dir=args.out_dir,
@@ -437,6 +452,7 @@ def _montecarlo_run(payload: tuple) -> dict:
         "saving_stage4": rep.saving_stage4,
         "saving_spontaneous": rep.saving_spontaneous,
         "upper_bound_rel": rep.upper_bound_rel,
+        "groups_fallback": rep.groups_fallback,
         "wallclock_s": wallclock,
     }
 
@@ -478,6 +494,7 @@ def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
         "saving_stage4",
         "saving_spontaneous",
         "upper_bound_rel",
+        "groups_fallback",
         "wallclock_s",
     ]
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -126,6 +126,7 @@ class RunReport:
     n_leaders: int
     n_followers: int
     histogram: dict = field(default_factory=dict)
+    groups_fallback: int = 0  # groups that kept their stage-3 plans
 
     def to_json(self) -> str:
         doc = dict(self.__dict__)
@@ -147,6 +148,7 @@ def make_report(
     model: FuelModel,
     upper_bound_kg: float,
     n_leaders: int,
+    groups_fallback: int = 0,
 ) -> RunReport:
     """Assemble the per-run metrics from the stage outputs."""
     default_fuel = sum(plan_fuel(model, p) for p in default_plans.values())
@@ -168,6 +170,7 @@ def make_report(
         n_leaders=n_leaders,
         n_followers=n_followers,
         histogram=platoon_size_histogram(stage4_plans),
+        groups_fallback=groups_fallback,
     )
 
 

@@ -12,12 +12,12 @@ the variables of a convex program
 
 With affine consumption each objective term is c2 / T + const with c2 >= 0,
 so the problem is convex with linear constraints. The synchronization
-equalities are eliminated through a null-space parameterization. A small LP
-finds a strictly interior start, from which a primal active-set Newton
-method with an empty initial working set reaches the optimal face; its ratio
-test keeps every iterate feasible. Degenerate groups whose feasible set has
-an empty interior are reduced by converting permanently tight rows into
-equalities; a fully pinned group returns its initial point.
+equalities are eliminated through a null-space parameterization. A primal
+active-set Newton method with an empty initial working set starts from the
+pairwise plans, or from a max-margin LP point when only that is strictly
+interior, and keeps every iterate feasible up to rounding by a ratio test.
+A flat group, whose feasible set has no interior, needs no special path:
+rows tight at the pairwise plans join the working set one at a time.
 """
 
 from __future__ import annotations
@@ -336,22 +336,18 @@ def _reduce(prob: _Problem, base: np.ndarray, Z: np.ndarray) -> _Reduced:
 
 
 def _interior_point(red: _Reduced):
-    """(y, implicit_row_mask or None, LPs solved) for a strictly interior y.
+    """(y, LPs solved): the feasible start of the active-set method.
 
-    Maximizes the minimum row-normalized slack by LP. If the optimum is
-    (numerically) zero the feasible region is flat against some rows; each
-    candidate row gets its own slack maximized to separate rows that are
-    genuinely pinned from rows that merely bind at the max-margin point, and
-    the mean of all witness points is interior to every non-pinned row.
+    y = 0, the pairwise plans, when it is strictly interior. Otherwise one LP
+    maximizes the minimum row-normalized slack, and its optimum is the start
+    if it is strictly interior. A flat feasible set, with no interior, starts
+    from y = 0 as well: the pairwise plans are exactly feasible, while the LP
+    optimum holds only to the LP solver's tolerance.
     """
     m, d = red.Gy.shape
     scale = 1.0 + np.abs(red.hy)
-    if m == 0:
-        return np.zeros(d), None, 0
-    slack0 = red.slack(np.zeros(d))
-    if np.min(slack0 / scale) > _INTERIOR_EPS:
-        return np.zeros(d), None, 0
-
+    if m == 0 or np.min(red.slack(np.zeros(d)) / scale) > _INTERIOR_EPS:
+        return np.zeros(d), 0
     norms = np.linalg.norm(red.Gy, axis=1)
     a_ub = np.hstack([red.Gy, norms[:, None]])
     c = np.zeros(d + 1)
@@ -361,29 +357,9 @@ def _interior_point(red: _Reduced):
     if not res.success:
         raise InfeasibleGroupError(f"interior search LP failed: {res.message}")
     y_star = res.x[:d]
-    slack = red.slack(y_star)
-    if np.min(slack / scale) > _INTERIOR_EPS:
-        return y_star, None, 1
-
-    candidates = np.where(slack / scale <= _INTERIOR_EPS)[0]
-    witnesses = [y_star]
-    implicit = np.zeros(m, dtype=bool)
-    for k in candidates:
-        res_k = linprog(
-            red.Gy[k] / scale[k],
-            A_ub=red.Gy,
-            b_ub=red.hy,
-            bounds=[(None, None)] * d,
-            method="highs",
-        )
-        if not res_k.success:
-            raise InfeasibleGroupError(f"per-row interior LP failed: {res_k.message}")
-        best_slack = (red.hy[k] - red.Gy[k] @ res_k.x) / scale[k]
-        if best_slack <= _INTERIOR_EPS:
-            implicit[k] = True
-        else:
-            witnesses.append(res_k.x)
-    return np.mean(witnesses, axis=0), implicit, 1 + candidates.size
+    if np.min(red.slack(y_star) / scale) > _INTERIOR_EPS:
+        return y_star, 1
+    return np.zeros(d), 1
 
 
 def _independent(E: np.ndarray, row: np.ndarray) -> bool:
@@ -406,9 +382,13 @@ def _active_set(prob, red, y, max_rounds: int = 200):
     Wright, Numerical Optimization, section 16.5). Rows whose step ds is
     rounding noise never block: a truck copying a leader segment duplicates
     its box rows, and a duplicate of a working row would stop the step at 0.
-    Every iterate is feasible.
+    The bound grows with |Gy| |d|, the rounding of ds itself: a step from a
+    flat group's pairwise plans can be 7e3 s long, and the row opposite a
+    working row then computes ds of about 1e-12 instead of 0. Every iterate
+    is feasible up to that rounding.
     """
     noise = 1e-12 * (1.0 + np.abs(red.hy))
+    abs_G = np.abs(red.Gy)
     s = red.slack(y)
     f = prob.objective(red.x(y))
     work: list = []
@@ -431,7 +411,7 @@ def _active_set(prob, red, y, max_rounds: int = 200):
         # Longest step up to 1 that keeps every row outside the set satisfied.
         ds = red.Gy @ d
         ds[work] = 0.0
-        pos = ds > noise
+        pos = ds > noise + 1e-14 * (abs_G @ np.abs(d))
         ratio = np.full(ds.shape, np.inf)
         ratio[pos] = np.maximum(s[pos], 0.0) / ds[pos]
         k = int(np.argmin(ratio))
@@ -490,13 +470,11 @@ def solve(
 ) -> TimingSolution:
     """Minimize the group's fuel subject to speed, deadline and sync constraints.
 
-    The equalities are eliminated through null_space(A). An LP finds a
-    strictly interior start; if the feasible set has no interior, the
-    permanently tight rows become equalities and the search repeats in the
-    smaller space. From the interior start, _active_set runs at most
-    settings.max_iter rounds. The pairwise plans are feasible, and the
-    returned point is never worse than them. converged means the KKT
-    residual at the returned point is at most max(settings.tol, 1e-10).
+    The equalities are eliminated through null_space(A). From the start that
+    _interior_point picks, _active_set runs at most settings.max_iter rounds;
+    the returned point is never worse than the pairwise plans. converged
+    means its KKT residual is at most max(settings.tol, 1e-10). lp_calls is
+    0 or 1, and degeneracy_rounds stays 0.
     """
     t0 = time.perf_counter()
     if settings is None:
@@ -513,36 +491,17 @@ def solve(
     else:
         Z0 = np.eye(prob.x0.size)
 
-    red0 = red = _reduce(prob, prob.x0, Z0)
-    rounds = lp_calls = degeneracy_rounds = 0
-
-    # Every degeneracy-elimination round removes at least one dimension.
-    for _ in range(prob.x0.size + 2):
-        if red.dim == 0:
-            x_found = red.base
-            break
-        y0, implicit, lps = _interior_point(red)
-        lp_calls += lps
-        if implicit is None:
-            y, rounds = _active_set(prob, red, y0, settings.max_iter)
-            x_found = red.x(y)
-            break
-        # Degenerate feasible set: freeze the permanently tight rows as
-        # equalities and retry in the smaller space.
-        degeneracy_rounds += 1
-        N = null_space(red.Gy[implicit])
-        Z = red.Z @ N if N.size else np.zeros((prob.x0.size, 0))
-        red = _reduce(prob, red.x(y0), Z)
-    else:
-        raise InfeasibleGroupError("degeneracy elimination did not terminate")
-
+    red = _reduce(prob, prob.x0, Z0)
+    y = np.zeros(red.dim)
+    rounds = lp_calls = 0
+    if red.dim:
+        y0, lp_calls = _interior_point(red)
+        y, rounds = _active_set(prob, red, y0, settings.max_iter)
     # The initial point is feasible by construction; never return worse.
-    x_best = x_found if prob.objective(x_found) <= prob.objective(prob.x0) else prob.x0
-
-    # Stationarity is reported in the space that quotients out only the
-    # explicit equalities; implicitly tight rows appear among the active
-    # inequalities there, whose opposing normals span the pinned directions.
-    kkt = _kkt_residual(prob, red0, Z0.T @ (x_best - prob.x0))
+    if prob.objective(red.x(y)) > prob.objective(prob.x0):
+        y = np.zeros(red.dim)
+    x_best = red.x(y)
+    kkt = _kkt_residual(prob, red, y)
 
     times = {
         member: tuple(float(t) for t in x_best[prob.var_slices[member]])
@@ -555,7 +514,6 @@ def solve(
         newton_steps=rounds,
         converged=kkt <= max(settings.tol, 1e-10),
         lp_calls=lp_calls,
-        degeneracy_rounds=degeneracy_rounds,
         solve_s=time.perf_counter() - t0,
     )
 

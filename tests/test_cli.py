@@ -221,6 +221,83 @@ def test_group_solved_events_carry_solver_telemetry(tmp_path, capsys):
         assert e["solve_s"] > 0.0
 
 
+def test_a_failing_group_keeps_its_stage3_plans(tmp_path, capsys, monkeypatch):
+    """A group whose solve raises falls back to its stage-3 plans; the other
+    groups are still re-timed and the run exits 0."""
+    from platoonplan import cli, scenario
+    from platoonplan.joint_optimization import InfeasibleGroupError, solve
+
+    failed = []
+
+    def failing_solve(group, model, settings=None):
+        if not failed:  # the first group solved fails, in every run
+            failed.append(group.leader_id)
+        if group.leader_id == failed[0]:
+            raise InfeasibleGroupError("injected failure")
+        return solve(group, model, settings)
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    cfg, network, assignments = _generate(tmp_path, n_assignments=50, seed=7)
+    capsys.readouterr()
+    rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
+               "--config", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    fallback = [e for e in events if e["event"] == "group_fallback"]
+    assert [e["leader"] for e in fallback] == failed
+    assert fallback[0]["fallback"] is True
+    assert "injected failure" in fallback[0]["error"]
+    solved = [e for e in events if e["event"] == "group_solved"]
+    assert solved and failed[0] not in {e["leader"] for e in solved}
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["groups_fallback"] == 1
+
+    result = cli.run_pipeline(
+        cli.load_network(str(network)),
+        scenario.load_assignments(str(assignments)),
+        cli.load_config(cfg),
+    )
+    members = [failed[0], *(f for f, lead in result.leader_set.follower_of.items()
+                            if lead == failed[0])]
+    assert len(members) > 1
+    for m in members:
+        assert result.stage4_plans[m] == result.stage3_plans[m]
+    assert result.report.groups_fallback == 1
+
+
+def test_montecarlo_rows_count_fallback_groups(tmp_path, monkeypatch):
+    """A run whose every solve raises keeps its stage-3 plans; its montecarlo
+    row counts the fallback groups in a CSV column of its own."""
+    from platoonplan import cli
+    from platoonplan.joint_optimization import InfeasibleGroupError
+
+    def failing_solve(group, model, settings=None):
+        raise InfeasibleGroupError("injected failure")
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    cfg = _write_scenario_config(tmp_path / "config.json")
+    rows = run_montecarlo(cfg, sizes=[50], runs=1, base_seed=7, selection="greedy", jobs=1)
+    assert len(rows) == 1 and rows[0]["groups_fallback"] > 0
+    assert rows[0]["saving_stage4"] == pytest.approx(rows[0]["saving_stage3"], abs=1e-12)
+    out = tmp_path / "mc.csv"
+    write_montecarlo_csv(rows, [50], str(out))
+    with open(out, newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert [int(r["groups_fallback"]) for r in parsed[:-1]] == [r["groups_fallback"] for r in rows]
+
+
+def test_report_without_groups_fallback_still_loads(tmp_path):
+    cfg, network, assignments = _generate(tmp_path, n_assignments=12, seed=2)
+    out = tmp_path / "run"
+    assert main(["plan", "--network", str(network), "--assignments", str(assignments),
+                 "--config", cfg, "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc.pop("groups_fallback") == 0
+    (out / "report.json").write_text(json.dumps(doc))
+    assert main(["report", "--report", str(out / "report.json"),
+                 "--out-dir", str(tmp_path / "rep")]) == 0
+
+
 def test_infeasible_deadline_still_exits_1(tmp_path, capsys):
     cfg, network, assignments = _generate(
         tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
@@ -310,6 +387,7 @@ def test_montecarlo_rows_and_means(tmp_path):
     assert strip(rows) == strip(rows_again)
     for r in rows:
         assert r["saving_stage4"] >= r["saving_stage3"] - 1e-12
+        assert r["groups_fallback"] == 0
 
     out = tmp_path / "mc.csv"
     write_montecarlo_csv(rows, [10], str(out))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from platoonplan import (  # noqa: E402
     Assignment,
+    FuelModel,
     Position,
     build,
     build_group,
@@ -24,11 +25,18 @@ from platoonplan.scenario import grid_network  # noqa: E402
 from conftest import _reference_prune_pairs, stage4_infeasibility  # noqa: E402
 
 EDGE_M = 20_000.0
+V_MAX = FuelModel().v_max
 
 
 @st.composite
-def fleets(draw):
-    """A 2x4 grid and up to ten trucks whose trips start and end mid-edge."""
+def fleets(draw, flat=False):
+    """A 2x4 grid and up to ten trucks whose trips start and end mid-edge.
+
+    With flat, a window is the v_max travel time, which pins the truck and
+    any leader segment it copies, or the 79.2 km/h travel time with no slack
+    or with 1800 s of slack. Pinned members, and followers that catch a slow
+    leader only at v_max, leave a group's feasible set without interior.
+    """
     net = grid_network(2, 4, EDGE_M)
     edges = sorted(net.edges)
     offsets = st.sampled_from([0.0, 5000.0, 12_500.0, EDGE_M])
@@ -44,9 +52,12 @@ def fleets(draw):
         if route is None:
             continue
         t_start = draw(st.sampled_from([0.0, 30.0, 90.0, 200.0]))
-        slack = draw(st.sampled_from([0.0, 300.0]))
         aid = f"t{k}"
-        window = route_length(route) / 22.0 + slack  # 79.2 km/h, inside the default bounds
+        length = route_length(route)
+        if flat:
+            window = draw(st.sampled_from([length / V_MAX, length / 22.0, length / 22.0 + 1800.0]))
+        else:  # 79.2 km/h, inside the default bounds
+            window = length / 22.0 + draw(st.sampled_from([0.0, 300.0]))
         assignments[aid] = Assignment(aid, frm, to, t_start, t_start + window)
         routes[aid] = route
     return assignments, routes
@@ -66,9 +77,9 @@ def test_pruned_build_equals_unpruned_build(model, fleet):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(fleets())
-def test_stage4_solutions_are_feasible_stationary_and_no_worse(model, fleet):
+def _check_stage4(model, fleet):
+    """Every group's solution is feasible, stationary and no worse than the
+    pairwise plans; its plans validate."""
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
     graph, plan_cache = build(assignments, routes, dplans, model)
@@ -89,3 +100,16 @@ def test_stage4_solutions_are_feasible_stationary_and_no_worse(model, fleet):
         assert sol.kkt_residual <= 1e-8
         for member, plan in extract_plans(group, sol, model).items():
             assert validate(plan, assignments[member], model) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+def test_stage4_solutions_are_feasible_stationary_and_no_worse(model, fleet):
+    _check_stage4(model, fleet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(flat=True))
+def test_stage4_flat_groups_are_feasible_stationary_and_no_worse(model, fleet):
+    """Trucks pinned at v_max next to trucks with no slack or 1800 s of it."""
+    _check_stage4(model, fleet)
