@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -138,7 +137,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Stages 1-4 over prepared assignments; raises on infeasible inputs.
 
-    A group whose solve or plan extraction fails keeps its stage-3 plans; its
+    One InfeasibleDeadlineError names every assignment whose deadline no
+    admissible speed meets. A group whose solve or plan extraction fails, or
+    whose extracted plans fail validate, keeps its stage-3 plans; its
     group_logs entry has fallback set and the error.
     """
     amap = {a.id: a for a in assignments}
@@ -146,7 +147,14 @@ def run_pipeline(
     if routes is None:
         routes = route_assignments(net, assignments)
 
-    default_plans = {aid: default_plan(amap[aid], routes[aid], run.model) for aid in amap}
+    default_plans, infeasible = {}, []
+    for aid, a in amap.items():
+        try:
+            default_plans[aid] = default_plan(a, routes[aid], run.model)
+        except InfeasibleDeadlineError as exc:
+            infeasible.append(f"assignment {aid}: {exc}")
+    if infeasible:
+        raise InfeasibleDeadlineError("; ".join(infeasible))
 
     graph, plan_cache = build(amap, routes, default_plans, run.model)
 
@@ -178,9 +186,16 @@ def run_pipeline(
             sol = solve(group, run.model, run.solver)
             plans = extract_plans(group, sol, run.model)
         except (InconsistentGroupError, InfeasibleGroupError, np.linalg.LinAlgError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            problems = (
+                f"{m}: {msg}" for m, p in plans.items() for msg in validate(p, amap[m], run.model)
+            )
+            error = next(problems, None)
+        if error is not None:
             # One failing group keeps its stage-3 plans instead of sinking the fleet.
             stage4_plans.update((m, stage3_plans[m]) for m in group.members())
-            group_logs.append({**entry, "fallback": True, "error": f"{type(exc).__name__}: {exc}"})
+            group_logs.append({**entry, "fallback": True, "error": error})
             continue
         stage4_plans.update(plans)
         group_logs.append(
@@ -240,45 +255,41 @@ def route_assignments(net: RoadNetwork, assignments: list[Assignment]) -> dict:
     return {a.id: found[a.id] for a in assignments}
 
 
-def _time_in_domain(plan: VehiclePlan, t: float) -> Optional[float]:
-    """t inside plan's domain [t_start, t_arrival), moved there if it overruns by
-    at most 1 µs, else None.
-
-    A follower's merge or split time and its leader's departure or arrival
-    denote the same instant but can differ in the last float bit.
-    """
-    lo, hi = plan.times[0], plan.times[-1]
-    if lo <= t < hi:
-        return t
-    if lo - 1e-6 <= t < lo:
-        return lo
-    if hi <= t <= hi + 1e-6:
-        return math.nextafter(hi, lo)
-    return None
-
-
 def check_follower_coincidence(result: PipelineResult, net: RoadNetwork) -> list[str]:
-    """1 s grid audit that every follower rides exactly on its leader."""
+    """Exact audit that every follower rides on its leader over its platoon window.
+
+    The window is clipped to the leader's plan; a follower's merge or split
+    and its leader's departure or arrival denote the same instant but can
+    differ in the last float bit, so an overrun of up to 1 µs is allowed.
+    The window is cut at both plans' breakpoints and node passages. Inside
+    each piece both trucks drive one edge at one speed, so coinciding at the
+    piece's start and middle is coinciding throughout.
+    """
     problems = []
     for truck, plan in result.stage4_plans.items():
         if plan.platoon_leader_id is None:
             continue
         leader_plan = result.stage4_plans[plan.platoon_leader_id]
         t_m, t_sp = plan.platoon_interval()
-        t = t_m
-        while t < t_sp:
-            own = sample(plan, t).position
-            t_lead = _time_in_domain(leader_plan, t)
-            if t_lead is None:
-                problems.append(f"{truck} at t={t:.1f}: leader is not on the road")
-                break
-            lead = sample(leader_plan, t_lead).position
+        lo, hi = max(t_m, leader_plan.t_start), min(t_sp, leader_plan.t_arrival)
+        if lo - t_m > 1e-6 or t_sp - hi > 1e-6:
+            problems.append(f"{truck} at t={t_m:.1f}: leader is not on the road")
+            continue
+        cuts = {lo, hi}
+        for p in (plan, leader_plan):
+            cuts.update(p.times)
+            cuts.update(
+                p.time_at_arc(p.route.arc_at_edge_start(i)) for i in range(1, len(p.route.edges))
+            )
+        grid = sorted(t for t in cuts if lo <= t <= hi)
+        probes = [
+            t for t0, t1 in zip(grid, grid[1:]) if t1 - t0 > 1e-9 for t in (t0, 0.5 * (t0 + t1))
+        ]
+        for t in probes:
+            own, lead = sample(plan, t).position, sample(leader_plan, t).position
             if not positions_coincide(net, own, lead, tol=1e-6):
-                problems.append(
-                    f"{truck} at t={t:.1f}: {own} vs leader {lead}"
-                )
+                problems.append(f"{truck} at t={t:.1f}: {own} vs leader {lead}")
                 break
-            t += 1.0
     return problems
 
 
@@ -568,7 +579,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--exact-limit", type=int, default=None)
     p_plan.add_argument("--graph-csv", action="store_true", help="dump graph.csv")
     p_plan.add_argument(
-        "--check", action="store_true", help="audit platoon position coincidence"
+        "--check", action="store_true", help="exact audit that every follower rides on its leader"
     )
     p_plan.set_defaults(func=cmd_plan)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .fuel_model import FuelModel, plan_fuel
 
@@ -56,58 +56,34 @@ def platoon_size_histogram(plans: dict) -> dict:
     """Meters traveled per platoon size, summed over every platoon member.
 
     Computed from the plans actually driven: follower plans mark their
-    platoon window and leader; a sweep over each leader's follower intervals
-    counts concurrent members. Solo driving (including a leader outside its
-    followers' windows) lands in bucket 1; every member of a size-k interval
-    contributes its own traversed meters to bucket k.
+    platoon window and leader. One sweep over each leader's follower windows
+    counts the followers on board; a stretch with c of them adds c + 1 times
+    the leader's meters to bucket c + 1, since followers ride at the leader's
+    speed. Stretches of 1e-9 s or less are skipped. Bucket 1 is every meter
+    driven minus the platooned meters.
     """
-    followers_of: dict = {}
-    for truck, plan in plans.items():
+    windows_of: dict = {}
+    for plan in plans.values():
         if plan.platoon_leader_id is not None:
             window = plan.platoon_interval()
             if window is not None:
-                followers_of.setdefault(plan.platoon_leader_id, []).append((truck, window))
+                windows_of.setdefault(plan.platoon_leader_id, []).append(window)
 
     histogram: dict = {}
-
-    def add(size: int, meters: float) -> None:
-        if meters > 0:
-            histogram[size] = histogram.get(size, 0.0) + float(meters)
-
-    for truck, plan in plans.items():
-        intervals = followers_of.get(truck, [])
-        if plan.platoon_leader_id is None and not intervals:
-            add(1, sum(v * (plan.times[i + 1] - plan.times[i]) for i, v in enumerate(plan.speeds)))
-            continue
-        # Sweep this truck's own timeline against the follower count of its
-        # leader role; follower pieces take the size of the leader's
-        # concurrent count during the same window.
-        cuts = set(plan.times)
-        for _, (t_m, t_sp) in intervals:
-            cuts.update((t_m, t_sp))
-        own_window = plan.platoon_interval()
-        leader_intervals = followers_of.get(
-            plan.platoon_leader_id, []
-        ) if plan.platoon_leader_id is not None else []
-        for _, w in leader_intervals:
-            cuts.update(w)
-        grid = sorted(t for t in cuts if plan.times[0] <= t <= plan.times[-1])
-        for t0, t1 in zip(grid, grid[1:]):
-            if t1 - t0 <= 1e-9:
+    platooned = 0.0
+    for leader, windows in windows_of.items():
+        leader_plan = plans[leader]
+        cuts = sorted({t for window in windows for t in window})
+        for t0, t1 in zip(cuts, cuts[1:]):
+            on_board = sum(1 for a, b in windows if a <= t0 < b)
+            if t1 - t0 <= 1e-9 or not on_board:
                 continue
-            mid = 0.5 * (t0 + t1)
-            piece = 0
-            while piece + 1 < len(plan.speeds) and plan.times[piece + 1] <= mid:
-                piece += 1
-            meters = plan.speeds[piece] * (t1 - t0)
-            if own_window is not None and own_window[0] <= mid < own_window[1]:
-                # Riding as follower: size = leader + followers concurrent with us.
-                size = 1 + sum(
-                    1 for _, (a, b) in leader_intervals if a <= mid < b
-                )
-            else:
-                size = 1 + sum(1 for _, (a, b) in intervals if a <= mid < b)
-            add(size, meters)
+            meters = (on_board + 1) * (leader_plan.arc_at(t1) - leader_plan.arc_at(t0))
+            histogram[on_board + 1] = histogram.get(on_board + 1, 0.0) + meters
+            platooned += meters
+    solo = sum(plan.arcs[-1] for plan in plans.values()) - platooned
+    if solo > 0:
+        histogram[1] = solo
     return histogram
 
 
@@ -175,20 +151,8 @@ def make_report(
 
 
 def write_metrics_csv(report: RunReport, path: str) -> None:
-    rows = [
-        ("n_assignments", report.n_assignments),
-        ("default_fuel_kg", report.default_fuel_kg),
-        ("stage3_fuel_kg", report.stage3_fuel_kg),
-        ("stage4_fuel_kg", report.stage4_fuel_kg),
-        ("spontaneous_fuel_kg", report.spontaneous_fuel_kg),
-        ("upper_bound_kg", report.upper_bound_kg),
-        ("saving_stage3", report.saving_stage3),
-        ("saving_stage4", report.saving_stage4),
-        ("saving_spontaneous", report.saving_spontaneous),
-        ("upper_bound_rel", report.upper_bound_rel),
-        ("n_leaders", report.n_leaders),
-        ("n_followers", report.n_followers),
-    ]
+    """One (metric, value) row per report field but the histogram, in field order."""
+    rows = [(f.name, getattr(report, f.name)) for f in fields(RunReport) if f.name != "histogram"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])

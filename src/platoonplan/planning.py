@@ -5,12 +5,15 @@ default plan drives the whole route at the cheapest feasible constant speed.
 An adapted plan reshapes a follower's schedule into (catch-up, platoon
 behind a leader, finish) so that the two trajectories coincide on a shared
 stretch of road. Route geometry (arcs, shareable edges) comes from
-`road_network.Route` and the speed guard from `FuelModel.clamp_speed`.
+`road_network.Route`, plan geometry (distance driven at a time, time at a
+distance) from `VehiclePlan`, and the speed guard from `FuelModel.clamp_speed`.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +59,26 @@ class VehiclePlan:
     @property
     def t_arrival(self) -> float:
         return self.times[-1]
+
+    @functools.cached_property
+    def arcs(self) -> tuple:
+        """arcs[k] = distance driven by breakpoint k, summed left to right."""
+        pieces = (v * (t1 - t0) for v, t0, t1 in zip(self.speeds, self.times, self.times[1:]))
+        return tuple(itertools.accumulate(pieces, initial=0.0))
+
+    def _piece(self, keys: tuple, x: float) -> int:
+        """Index of the speed piece whose span of keys (times or arcs) holds x."""
+        return min(max(bisect.bisect_right(keys, x) - 1, 0), len(self.speeds) - 1)
+
+    def arc_at(self, t: float) -> float:
+        """Distance driven at time t; outside the plan's times the end pieces extend."""
+        k = self._piece(self.times, t)
+        return self.arcs[k] + self.speeds[k] * (t - self.times[k])
+
+    def time_at_arc(self, s: float) -> float:
+        """Time at which distance s has been driven; inverse of arc_at."""
+        k = self._piece(self.arcs, s)
+        return self.times[k] + (s - self.arcs[k]) / self.speeds[k]
 
     def platoon_interval(self) -> Optional[tuple[float, float]]:
         """[merge, split) time window of the single platoon episode, if any."""
@@ -282,12 +305,8 @@ def sample(plan: VehiclePlan, t: float) -> TrajectorySample:
     """Position, speed and follower flag at time t in [t_start, t_arrival)."""
     if not (plan.times[0] <= t < plan.times[-1]):
         raise ValueError(f"time {t} outside plan domain [{plan.times[0]}, {plan.times[-1]})")
-    k = bisect.bisect_right(plan.times, t) - 1
-    k = min(k, len(plan.speeds) - 1)
-    traveled = plan.speeds[k] * (t - plan.times[k])
-    for i in range(k):
-        traveled += plan.speeds[i] * (plan.times[i + 1] - plan.times[i])
-
+    k = plan._piece(plan.times, t)
+    traveled = plan.arc_at(t)
     route = plan.route
     # Last edge whose start arc lies strictly before the traveled distance
     # (so an edge boundary reads as the end of the earlier edge); the first
@@ -318,7 +337,7 @@ def validate(plan: VehiclePlan, a: Assignment, model: FuelModel) -> list[str]:
     for i, v in enumerate(plan.speeds):
         if model.clamp_speed(v) is None:
             problems.append(f"speed {v:.9f} of piece {i} outside bounds")
-    dist = sum(v * (plan.times[i + 1] - plan.times[i]) for i, v in enumerate(plan.speeds))
+    dist = plan.arcs[-1]
     d = route_length(plan.route)
     if abs(dist - d) > DIST_TOL:
         problems.append(f"distance conservation off by {dist - d:.3e} m")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from platoonplan import (
     RoadNetwork,
     common_subpaths,
     make_route,
+    positions_coincide,
     route_length,
+    sample,
 )
 from platoonplan.joint_optimization import _assemble
 from platoonplan.planning import default_speed
@@ -101,6 +105,105 @@ def stage4_infeasibility(group, sol, model):
     prob = _assemble(group, model)
     x = np.concatenate([sol.times[member] for member in group.members()])
     return float(np.max((prob.G @ x - prob.h) / (1.0 + np.abs(prob.h))))
+
+
+def _time_in_domain(plan, t):
+    """t inside plan's domain [t_start, t_arrival), moved there if it overruns by
+    at most 1 µs, else None.
+
+    A follower's merge or split time and its leader's departure or arrival
+    denote the same instant but can differ in the last float bit.
+    """
+    lo, hi = plan.times[0], plan.times[-1]
+    if lo <= t < hi:
+        return t
+    if lo - 1e-6 <= t < lo:
+        return lo
+    if hi <= t <= hi + 1e-6:
+        return math.nextafter(hi, lo)
+    return None
+
+
+def sampled_coincidence(result, net):
+    """Oracle for cli.check_follower_coincidence: the 1 s grid audit.
+
+    Samples each follower and its leader once per second from the merge
+    time on; it can miss a deviation that starts and ends between two grid
+    seconds.
+    """
+    problems = []
+    for truck, plan in result.stage4_plans.items():
+        if plan.platoon_leader_id is None:
+            continue
+        leader_plan = result.stage4_plans[plan.platoon_leader_id]
+        t_m, t_sp = plan.platoon_interval()
+        t = t_m
+        while t < t_sp:
+            own = sample(plan, t).position
+            t_lead = _time_in_domain(leader_plan, t)
+            if t_lead is None:
+                problems.append(f"{truck} at t={t:.1f}: leader is not on the road")
+                break
+            lead = sample(leader_plan, t_lead).position
+            if not positions_coincide(net, own, lead, tol=1e-6):
+                problems.append(
+                    f"{truck} at t={t:.1f}: {own} vs leader {lead}"
+                )
+                break
+            t += 1.0
+    return problems
+
+
+def reference_histogram(plans):
+    """Oracle for evaluation.platoon_size_histogram: a per-truck piece scan.
+
+    Each truck's own timeline is cut at its breakpoints and at the windows
+    of its leader role and of its own leader; every piece adds the truck's
+    own meters to the bucket of the platoon size at the piece's middle.
+    Pieces of 1e-9 s or less are skipped.
+    """
+    followers_of: dict = {}
+    for truck, plan in plans.items():
+        if plan.platoon_leader_id is not None:
+            window = plan.platoon_interval()
+            if window is not None:
+                followers_of.setdefault(plan.platoon_leader_id, []).append((truck, window))
+
+    histogram: dict = {}
+
+    def add(size, meters):
+        if meters > 0:
+            histogram[size] = histogram.get(size, 0.0) + float(meters)
+
+    for truck, plan in plans.items():
+        intervals = followers_of.get(truck, [])
+        if plan.platoon_leader_id is None and not intervals:
+            add(1, sum(v * (plan.times[i + 1] - plan.times[i]) for i, v in enumerate(plan.speeds)))
+            continue
+        cuts = set(plan.times)
+        for _, (t_m, t_sp) in intervals:
+            cuts.update((t_m, t_sp))
+        own_window = plan.platoon_interval()
+        leader_intervals = followers_of.get(
+            plan.platoon_leader_id, []
+        ) if plan.platoon_leader_id is not None else []
+        for _, w in leader_intervals:
+            cuts.update(w)
+        grid = sorted(t for t in cuts if plan.times[0] <= t <= plan.times[-1])
+        for t0, t1 in zip(grid, grid[1:]):
+            if t1 - t0 <= 1e-9:
+                continue
+            mid = 0.5 * (t0 + t1)
+            piece = 0
+            while piece + 1 < len(plan.speeds) and plan.times[piece + 1] <= mid:
+                piece += 1
+            meters = plan.speeds[piece] * (t1 - t0)
+            if own_window is not None and own_window[0] <= mid < own_window[1]:
+                size = 1 + sum(1 for _, (a, b) in leader_intervals if a <= mid < b)
+            else:
+                size = 1 + sum(1 for _, (a, b) in intervals if a <= mid < b)
+            add(size, meters)
+    return histogram
 
 
 def chain_network(segment_lengths, prefix="e"):

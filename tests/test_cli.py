@@ -1,6 +1,7 @@
 """Command-line pipeline: end-to-end runs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -8,19 +9,22 @@ from types import SimpleNamespace
 
 import pytest
 
-from platoonplan import Position, VehiclePlan, make_route, shortest_route
+from platoonplan import FuelModel, Position, RoadNetwork, VehiclePlan, make_route, shortest_route
 from platoonplan.cli import (
+    RunConfig,
     check_follower_coincidence,
     main,
     route_assignments,
     run_montecarlo,
+    run_pipeline,
     write_montecarlo_csv,
 )
+from platoonplan.evaluation import RunReport, platoon_size_histogram
 from platoonplan.planning import Assignment
 from platoonplan.road_network import _dijkstra
-from platoonplan.scenario import grid_network
+from platoonplan.scenario import ScenarioConfig, generate, grid_network
 
-from conftest import chain_network
+from conftest import chain_network, reference_histogram, sampled_coincidence
 
 
 def _write_scenario_config(path, **scenario):
@@ -313,6 +317,76 @@ def test_infeasible_deadline_still_exits_1(tmp_path, capsys):
     assert events == ["run_error"]
 
 
+def test_every_infeasible_assignment_is_listed(tmp_path, capsys):
+    cfg, network, assignments = _generate(
+        tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+    )
+    doc = json.loads(assignments.read_text())
+    for a in (doc[0], doc[2]):
+        a["t_deadline_s"] = a["t_start_s"] + 1.0
+    assignments.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
+               "--config", cfg, "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["run_error"]
+    error = events[0]["error"]
+    assert f"assignment {doc[0]['id']}:" in error and f"assignment {doc[2]['id']}:" in error
+    assert f"assignment {doc[1]['id']}:" not in error
+
+
+def test_a_group_whose_plans_fail_validate_keeps_its_stage3_plans(
+    tmp_path, capsys, monkeypatch
+):
+    """A group whose extracted leader plan arrives a second after its deadline
+    falls back like a group whose solve raises; the run exits 0."""
+    from platoonplan import cli, scenario
+    from platoonplan.joint_optimization import extract_plans
+
+    broken = []
+
+    def late_extract_plans(group, sol, model):
+        plans = extract_plans(group, sol, model)
+        if not broken:  # the first group extracted, in every run
+            broken.append(group.leader_id)
+        if group.leader_id == broken[0]:
+            # The leader's last piece covers its meters one second slower.
+            lead = plans[group.leader_id]
+            t0, t1 = lead.times[-2:]
+            v = lead.speeds[-1] * (t1 - t0) / (t1 + 1.0 - t0)
+            plans[group.leader_id] = VehiclePlan(
+                lead.route, (*lead.speeds[:-1], v), (*lead.times[:-1], t1 + 1.0),
+                lead.follower_flags,
+            )
+        return plans
+
+    monkeypatch.setattr(cli, "extract_plans", late_extract_plans)
+    cfg, network, assignments = _generate(tmp_path, n_assignments=50, seed=7)
+    capsys.readouterr()
+    rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
+               "--config", cfg, "--out-dir", str(tmp_path / "run"), "--check"])
+    assert rc == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    fallback = [e for e in events if e["event"] == "group_fallback"]
+    assert [e["leader"] for e in fallback] == broken
+    assert fallback[0]["error"].startswith(f"{broken[0]}: arrival")
+    assert "misses deadline" in fallback[0]["error"]
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["groups_fallback"] == 1
+
+    result = cli.run_pipeline(
+        cli.load_network(str(network)),
+        scenario.load_assignments(str(assignments)),
+        cli.load_config(cfg),
+    )
+    members = [broken[0], *(f for f, lead in result.leader_set.follower_of.items()
+                            if lead == broken[0])]
+    for m in members:
+        assert result.stage4_plans[m] == result.stage3_plans[m]
+    assert result.report.groups_fallback == 1
+
+
 def test_grouped_routing_matches_per_assignment_routes():
     net = grid_network(4, 4, 1000.0)
     edges = sorted(net.edges)
@@ -361,6 +435,119 @@ def test_coincidence_check_tolerates_one_ulp_before_leader_start():
     assert check_follower_coincidence(result, net) == [
         f"foll at t={t_merge:.1f}: leader is not on the road"
     ]
+
+
+def _pair(leader, follower):
+    return SimpleNamespace(stage4_plans={"lead": leader, "foll": follower})
+
+
+def test_coincidence_check_flags_an_overrun_past_the_leader_arrival():
+    """A leader that arrives 2 µs before its follower splits is reported at
+    the merge time."""
+    net = chain_network([10_000.0, 10_000.0])
+    v = 25.0
+    follower = VehiclePlan(
+        make_route(net, ["e0", "e1"], 0.0, 10_000.0), (v, v, v), (0.0, 100.0, 400.0, 800.0),
+        (0, 1, 0), platoon_leader_id="lead",
+    )
+    t_arrival = 400.0 - 2e-6
+    leader = VehiclePlan(
+        make_route(net, ["e0"], 0.0, 10_000.0), (10_000.0 / t_arrival,), (0.0, t_arrival), (0,)
+    )
+    assert check_follower_coincidence(_pair(leader, follower), net) == [
+        "foll at t=100.0: leader is not on the road"
+    ]
+
+
+def test_coincidence_check_sees_a_sub_second_surge():
+    """The follower gains 0.2 m and gives it back between two grid seconds."""
+    net = chain_network([10_000.0, 10_000.0, 10_000.0])
+    v = 25.0
+    route = make_route(net, ["e0", "e1", "e2"], 0.0, 10_000.0)
+    leader = VehiclePlan(route, (v,), (0.0, 1200.0), (0,))
+    follower = VehiclePlan(
+        route,
+        (v, v + 1.0, v - 1.0, v),
+        (0.0, 100.3, 100.5, 100.7, 1200.0),
+        (1, 1, 1, 1),
+        platoon_leader_id="lead",
+    )
+    assert sampled_coincidence(_pair(leader, follower), net) == []
+    problems = check_follower_coincidence(_pair(leader, follower), net)
+    assert len(problems) == 1 and problems[0].startswith("foll at t=100.4: ")
+
+
+def test_coincidence_check_cuts_at_node_passages():
+    """Leader and follower take different equal-length detours from A to B and
+    rejoin for a last edge twice as long; the middle of their one speed piece
+    is node B, where both are again at the same point."""
+    nodes = ["A", "X", "Y", "B", "C"]
+    edges = [("a1", "A", "X", 5000.0), ("a2", "X", "B", 5000.0),
+             ("b1", "A", "Y", 5000.0), ("b2", "Y", "B", 5000.0), ("c", "B", "C", 10_000.0)]
+    net = RoadNetwork(nodes, edges)
+    v = 25.0
+    leader = VehiclePlan(
+        make_route(net, ["a1", "a2", "c"], 0.0, 10_000.0), (v,), (0.0, 800.0), (0,)
+    )
+    follower = VehiclePlan(
+        make_route(net, ["b1", "b2", "c"], 0.0, 10_000.0), (v,), (0.0, 800.0), (1,),
+        platoon_leader_id="lead",
+    )
+    problems = check_follower_coincidence(_pair(leader, follower), net)
+    assert len(problems) == 1 and problems[0].startswith("foll at t=100.0: ")
+
+
+def _shifted(plan, dt):
+    return VehiclePlan(plan.route, plan.speeds, tuple(t + dt for t in plan.times),
+                       plan.follower_flags, plan.platoon_leader_id)
+
+
+def _sped_up(plan, factor):
+    k = plan.follower_flags.index(1)
+    speeds = (*plan.speeds[:k], plan.speeds[k] * factor, *plan.speeds[k + 1:])
+    return VehiclePlan(plan.route, speeds, plan.times, plan.follower_flags,
+                       plan.platoon_leader_id)
+
+
+def _audit_fleet(cfg):
+    """The exact audit passes a planned fleet and, on 15 of its followers,
+    flags two injected faults wherever the 1 s oracle does; the histogram
+    sweep matches the per-truck piece scan."""
+    model = FuelModel()
+    net, assignments, routes = generate(cfg, model)
+    result = run_pipeline(net, assignments, RunConfig(model=model, scenario=cfg), routes=routes)
+    assert check_follower_coincidence(result, net) == []
+    for plans in (result.stage3_plans, result.stage4_plans):
+        hist, ref = platoon_size_histogram(plans), reference_histogram(plans)
+        assert hist.keys() == ref.keys()
+        assert all(hist[k] == pytest.approx(ref[k], rel=1e-12) for k in ref)
+    plans = result.stage4_plans
+    followers = sorted(t for t, p in plans.items() if p.platoon_leader_id is not None)[:15]
+    assert followers
+    for truck in followers:
+        plan = plans[truck]
+        leader = plan.platoon_leader_id
+        for faulty in (
+            {truck: plan, leader: _shifted(plans[leader], 0.01)},  # leader 10 ms late
+            {truck: _sped_up(plan, 1.0 + 1e-4), leader: plans[leader]},
+        ):
+            pair = SimpleNamespace(stage4_plans=faulty)
+            exact = check_follower_coincidence(pair, net)
+            assert len(exact) == 1
+            assert len(sampled_coincidence(pair, net)) <= len(exact)
+
+
+@pytest.mark.parametrize("seed,size", [(71, 40), (72, 40), (73, 120), (74, 120)])
+def test_exact_audit_on_criterion_8_fleets(seed, size):
+    _audit_fleet(ScenarioConfig(rows=12, cols=12, edge_len_m=9000.0, n_assignments=size,
+                                seed=seed, start_window_s=3600.0))
+
+
+@pytest.mark.slow
+def test_exact_audit_on_the_one_ulp_fleet():
+    """generate --size 800 --seed 40001: a follower merges one float bit before
+    its leader departs."""
+    _audit_fleet(ScenarioConfig(n_assignments=800, seed=40001))
 
 
 def test_exact_subcommand_on_graph_dump(tmp_path):
@@ -448,6 +635,21 @@ def test_report_subcommand(tmp_path):
     with open(rep_dir / "histogram.csv", newline="") as fh:
         hist_rows = list(csv.DictReader(fh))
     assert all(set(r) == {"size", "meters"} for r in hist_rows)
+
+
+def test_report_writes_one_metrics_row_per_field(tmp_path):
+    cfg, network, assignments = _generate(tmp_path, n_assignments=12, seed=2)
+    out = tmp_path / "run"
+    assert main(["plan", "--network", str(network), "--assignments", str(assignments),
+                 "--config", cfg, "--out-dir", str(out)]) == 0
+    rep_dir = tmp_path / "rep"
+    assert main(["report", "--report", str(out / "report.json"), "--out-dir", str(rep_dir)]) == 0
+    with open(rep_dir / "metrics.csv", newline="") as fh:
+        metrics = [row["metric"] for row in csv.DictReader(fh)]
+    doc = json.loads((out / "report.json").read_text())
+    fields = [f.name for f in dataclasses.fields(RunReport) if f.name != "histogram"]
+    assert metrics == fields
+    assert set(metrics) == set(doc) - {"histogram"}
 
 
 def test_env_var_overrides_seed(tmp_path, monkeypatch):

@@ -114,6 +114,35 @@ def test_histogram_disjoint_follower_windows_never_stack(model, worked_pair):
     assert total == pytest.approx(expected, abs=1e-6)
 
 
+def test_histogram_three_overlapping_windows():
+    """A 25 m/s leader drives 30 km; followers ride along over [100, 700),
+    [200, 500) and [300, 900) s, each after a 1 km approach at 20 m/s and
+    before a 22 m/s tail to the route end."""
+    net = chain_network([10_000.0] * 3)
+    v = 25.0
+    plans = {"lead": VehiclePlan(make_route(net, ["e0", "e1", "e2"], 0.0, 10_000.0), (v,),
+                                 (0.0, 1200.0), (0,))}
+    for name, (t_m, t_sp) in {"f1": (100.0, 700.0), "f2": (200.0, 500.0),
+                              "f3": (300.0, 900.0)}.items():
+        route = make_route(net, ["e0", "e1", "e2"], v * t_m - 1000.0, 10_000.0)
+        plans[name] = VehiclePlan(
+            route, (20.0, v, 22.0),
+            (t_m - 50.0, t_m, t_sp, t_sp + (30_000.0 - v * t_sp) / 22.0),
+            (0, 1, 0), platoon_leader_id="lead",
+        )
+    hist = platoon_size_histogram(plans)
+    # Riders on board: 1 over [100, 200) and [700, 900), 2 over [200, 300)
+    # and [500, 700), 3 over [300, 500); each stretch counts riders + 1 trucks.
+    assert set(hist) == {1, 2, 3, 4}
+    assert hist[2] == pytest.approx(2 * v * (100.0 + 200.0), rel=1e-12)
+    assert hist[3] == pytest.approx(3 * v * (100.0 + 200.0), rel=1e-12)
+    assert hist[4] == pytest.approx(4 * v * 200.0, rel=1e-12)
+    assert hist[1] == pytest.approx(50_500.0, rel=1e-12)
+    total = sum(route_length(p.route) for p in plans.values())
+    assert total == 108_000.0
+    assert sum(hist.values()) == pytest.approx(total, rel=1e-12)
+
+
 def test_report_all_isolated(model):
     net = chain_network([10_000.0] * 4)
     r1 = make_route(net, ["e0", "e1"], 0.0, 10_000.0)

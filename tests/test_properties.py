@@ -1,5 +1,7 @@
 """Property checks on small random networks with partial first and last edges."""
 
+from types import SimpleNamespace
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -18,6 +20,7 @@ from platoonplan import (  # noqa: E402
     solve,
     validate,
 )
+from platoonplan.cli import check_follower_coincidence  # noqa: E402
 from platoonplan.joint_optimization import _assemble  # noqa: E402
 from platoonplan.road_network import route_length, shortest_route  # noqa: E402
 from platoonplan.scenario import grid_network  # noqa: E402
@@ -25,6 +28,7 @@ from platoonplan.scenario import grid_network  # noqa: E402
 from conftest import _reference_prune_pairs, stage4_infeasibility  # noqa: E402
 
 EDGE_M = 20_000.0
+NET = grid_network(2, 4, EDGE_M)
 V_MAX = FuelModel().v_max
 
 
@@ -37,8 +41,7 @@ def fleets(draw, flat=False):
     or with 1800 s of slack. Pinned members, and followers that catch a slow
     leader only at v_max, leave a group's feasible set without interior.
     """
-    net = grid_network(2, 4, EDGE_M)
-    edges = sorted(net.edges)
+    edges = sorted(NET.edges)
     offsets = st.sampled_from([0.0, 5000.0, 12_500.0, EDGE_M])
     trucks = draw(st.integers(min_value=2, max_value=10))
     assignments, routes = {}, {}
@@ -46,7 +49,7 @@ def fleets(draw, flat=False):
         frm = Position(draw(st.sampled_from(edges)), draw(offsets))
         to = Position(draw(st.sampled_from(edges)), draw(offsets))
         try:
-            route = shortest_route(net, frm, to)
+            route = shortest_route(NET, frm, to)
         except ValueError:  # start and destination coincide
             continue
         if route is None:
@@ -79,7 +82,7 @@ def test_pruned_build_equals_unpruned_build(model, fleet):
 
 def _check_stage4(model, fleet):
     """Every group's solution is feasible, stationary and no worse than the
-    pairwise plans; its plans validate."""
+    pairwise plans; its plans validate and pass the exact coincidence audit."""
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
     graph, plan_cache = build(assignments, routes, dplans, model)
@@ -98,8 +101,10 @@ def _check_stage4(model, fleet):
         assert stage4_infeasibility(group, sol, model) <= 1e-9
         assert sol.objective <= start.objective(start.x0)
         assert sol.kkt_residual <= 1e-8
-        for member, plan in extract_plans(group, sol, model).items():
+        plans = extract_plans(group, sol, model)
+        for member, plan in plans.items():
             assert validate(plan, assignments[member], model) == []
+        assert check_follower_coincidence(SimpleNamespace(stage4_plans=plans), NET) == []
 
 
 @settings(max_examples=100, deadline=None)
