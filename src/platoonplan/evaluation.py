@@ -60,7 +60,7 @@ def platoon_size_histogram(plans: dict) -> dict:
     counts the followers on board; a stretch with c of them adds c + 1 times
     the leader's meters to bucket c + 1, since followers ride at the leader's
     speed. Stretches of 1e-9 s or less are skipped. Bucket 1 is every meter
-    driven minus the platooned meters.
+    driven minus the platooned meters, left out below 1e-12 of the total.
     """
     windows_of: dict = {}
     for plan in plans.values():
@@ -81,8 +81,9 @@ def platoon_size_histogram(plans: dict) -> dict:
             meters = (on_board + 1) * (leader_plan.arc_at(t1) - leader_plan.arc_at(t0))
             histogram[on_board + 1] = histogram.get(on_board + 1, 0.0) + meters
             platooned += meters
-    solo = sum(plan.arcs[-1] for plan in plans.values()) - platooned
-    if solo > 0:
+    total = sum(plan.arcs[-1] for plan in plans.values())
+    solo = total - platooned
+    if solo > 1e-12 * total:  # a fully platooned fleet leaves only rounding here
         histogram[1] = solo
     return histogram
 

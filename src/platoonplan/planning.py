@@ -70,10 +70,14 @@ class VehiclePlan:
         """Index of the speed piece whose span of keys (times or arcs) holds x."""
         return min(max(bisect.bisect_right(keys, x) - 1, 0), len(self.speeds) - 1)
 
-    def arc_at(self, t: float) -> float:
-        """Distance driven at time t; outside the plan's times the end pieces extend."""
+    def locate(self, t: float) -> tuple[int, float]:
+        """Speed piece and distance driven at time t; the end pieces extend past the plan."""
         k = self._piece(self.times, t)
-        return self.arcs[k] + self.speeds[k] * (t - self.times[k])
+        return k, self.arcs[k] + self.speeds[k] * (t - self.times[k])
+
+    def arc_at(self, t: float) -> float:
+        """Distance driven at time t (see locate)."""
+        return self.locate(t)[1]
 
     def time_at_arc(self, s: float) -> float:
         """Time at which distance s has been driven; inverse of arc_at."""
@@ -305,8 +309,7 @@ def sample(plan: VehiclePlan, t: float) -> TrajectorySample:
     """Position, speed and follower flag at time t in [t_start, t_arrival)."""
     if not (plan.times[0] <= t < plan.times[-1]):
         raise ValueError(f"time {t} outside plan domain [{plan.times[0]}, {plan.times[-1]})")
-    k = plan._piece(plan.times, t)
-    traveled = plan.arc_at(t)
+    k, traveled = plan.locate(t)
     route = plan.route
     # Last edge whose start arc lies strictly before the traveled distance
     # (so an edge boundary reads as the end of the earlier edge); the first

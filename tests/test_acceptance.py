@@ -313,7 +313,7 @@ def test_criterion_8_plan_soundness():
         result = run_pipeline(net, assignments, run, routes=routes)
         problems = validate_all(result, MODEL)
         coincidence = check_follower_coincidence(result, net)
-        ok &= not problems and not coincidence
+        ok &= not problems and not coincidence and result.report.groups_fallback == 0
         plans_checked += len(result.stage4_plans)
         if not ok:
             break

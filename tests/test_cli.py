@@ -510,12 +510,13 @@ def _sped_up(plan, factor):
 
 
 def _audit_fleet(cfg):
-    """The exact audit passes a planned fleet and, on 15 of its followers,
-    flags two injected faults wherever the 1 s oracle does; the histogram
-    sweep matches the per-truck piece scan."""
+    """A planned fleet has no group fallen back and passes the exact audit,
+    which on 15 of its followers flags two injected faults wherever the 1 s
+    oracle does; the histogram sweep matches the per-truck piece scan."""
     model = FuelModel()
     net, assignments, routes = generate(cfg, model)
     result = run_pipeline(net, assignments, RunConfig(model=model, scenario=cfg), routes=routes)
+    assert result.report.groups_fallback == 0
     assert check_follower_coincidence(result, net) == []
     for plans in (result.stage3_plans, result.stage4_plans):
         hist, ref = platoon_size_histogram(plans), reference_histogram(plans)

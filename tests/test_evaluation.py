@@ -16,7 +16,7 @@ from platoonplan import (
 from platoonplan.evaluation import make_report, relative_saving
 from platoonplan.planning import VehiclePlan
 
-from conftest import chain_network
+from conftest import chain_network, reference_histogram
 
 V80 = 80.0 / 3.6
 
@@ -142,6 +142,26 @@ def test_histogram_three_overlapping_windows():
     assert total == 108_000.0
     assert sum(hist.values()) == pytest.approx(total, rel=1e-12)
 
+
+
+def test_histogram_fully_platooned_fleet_has_no_solo_bucket():
+    """Every meter is platooned: f1 rides the leader's whole 30 km journey,
+    f2 joins it over [237, 841) s and drives nothing else. Bucket 1 would hold
+    only the rounding left by total minus platooned meters."""
+    net = chain_network([10_000.0] * 3)
+    edges = ["e0", "e1", "e2"]
+    speeds, times = (24.9, 24.2, 25.0), (0.0, 382.0, 741.0, 1213.016)
+    route = make_route(net, edges, 0.0, 10_000.0)
+    plans = {"lead": VehiclePlan(route, speeds, times, (0, 0, 0)),
+             "f1": VehiclePlan(route, speeds, times, (1, 1, 1), platoon_leader_id="lead")}
+    # f2 drives from 5,901.3 m (24.9 m/s * 237 s) to 20,699.6 m: 14,798.3 m.
+    plans["f2"] = VehiclePlan(make_route(net, edges, 5_901.3, 699.6), speeds,
+                              (237.0, 382.0, 741.0, 841.0), (1, 1, 1), platoon_leader_id="lead")
+    hist = platoon_size_histogram(plans)
+    assert hist.keys() == reference_histogram(plans).keys() == {2, 3}
+    assert hist[3] == pytest.approx(3 * 14_798.3, rel=1e-12)
+    assert hist[2] == pytest.approx(2 * (30_000.0 - 14_798.3), rel=1e-12)
+    assert sum(hist.values()) == pytest.approx(60_000.0 + 14_798.3, rel=1e-12)
 
 def test_report_all_isolated(model):
     net = chain_network([10_000.0] * 4)
