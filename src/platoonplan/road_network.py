@@ -10,6 +10,13 @@ A route owns its geometry: the arc (distance from the route start) at which
 each edge begins, the distance covered, and the range of edges it drives
 end to end. Other modules ask the route instead of re-summing lengths.
 
+Shortest paths take one scipy csgraph Dijkstra call per source, which gives
+the distances only. Each path is rebuilt backwards from them by the tie rule
+of a heap Dijkstra that pops the smallest (distance, node) and records a
+predecessor only on a strict improvement: a node's predecessor is the first
+node to settle whose relaxation reaches the node's final distance. Among
+equally short paths, that picks the same one as the heap loop.
+
 All operations are pure functions of immutable inputs.
 """
 
@@ -19,8 +26,13 @@ import functools
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 
 class NetworkFormatError(ValueError):
@@ -54,25 +66,56 @@ class RoadNetwork:
     """
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple]) -> None:
-        """edges: iterable of (edge_id, from_node, to_node, length_m)."""
-        self.nodes = set(nodes)
+        """edges: iterable of (edge_id, from_node, to_node, length_m).
+
+        Ids must be hashable, and node ids mutually ordered (all str, or all
+        numbers): routing numbers the nodes in sorted order.
+        """
         self.edges: dict = {}
-        self.adjacency: dict = {n: [] for n in self.nodes}
         seen_pairs = set()
-        for eid, u, v, length in edges:
-            if eid in self.edges:
-                raise NetworkFormatError(f"duplicate edge id {eid!r}")
-            if u not in self.nodes:
-                raise NetworkFormatError(f"edge {eid!r} references unknown node {u!r}")
-            if v not in self.nodes:
-                raise NetworkFormatError(f"edge {eid!r} references unknown node {v!r}")
-            if not (length > 0):
-                raise NetworkFormatError(f"edge {eid!r} has nonpositive length {length}")
-            if (u, v) in seen_pairs:
-                raise NetworkFormatError(f"duplicate edge for node pair ({u!r}, {v!r})")
-            seen_pairs.add((u, v))
-            self.edges[eid] = (u, v, float(length))
-            self.adjacency[u].append((eid, v, float(length)))
+        try:
+            self.nodes = set(nodes)
+            for eid, u, v, length in edges:
+                if eid in self.edges:
+                    raise NetworkFormatError(f"duplicate edge id {eid!r}")
+                if u not in self.nodes:
+                    raise NetworkFormatError(f"edge {eid!r} references unknown node {u!r}")
+                if v not in self.nodes:
+                    raise NetworkFormatError(f"edge {eid!r} references unknown node {v!r}")
+                if not (length > 0):
+                    raise NetworkFormatError(f"edge {eid!r} has nonpositive length {length}")
+                if (u, v) in seen_pairs:
+                    raise NetworkFormatError(f"duplicate edge for node pair ({u!r}, {v!r})")
+                seen_pairs.add((u, v))
+                self.edges[eid] = (u, v, float(length))
+            self.node_order = sorted(self.nodes)
+        except TypeError as exc:
+            raise NetworkFormatError(f"wrong type of id or length: {exc}") from exc
+
+        # Routing structures, by node position in node_order: each node's
+        # in-edges (tail, edge id, length) and the CSR length matrix for
+        # csgraph, built row by row (a COO build costs more memory).
+        self.index = {n: i for i, n in enumerate(self.node_order)}
+        self.in_edges: list = [[] for _ in self.node_order]
+        out: list = [[] for _ in self.node_order]
+        for eid, (u, v, length) in self.edges.items():
+            i, j = self.index[u], self.index[v]
+            self.in_edges[j].append((i, eid, length))
+            out[i].append((j, length))
+        arcs = [arc for row in out for arc in row]
+        self.csr = csr_matrix(
+            (
+                np.array([length for _, length in arcs], dtype=float),
+                np.array([j for j, _ in arcs], dtype=np.int32),
+                np.array(list(itertools.accumulate(map(len, out), initial=0)), dtype=np.int32),
+            ),
+            shape=(len(out), len(out)),
+        )
+        # fl(d + length) == d needs length <= ulp(d)/2 <= d * 2**-53, and no
+        # distance reaches twice the summed lengths: above this ratio no
+        # length is ever absorbed by rounding.
+        lengths = self.csr.data
+        self.may_absorb = bool(lengths.size and lengths.min() * 2.0**52 <= lengths.sum())
 
     def edge_length(self, eid: str) -> float:
         return self.edges[eid][2]
@@ -150,37 +193,78 @@ def route_length(r: Route) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _dijkstra(net: RoadNetwork, source) -> tuple[dict, dict]:
-    """Node distances and predecessor edges from a source node.
+def _dijkstra(net: RoadNetwork, source) -> list:
+    """Distance from a source node to each node in `net.node_order`; inf if unreachable.
 
     The last tree is kept, so consecutive queries from one source (routes
     grouped by exit node) cost one search. Networks hash by identity, so a
     tree never serves another network object; callers must not mutate the
-    returned dicts.
+    returned list.
     """
-    dist = {source: 0.0}
-    pred: dict = {}
-    heap = [(0.0, source)]
+    return dijkstra(net.csr, indices=net.index[source]).tolist()
+
+
+@functools.lru_cache(maxsize=1)
+def _settle_rank(net: RoadNetwork, source) -> list:
+    """Position of each node in a heap Dijkstra's settle order (n if never settled).
+
+    The heap pops the smallest (distance, node); a node enters it, at its
+    final distance, when its first tight in-neighbour settles. Only needed
+    when a length can be absorbed by rounding: a node then ties its
+    predecessor's distance, and the settle order is no longer the
+    (distance, node) order.
+    """
+    dist = _dijkstra(net, source)
+    s = net.index[source]
+    indptr, heads, lengths = (a.tolist() for a in (net.csr.indptr, net.csr.indices, net.csr.data))
+    rank = [len(dist)] * len(dist)
+    pushed = {s}
+    heap = [(0.0, s)]
+    settled = 0
     while heap:
         d, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
-            continue
-        for eid, v, length in net.adjacency[u]:
-            nd = d + length
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                pred[v] = (u, eid)
-                heapq.heappush(heap, (nd, v))
-    return dist, pred
+        rank[u] = settled
+        settled += 1
+        for k in range(indptr[u], indptr[u + 1]):
+            v = heads[k]
+            if v not in pushed and d + lengths[k] == dist[v]:
+                pushed.add(v)
+                heapq.heappush(heap, (dist[v], v))
+    return rank
 
 
-def _node_path_edges(pred: dict, source, target) -> list:
+def _node_path_edges(net: RoadNetwork, source, target) -> Optional[list]:
+    """Edge ids of the shortest path from source to target, or None if unreachable.
+
+    The path is rebuilt backwards from the distances by the rule a heap
+    Dijkstra implements: a node's predecessor is the first node to settle
+    whose relaxation reaches the node's final distance. Among the in-edges
+    u -> v with dist[u] + length == dist[v] (exact float equality), that is
+    the u that settles first, counting only nodes that settle before v.
+    Nodes settle in (dist[u], u) order, with ids compared in
+    `net.node_order`, unless a length is absorbed by rounding; then
+    `_settle_rank` gives the order. Either way the walk stays finite.
+    """
+    dist = _dijkstra(net, source)
+    v = net.index.get(target)
+    if v is None or dist[v] == math.inf:
+        return None
+    if net.may_absorb:
+        key = _settle_rank(net, source).__getitem__
+    else:
+        def key(u):
+            return (dist[u], u)
+
+    s = net.index[source]
     edges = []
-    node = target
-    while node != source:
-        u, eid = pred[node]
+    while v != s:
+        kv = key(v)
+        _, v, eid = min(
+            (key(u), u, eid)
+            for u, eid, length in net.in_edges[v]
+            if dist[u] + length == dist[v] and key(u) < kv
+        )
         edges.append(eid)
-        node = u
     edges.reverse()
     return edges
 
@@ -189,10 +273,9 @@ def shortest_node_route(net: RoadNetwork, u, v) -> Optional[Route]:
     """Minimum-length route between two distinct nodes, or None if unreachable."""
     if u == v:
         raise ValueError("start and destination nodes coincide")
-    dist, pred = _dijkstra(net, u)
-    if v not in dist:
+    edges = _node_path_edges(net, u, v)
+    if edges is None:
         return None
-    edges = _node_path_edges(pred, u, v)
     return make_route(net, edges, 0.0, net.edge_length(edges[-1]))
 
 
@@ -214,9 +297,8 @@ def shortest_route(net: RoadNetwork, frm: Position, to: Position) -> Optional[Ro
 
     exit_node = net.edge_head(frm.edge)
     entry_node = net.edge_tail(to.edge)
-    dist, pred = _dijkstra(net, exit_node)
-    if entry_node in dist:
-        middle = _node_path_edges(pred, exit_node, entry_node)
+    middle = _node_path_edges(net, exit_node, entry_node)
+    if middle is not None:
         edges = (frm.edge, *middle, to.edge)
         lengths = tuple(net.edge_length(e) for e in edges)
         candidate = Route(edges, lengths, frm.offset, to.offset)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from platoonplan import (
     FuelModel,
     Position,
     RoadNetwork,
+    Route,
     common_subpaths,
     make_route,
     positions_coincide,
@@ -214,6 +217,77 @@ def chain_network(segment_lengths, prefix="e"):
         for i, length in enumerate(segment_lengths)
     ]
     return RoadNetwork(nodes, edges)
+
+
+@functools.lru_cache(maxsize=1)
+def reference_dijkstra(net, source):
+    """Oracle for road_network routing: the heap Dijkstra that csgraph replaced.
+
+    Node distances and predecessor (node, edge) pairs from a source node. A
+    predecessor is set only on a strict improvement, so it is the first
+    settled node whose relaxation reaches the final distance.
+    """
+    adjacency = {n: [] for n in net.nodes}
+    for eid, (u, v, length) in net.edges.items():
+        adjacency[u].append((eid, v, length))
+    dist = {source: 0.0}
+    pred = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        for eid, v, length in adjacency[u]:
+            nd = d + length
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                pred[v] = (u, eid)
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def _reference_path_edges(net, source, target):
+    dist, pred = reference_dijkstra(net, source)
+    if target not in dist:
+        return None
+    edges = []
+    node = target
+    while node != source:
+        node, eid = pred[node]
+        edges.append(eid)
+    edges.reverse()
+    return edges
+
+
+def reference_node_route(net, u, v):
+    """Oracle for shortest_node_route on the heap Dijkstra."""
+    if u == v:
+        raise ValueError("start and destination nodes coincide")
+    edges = _reference_path_edges(net, u, v)
+    if edges is None:
+        return None
+    return make_route(net, edges, 0.0, net.edge_length(edges[-1]))
+
+
+def reference_route(net, frm, to):
+    """Oracle for shortest_route on the heap Dijkstra."""
+    net.check_position(frm)
+    net.check_position(to)
+    best = None
+    if frm.edge == to.edge and frm.offset <= to.offset:
+        if to.offset > frm.offset:
+            best = Route((frm.edge,), (net.edge_length(frm.edge),), frm.offset, to.offset)
+        else:
+            raise ValueError("start and destination positions coincide")
+    middle = _reference_path_edges(net, net.edge_head(frm.edge), net.edge_tail(to.edge))
+    if middle is not None:
+        edges = (frm.edge, *middle, to.edge)
+        candidate = Route(edges, tuple(net.edge_length(e) for e in edges), frm.offset, to.offset)
+        if route_length(candidate) > 0 and (
+            best is None or route_length(candidate) < route_length(best)
+        ):
+            best = candidate
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -164,6 +164,20 @@ def test_bad_assignment_exits_2(tmp_path, edit):
         pytest.param("graph", "src,dst,saving_kg\n1,2,x\n", id="graph-saving-not-a-number"),
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
         pytest.param("report", {"n_assignments": 3}, id="report-missing-fields"),
+        pytest.param("network", {"nodes": [{"id": [1]}], "edges": []}, id="network-list-node-id"),
+        # Routing from A ties (10, 1) against (10, "B").
+        pytest.param(
+            "network",
+            {
+                "nodes": [{"id": n} for n in ("X", "A", "B", 1, "Y")],
+                "edges": [
+                    {"id": eid, "from": u, "to": v, "length_m": 10.0}
+                    for eid, u, v in (("in", "X", "A"), ("a1", "A", 1), ("ab", "A", "B"),
+                                      ("out", "B", "Y"))
+                ],
+            },
+            id="network-int-among-str-node-ids",
+        ),
     ],
 )
 def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
@@ -177,6 +191,14 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
                 "--config", str(bad), "--out-dir", str(tmp_path / "x")]
     elif kind == "montecarlo":
         argv = ["montecarlo", "--config", str(bad), "--runs", "1", "--sizes", "2",
+                "--out-dir", str(tmp_path / "x")]
+    elif kind == "network":
+        assignments = tmp_path / "assignments.json"
+        assignments.write_text(json.dumps([{
+            "id": "a0", "start": {"edge": "in", "offset_m": 0.0},
+            "dest": {"edge": "out", "offset_m": 10.0}, "t_start_s": 0.0, "t_deadline_s": 100.0,
+        }]))
+        argv = ["plan", "--network", str(bad), "--assignments", str(assignments),
                 "--out-dir", str(tmp_path / "x")]
     elif kind == "graph":
         argv = ["exact", "--graph-csv", str(bad), "--out", str(tmp_path / "leaders.json")]

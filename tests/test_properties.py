@@ -1,5 +1,6 @@
 """Property checks on small random networks with partial first and last edges."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from platoonplan import (  # noqa: E402
     Assignment,
     FuelModel,
     Position,
+    RoadNetwork,
     build,
     build_group,
     cluster,
@@ -22,10 +24,19 @@ from platoonplan import (  # noqa: E402
 )
 from platoonplan.cli import check_follower_coincidence  # noqa: E402
 from platoonplan.joint_optimization import _assemble  # noqa: E402
-from platoonplan.road_network import route_length, shortest_route  # noqa: E402
+from platoonplan.road_network import (  # noqa: E402
+    route_length,
+    shortest_node_route,
+    shortest_route,
+)
 from platoonplan.scenario import grid_network  # noqa: E402
 
-from conftest import _reference_prune_pairs, stage4_infeasibility  # noqa: E402
+from conftest import (  # noqa: E402
+    _reference_prune_pairs,
+    reference_node_route,
+    reference_route,
+    stage4_infeasibility,
+)
 
 EDGE_M = 20_000.0
 NET = grid_network(2, 4, EDGE_M)
@@ -118,3 +129,48 @@ def test_stage4_solutions_are_feasible_stationary_and_no_worse(model, fleet):
 def test_stage4_flat_groups_are_feasible_stationary_and_no_worse(model, fleet):
     """Trucks pinned at v_max next to trucks with no slack or 1800 s of it."""
     _check_stage4(model, fleet)
+
+
+# 0.1 + 0.2 and 0.3 nearly tie, 0.1 + 0.2 and 0.2 + 0.1 tie exactly, and a
+# 1 m edge after a 1e16 m one is absorbed: 1e16 + 1.0 == 1e16.
+ROUTING_LENGTHS = [0.1, 0.2, 0.3, 0.5, 1.0, 1e16]
+
+
+@st.composite
+def digraphs(draw):
+    """Up to six int or str nodes, self-loops allowed, unreachable nodes likely."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    if draw(st.booleans()):
+        ids = st.integers(min_value=-9, max_value=9)
+    else:
+        ids = st.text("stuvxyz", min_size=1, max_size=2)
+    nodes = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    arcs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                      st.sampled_from(ROUTING_LENGTHS)),
+            max_size=12,
+            unique_by=lambda arc: arc[:2],
+        )
+    )
+    return RoadNetwork(nodes, [(f"e{k}", u, v, length) for k, (u, v, length) in enumerate(arcs)])
+
+
+def _outcome(route_fn, *args):
+    try:
+        return route_fn(*args)
+    except ValueError as exc:  # start and destination coincide
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_routes_equal_the_heap_dijkstra(net):
+    """Same routes as the heap loop, ties and rounding-absorbed lengths included."""
+    for u, v in itertools.permutations(sorted(net.nodes), 2):
+        assert shortest_node_route(net, u, v) == reference_node_route(net, u, v)
+    for e, f in itertools.product(sorted(net.edges), repeat=2):
+        for frm, to in itertools.product((0.0, 0.5), (0.5, 1.0)):
+            frm = Position(e, frm * net.edge_length(e))
+            to = Position(f, to * net.edge_length(f))
+            assert _outcome(shortest_route, net, frm, to) == _outcome(reference_route, net, frm, to)

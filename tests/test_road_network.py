@@ -23,7 +23,7 @@ from platoonplan import (
     shortest_route,
 )
 
-from conftest import chain_network
+from conftest import chain_network, reference_node_route
 
 
 def _enumerate_routes(net, frm, to):
@@ -50,8 +50,8 @@ def _enumerate_routes(net, frm, to):
                 )
                 if route_length(r) > 0:
                     results.append(r)
-        for eid, head, _ in net.adjacency[node]:
-            if head not in visited:
+        for eid, (tail, head, _) in net.edges.items():
+            if tail == node and head not in visited:
                 walk(head, visited | {head}, edges + [eid])
 
     walk(start_node, {start_node}, [])
@@ -361,6 +361,54 @@ def test_route_cache_never_crosses_networks_with_shared_node_names():
     for _ in range(2):
         assert shortest_route(short, frm, to).edges == ("in", "ab", "out")
         assert shortest_route(detour, frm, to).edges == ("in", "ac", "cb", "out")
+
+
+def test_route_ties_break_to_the_first_settled_node():
+    """Two equal paths S -> A -> T and S -> B -> T: the heap settles A first."""
+    net = RoadNetwork(
+        ["S", "A", "B", "T"],
+        [("sb", "S", "B", 0.2), ("bt", "B", "T", 0.1),
+         ("sa", "S", "A", 0.2), ("at", "A", "T", 0.1)],
+    )
+    assert shortest_node_route(net, "S", "T").edges == ("sa", "at")
+    # 0.1 + 0.2 rounds one ulp above 0.15 + 0.15 == 0.3. A settles first,
+    # but only B's relaxation reaches T's distance; a tolerant comparison
+    # would pick A.
+    net = RoadNetwork(
+        ["S", "A", "B", "T"],
+        [("sa", "S", "A", 0.1), ("at", "A", "T", 0.2),
+         ("sb", "S", "B", 0.15), ("bt", "B", "T", 0.15)],
+    )
+    assert shortest_node_route(net, "S", "T").edges == ("sb", "bt")
+
+
+def test_route_through_lengths_absorbed_by_rounding():
+    """1e16 + 1.0 == 1e16, so z, y and x all lie at one distance.
+
+    The heap settles them in path order, z before y before x, which is the
+    reverse of their node order: the path is rebuilt by settle order.
+    """
+    net = RoadNetwork(
+        ["S", "z", "y", "x"],
+        [("sz", "S", "z", 1e16), ("zy", "z", "y", 1.0), ("yx", "y", "x", 1.0)],
+    )
+    assert net.may_absorb
+    route = shortest_node_route(net, "S", "x")
+    assert route.edges == ("sz", "zy", "yx")
+    assert route == reference_node_route(net, "S", "x")
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        pytest.param([[1], "A"], [], id="unhashable-node"),
+        pytest.param(["A", "B"], [(["e"], "A", "B", 1.0)], id="unhashable-edge"),
+        pytest.param(["A", 1], [("e", "A", 1, 1.0)], id="int-among-str-nodes"),
+    ],
+)
+def test_unroutable_ids_raise_network_format_error(nodes, edges):
+    with pytest.raises(NetworkFormatError, match="wrong type of id"):
+        RoadNetwork(nodes, edges)
 
 
 def test_route_geometry_on_partial_chain_with_fractional_lengths():

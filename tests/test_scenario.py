@@ -11,6 +11,8 @@ from platoonplan.scenario import (
     save_assignments,
 )
 
+from conftest import reference_node_route
+
 
 def test_generation_is_deterministic(model, tmp_path):
     cfg = ScenarioConfig(rows=4, cols=4, edge_len_m=5000.0, n_assignments=12, seed=77)
@@ -105,3 +107,19 @@ def test_unreachable_weights_error(model):
     with pytest.raises(ScenarioError):
         cfg = ScenarioConfig(rows=3, cols=3, n_assignments=3, node_weights={"nope": 1.0})
         generate(cfg, model)
+
+
+@pytest.mark.slow
+def test_generated_routes_equal_the_heap_dijkstra_on_criterion_6_seeds(model):
+    """The criterion-6 fleets route exactly as the heap Dijkstra routes them."""
+    for size_idx, size in enumerate([50, 200, 800]):
+        for r in range(30):
+            cfg = ScenarioConfig(n_assignments=size, seed=40_000 + 10_000 * size_idx + r)
+            net, assignments, routes = generate(cfg, model)
+            # Sorted by start node, so the oracle's one-tree cache serves each group.
+            ends = sorted(
+                (net.edge_tail(a.start.edge), net.edge_head(a.dest.edge), a.id)
+                for a in assignments
+            )
+            for u, v, aid in ends:
+                assert routes[aid] == reference_node_route(net, u, v)
