@@ -1,18 +1,20 @@
 """Weighted directed graph of positive pairwise platooning fuel savings.
 
 An edge (n, m) with weight w means truck n saves w kilograms by adapting
-its plan to m's default plan. Building the graph evaluates adapted plans
-over candidate ordered pairs; a sound pruning pass skips pairs that cannot
-possibly platoon.
+its plan to m's default plan. A sound pruning pass keeps the candidate
+ordered pairs that could platoon; one array pass (`planning.pair_savings`)
+gives every kept pair's saving. An edge's adapted plan is derived only when
+a later stage asks for it.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+from collections.abc import Mapping
 
 from .fuel_model import FuelModel
-from .planning import Assignment, VehiclePlan, adapted_plan, default_speed
+from .planning import Assignment, VehiclePlan, adapted_plan, default_speed, pair_savings
 from .road_network import Route, common_subpaths, route_length
 
 WEIGHT_FLOOR = 1e-12  # savings at or below this are float dust, not edges
@@ -101,56 +103,68 @@ def prune_pairs(
     return sorted(kept)
 
 
+class AdaptedPlans(Mapping):
+    """Read-only (follower, leader) -> adapted plan over a graph's edges.
+
+    A plan is derived with `adapted_plan` on first access and kept; the
+    pipeline reads one per chosen follower, not one per edge.
+    """
+
+    def __init__(self, graph, assignments, routes, default_plans, model) -> None:
+        self._weight = graph.weight
+        self._args = (assignments, routes, default_plans, model)
+        self._plans: dict = {}
+
+    def __getitem__(self, key) -> VehiclePlan:
+        plan = self._plans.get(key)
+        if plan is None:
+            if key not in self._weight:
+                raise KeyError(key)
+            assignments, routes, default_plans, model = self._args
+            f, leader = key
+            plan, _ = adapted_plan(
+                assignments[f],
+                routes[f],
+                leader,
+                default_plans[leader],
+                model,
+                follower_default=default_plans[f],
+                segments=common_subpaths(routes[f], routes[leader]),
+            )
+            self._plans[key] = plan
+        return plan
+
+    def __contains__(self, key) -> bool:
+        return key in self._weight
+
+    def __iter__(self):
+        return iter(self._weight)
+
+    def __len__(self) -> int:
+        return len(self._weight)
+
+
 def build(
     assignments: dict[str, Assignment],
     routes: dict[str, Route],
     default_plans: dict[str, VehiclePlan],
     model: FuelModel,
     prune: bool = True,
-) -> tuple[CoordinationGraph, dict[tuple[str, str], VehiclePlan]]:
-    """Evaluate adapted plans over ordered pairs and collect positive savings.
+) -> tuple[CoordinationGraph, AdaptedPlans]:
+    """Coordination graph of the candidate pairs' positive savings.
 
-    Returns the coordination graph plus a cache of the adapted plan behind
-    every edge, keyed by (follower, leader); later stages reuse the cached
-    plans instead of re-deriving them.
+    Returns the graph plus the mapping (follower, leader) -> adapted plan
+    over its edges, whose plans are derived on first access.
     """
     ids = sorted(assignments)
     if prune:
         pairs = prune_pairs(assignments, routes, model)
     else:
         pairs = [(n, m) for n in ids for m in ids if n != m]
-
-    # Shared-segment detection is symmetric; compute it once per unordered pair.
-    segment_cache: dict = {}
-    weights: dict = {}
-    plan_cache: dict = {}
-    for n, m in pairs:
-        key = (n, m) if n < m else (m, n)
-        if key not in segment_cache:
-            segment_cache[key] = common_subpaths(routes[key[0]], routes[key[1]])
-        segs = segment_cache[key]
-        if not segs:
-            continue
-        if n != key[0]:
-            segs = [
-                type(s)(s.b_start, s.b_end, s.a_start, s.a_end, s.length_m) for s in segs
-            ]
-        result = adapted_plan(
-            assignments[n],
-            routes[n],
-            m,
-            default_plans[m],
-            model,
-            follower_default=default_plans[n],
-            segments=segs,
-        )
-        if result is None:
-            continue
-        plan, saving = result
-        if saving > WEIGHT_FLOOR:
-            weights[(n, m)] = saving
-            plan_cache[(n, m)] = plan
-    return CoordinationGraph(ids, weights), plan_cache
+    savings = pair_savings(assignments, routes, default_plans, model, pairs)
+    weights = {pair: w for pair, w in savings.items() if w > WEIGHT_FLOOR}
+    graph = CoordinationGraph(ids, weights)
+    return graph, AdaptedPlans(graph, assignments, routes, default_plans, model)
 
 
 def save_graph_csv(g: CoordinationGraph, path: str) -> None:

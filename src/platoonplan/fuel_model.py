@@ -1,14 +1,16 @@
 """Affine fuel-per-distance model for solo/lead and platoon-follower driving.
 
 All internal units are SI: meters, seconds, kilograms. Config files carry
-speeds in km/h and are converted on load. `FuelModel.clamp_speed` is the
-package's one rounding guard on speeds.
+speeds in km/h and are converted on load. `FuelModel.clamp_speed` (and its
+array form `clamp_speeds`) is the package's one rounding guard on speeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 KMH = 1.0 / 3.6  # multiply km/h by this to get m/s
 
@@ -61,6 +63,12 @@ class FuelModel:
         if v < self.v_min - guard or v > self.v_max + guard:
             return None
         return min(max(v, self.v_min), self.v_max)
+
+    def clamp_speeds(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """clamp_speed over an array: (snapped speeds, mask of speeds it accepts)."""
+        guard = 1e-9 * self.v_max
+        ok = ~((v < self.v_min - guard) | (v > self.v_max + guard))
+        return np.minimum(np.maximum(v, self.v_min), self.v_max), ok
 
     def solo_rate(self, v: float) -> float:
         """kg/m when driving alone or leading a platoon."""

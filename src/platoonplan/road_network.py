@@ -27,6 +27,7 @@ import heapq
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -36,7 +37,14 @@ from scipy.sparse.csgraph import dijkstra
 
 
 class NetworkFormatError(ValueError):
-    """Raised when a network file violates the schema or graph invariants."""
+    """Raised when a network file violates the schema or graph invariants.
+
+    edge_id names the offending edge, when there is one.
+    """
+
+    def __init__(self, msg: str, edge_id=None) -> None:
+        super().__init__(msg)
+        self.edge_id = edge_id
 
 
 @dataclass(frozen=True)
@@ -77,15 +85,17 @@ class RoadNetwork:
             self.nodes = set(nodes)
             for eid, u, v, length in edges:
                 if eid in self.edges:
-                    raise NetworkFormatError(f"duplicate edge id {eid!r}")
+                    raise NetworkFormatError(f"duplicate edge id {eid!r}", eid)
                 if u not in self.nodes:
-                    raise NetworkFormatError(f"edge {eid!r} references unknown node {u!r}")
+                    raise NetworkFormatError(f"edge {eid!r} references unknown node {u!r}", eid)
                 if v not in self.nodes:
-                    raise NetworkFormatError(f"edge {eid!r} references unknown node {v!r}")
+                    raise NetworkFormatError(f"edge {eid!r} references unknown node {v!r}", eid)
                 if not (length > 0):
-                    raise NetworkFormatError(f"edge {eid!r} has nonpositive length {length}")
+                    raise NetworkFormatError(f"edge {eid!r} has nonpositive length {length}", eid)
                 if (u, v) in seen_pairs:
-                    raise NetworkFormatError(f"duplicate edge for node pair ({u!r}, {v!r})")
+                    raise NetworkFormatError(
+                        f"duplicate edge for node pair ({u!r}, {v!r})", eid
+                    )
                 seen_pairs.add((u, v))
                 self.edges[eid] = (u, v, float(length))
             self.node_order = sorted(self.nodes)
@@ -360,11 +370,13 @@ def positions_coincide(net: RoadNetwork, p: Position, q: Position, tol: float = 
 # ---------------------------------------------------------------------------
 
 
-def _line_of(text: str, needle: str) -> Optional[int]:
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return ln
-    return None
+def _edge_line(text: str, eid) -> Optional[int]:
+    """Line of the first edge entry whose "id" is eid, or None if not found."""
+    edges = re.search(r'"edges"\s*:', text)
+    value = re.escape(json.dumps(eid, ensure_ascii=False))
+    entry = re.compile(r'"id"\s*:\s*' + value + r"(?=\s*[,}])")
+    found = entry.search(text, edges.end() if edges else 0)
+    return text.count("\n", 0, found.start()) + 1 if found else None
 
 
 def load_network(path: str) -> RoadNetwork:
@@ -379,8 +391,8 @@ def load_network(path: str) -> RoadNetwork:
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
-    def fail(msg: str, needle: Optional[str] = None) -> NetworkFormatError:
-        ln = _line_of(text, needle) if needle else None
+    def fail(msg: str, eid=None) -> NetworkFormatError:
+        ln = _edge_line(text, eid) if eid is not None else None
         loc = f"{path}:{ln}" if ln else path
         return NetworkFormatError(f"{loc}: {msg}")
 
@@ -397,23 +409,16 @@ def load_network(path: str) -> RoadNetwork:
             raise fail(f"edge entry {entry!r} is not an object")
         missing = [k for k in ("id", "from", "to", "length_m") if k not in entry]
         if missing:
-            raise fail(
-                f"edge entry {entry.get('id', entry)!r} missing {missing}",
-                str(entry.get("id", "")),
-            )
+            raise fail(f"edge entry {entry.get('id', entry)!r} missing {missing}", entry.get("id"))
         length = entry["length_m"]
-        if not isinstance(length, (int, float)) or not length > 0:
-            raise fail(
-                f"edge {entry['id']!r} has invalid length_m {length!r}",
-                str(entry["id"]),
-            )
+        # bool is an int subclass: a JSON true must not load as a 1 m edge.
+        if isinstance(length, bool) or not isinstance(length, (int, float)) or not length > 0:
+            raise fail(f"edge {entry['id']!r} has invalid length_m {length!r}", entry["id"])
         edge_tuples.append((entry["id"], entry["from"], entry["to"], float(length)))
     try:
         return RoadNetwork(nodes, edge_tuples)
     except NetworkFormatError as exc:
-        # Re-raise with a line hint for the offending id if we can find one.
-        first_token = str(exc).split()[0]
-        raise fail(str(exc), first_token) from exc
+        raise fail(str(exc), exc.edge_id) from exc
 
 
 def save_network(net: RoadNetwork, path: str) -> None:

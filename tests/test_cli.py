@@ -178,6 +178,19 @@ def test_bad_assignment_exits_2(tmp_path, edit):
             },
             id="network-int-among-str-node-ids",
         ),
+        # JSON true is a Python int: it must not load as a 1 m edge.
+        pytest.param(
+            "network",
+            {
+                "nodes": [{"id": n} for n in ("X", "A", "B", "Y")],
+                "edges": [
+                    {"id": eid, "from": u, "to": v, "length_m": length}
+                    for eid, u, v, length in (("in", "X", "A", 10.0), ("ab", "A", "B", True),
+                                              ("out", "B", "Y", 10.0))
+                ],
+            },
+            id="network-bool-length",
+        ),
     ],
 )
 def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):

@@ -17,7 +17,8 @@ from platoonplan import (
     sample,
     validate,
 )
-from platoonplan.planning import VehiclePlan
+from platoonplan.planning import VehiclePlan, pair_savings
+from platoonplan.road_network import RoadNetwork, common_subpaths, make_route
 from platoonplan.scenario import ScenarioConfig, generate
 
 from conftest import chain_network, quadrature_fuel
@@ -384,3 +385,56 @@ def test_adapted_plans_validate_and_coincide(model):
                     assert positions_coincide(net, own, lead, tol=1e-6)
                     t += 1.0
     assert checked > 40
+
+
+def test_pair_savings_on_a_route_that_drives_an_edge_twice(model):
+    """A loop route drives edge ab twice, so a leader on ab-bc shares two
+    segments with it, and ab matches two loop positions the other way.
+    Shortest routes never repeat an edge; the kernel's join must handle it.
+    The lengths make sums round: 5000.3 + 10000.1 + 9999.9 - 5000.3 is not
+    10000.1 + 9999.9, so run lengths must be added as common_subpaths adds them."""
+    net = RoadNetwork(
+        ["S", "A", "B", "C", "T"],
+        [
+            ("s", "S", "A", 5_000.3),
+            ("ab", "A", "B", 10_000.1),
+            ("bc", "B", "C", 9_999.9),
+            ("ca", "C", "A", 10_000.7),
+            ("bt", "B", "T", 10_000.3),
+        ],
+    )
+    loop = make_route(net, ["s", "ab", "bc", "ca", "ab", "bt"], 0.0, 10_000.3)
+    short = make_route(net, ["ab", "bc"], 0.0, 9_999.9)
+    assert len(common_subpaths(loop, short)) == 2
+    assert len(common_subpaths(short, loop)) == 2
+    routes = {"loop": loop, "short": short}
+    second_visit = set()
+    for t_short in (-600.0, 0.0, 200.0, 900.0, 1500.0, 1600.0, 1700.0, 2500.0):
+        for slack in (0.0, 300.0):
+            assignments = {
+                "loop": Assignment(
+                    "loop", Position("s", 0.0), Position("bt", 10_000.3),
+                    0.0, route_length(loop) / V80 + slack,
+                ),
+                "short": Assignment(
+                    "short", Position("ab", 0.0), Position("bc", 9_999.9),
+                    t_short, t_short + route_length(short) / V80,
+                ),
+            }
+            dplans = {k: default_plan(a, routes[k], model) for k, a in assignments.items()}
+            # The loop reaches ab a second time here; first-visit merges come earlier.
+            t_again = loop.arc_at_edge_start(4) / dplans["loop"].speeds[0]
+            pairs = [("loop", "short"), ("short", "loop")]
+            savings = pair_savings(assignments, routes, dplans, model, pairs)
+            for f, leader in pairs:
+                result = adapted_plan(
+                    assignments[f], routes[f], leader, dplans[leader], model,
+                    follower_default=dplans[f],
+                )
+                if result is None:
+                    assert (f, leader) not in savings
+                    continue
+                assert repr(savings[(f, leader)]) == repr(result[1])
+                if result[0].platoon_interval()[0] >= t_again - 1e-6:
+                    second_visit.add(f)
+    assert second_visit == {"loop", "short"}

@@ -1,6 +1,9 @@
 """Property checks on small random networks with partial first and last edges."""
 
+import csv
 import itertools
+import os
+import tempfile
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +16,7 @@ from platoonplan import (  # noqa: E402
     FuelModel,
     Position,
     RoadNetwork,
+    adapted_plan,
     build,
     build_group,
     cluster,
@@ -23,7 +27,9 @@ from platoonplan import (  # noqa: E402
     validate,
 )
 from platoonplan.cli import check_follower_coincidence  # noqa: E402
+from platoonplan.coordination_graph import load_graph_csv, save_graph_csv  # noqa: E402
 from platoonplan.joint_optimization import _assemble  # noqa: E402
+from platoonplan.planning import pair_savings  # noqa: E402
 from platoonplan.road_network import (  # noqa: E402
     route_length,
     shortest_node_route,
@@ -89,6 +95,56 @@ def test_pruned_build_equals_unpruned_build(model, fleet):
     assert set(_reference_prune_pairs(assignments, routes, model)) <= set(
         prune_pairs(assignments, routes, model)
     )
+
+
+def _check_pair_savings(model, fleet):
+    assignments, routes = fleet
+    dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
+    pairs = list(itertools.permutations(sorted(assignments), 2))
+    savings = pair_savings(assignments, routes, dplans, model, pairs)
+    for f, leader in pairs:
+        result = adapted_plan(
+            assignments[f], routes[f], leader, dplans[leader], model, follower_default=dplans[f]
+        )
+        if result is None:
+            assert (f, leader) not in savings
+        else:
+            assert repr(savings[(f, leader)]) == repr(result[1])
+    assert set(savings) <= set(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+def test_pair_savings_equal_adapted_plan(model, fleet):
+    """The array kernel gives adapted_plan's saving bit for bit, and no saving
+    exactly where adapted_plan finds no plan."""
+    _check_pair_savings(model, fleet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(flat=True))
+def test_pair_savings_equal_adapted_plan_flat(model, fleet):
+    _check_pair_savings(model, fleet)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fleets())
+def test_graph_csv_round_trips_bit_for_bit(model, fleet):
+    """Every saving in the file is a plain float repr and reads back exactly."""
+    assignments, routes = fleet
+    dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
+    graph, _ = build(assignments, routes, dplans, model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.csv")
+        save_graph_csv(graph, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            cells = [row["saving_kg"] for row in csv.DictReader(fh)]
+        loaded = load_graph_csv(path)
+    assert cells == [repr(float(cell)) for cell in cells]
+    assert {k: repr(w) for k, w in loaded.weight.items()} == {
+        k: repr(w) for k, w in graph.weight.items()
+    }
+    assert all(type(w) is float for w in graph.weight.values())
 
 
 def _check_stage4(model, fleet):

@@ -318,6 +318,21 @@ def test_network_loader_rejects_bad_files(tmp_path):
     with pytest.raises(NetworkFormatError):
         load_network(str(missing_node))
 
+    # The second edge (line 5) names an unknown node: the error points there.
+    unknown_node = tmp_path / "badnet.json"
+    unknown_node.write_text(
+        "{\n"
+        '  "nodes": [{"id": "A"}, {"id": "B"}],\n'
+        '  "edges": [\n'
+        '    {"id": "AB", "from": "A", "to": "B", "length_m": 10},\n'
+        '    {"id": "BZ", "from": "B", "to": "Z", "length_m": 10}\n'
+        "  ]\n"
+        "}\n"
+    )
+    with pytest.raises(NetworkFormatError) as err:
+        load_network(str(unknown_node))
+    assert "badnet.json:5: edge 'BZ' references unknown node 'Z'" in str(err.value)
+
     bad_length = tmp_path / "len.json"
     bad_length.write_text(
         json.dumps(
@@ -330,6 +345,19 @@ def test_network_loader_rejects_bad_files(tmp_path):
     with pytest.raises(NetworkFormatError) as err:
         load_network(str(bad_length))
     assert "AB" in str(err.value)
+
+    bool_length = tmp_path / "bool.json"
+    bool_length.write_text(
+        json.dumps(
+            {
+                "nodes": [{"id": "A"}, {"id": "B"}],
+                "edges": [{"id": "AB", "from": "A", "to": "B", "length_m": True}],
+            }
+        )
+    )
+    with pytest.raises(NetworkFormatError) as err:
+        load_network(str(bool_length))
+    assert "edge 'AB' has invalid length_m True" in str(err.value)
 
 
 def test_network_invariants_enforced():
