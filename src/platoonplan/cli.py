@@ -62,6 +62,9 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 SELECTION_RULES = ("greedy", "random")
+# montecarlo.csv columns; all but size, seed and wallclock_s are RunReport fields.
+MONTECARLO_COLUMNS = ("size", "seed", "saving_stage3", "saving_stage4", "saving_spontaneous",
+                      "upper_bound_rel", "groups_fallback", "wallclock_s")
 
 
 def _log(event: str, **fields) -> None:
@@ -86,8 +89,14 @@ class RunConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
 
-def load_config(path: Optional[str]) -> RunConfig:
-    """Parse a config file; any malformed or out-of-range value is a ScenarioError."""
+def load_config(path: Optional[str], **overrides) -> RunConfig:
+    """Parse a config file with the command line's values applied on top.
+
+    An override of None is not given; a dict updates one config block key by
+    key. The file is checked as it stands and again with the overrides, so a
+    value a flag replaces is still checked. Any malformed or out-of-range
+    value is a ScenarioError.
+    """
     doc = {}
     if path is not None:
         try:
@@ -95,6 +104,16 @@ def load_config(path: Optional[str]) -> RunConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read config {path}: {exc}") from exc
+    run = _run_config(doc, f"config {path}")
+    given = {key: value for key, value in overrides.items() if value is not None}
+    for key, value in given.items():
+        if isinstance(value, dict):
+            value = {**doc.get(key, {}), **{k: v for k, v in value.items() if v is not None}}
+        doc[key] = value
+    return _run_config(doc, f"config {path} with flag and PLATOON_* values") if given else run
+
+
+def _run_config(doc: dict, source: str) -> RunConfig:
     try:
         solver_block = doc.get("solver", {})
         defaults = SolverSettings()
@@ -110,9 +129,9 @@ def load_config(path: Optional[str]) -> RunConfig:
             ),
         )
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid config {path}: {exc}") from exc
+        raise ScenarioError(f"invalid {source}: {exc}") from exc
     if run.selection not in SELECTION_RULES:
-        raise ScenarioError(f"invalid config {path}: unknown selection {run.selection!r}")
+        raise ScenarioError(f"invalid {source}: unknown selection {run.selection!r}")
     return run
 
 
@@ -322,22 +341,27 @@ def _plan_to_doc(truck: str, plan: VehiclePlan) -> dict:
     }
 
 
+def _leaders_doc(leader_set) -> dict:
+    return {
+        "leaders": sorted(leader_set.leaders),
+        "follower_of": dict(sorted(leader_set.follower_of.items())),
+        "objective_kg": leader_set.objective,
+    }
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_outputs(out_dir: str, result: PipelineResult, graph_csv: bool) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    plans_doc = [
-        _plan_to_doc(truck, plan) for truck, plan in sorted(result.stage4_plans.items())
-    ]
-    with open(os.path.join(out_dir, "plans.json"), "w", encoding="utf-8") as fh:
-        json.dump(plans_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    leaders_doc = {
-        "leaders": sorted(result.leader_set.leaders),
-        "follower_of": dict(sorted(result.leader_set.follower_of.items())),
-        "objective_kg": result.leader_set.objective,
-    }
-    with open(os.path.join(out_dir, "leaders.json"), "w", encoding="utf-8") as fh:
-        json.dump(leaders_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(
+        os.path.join(out_dir, "plans.json"),
+        [_plan_to_doc(truck, plan) for truck, plan in sorted(result.stage4_plans.items())],
+    )
+    _write_json(os.path.join(out_dir, "leaders.json"), _leaders_doc(result.leader_set))
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(result.report.to_json())
         fh.write("\n")
@@ -346,11 +370,7 @@ def _write_outputs(out_dir: str, result: PipelineResult, graph_csv: bool) -> Non
 
 
 def cmd_generate(args) -> int:
-    run = load_config(args.config)
-    if args.seed is not None:
-        run.scenario.seed = args.seed
-    if args.size is not None:
-        run.scenario.n_assignments = args.size
+    run = load_config(args.config, scenario={"seed": args.seed, "n_assignments": args.size})
     net, assignments, _ = scenario.generate(run.scenario, run.model)
     os.makedirs(args.out_dir, exist_ok=True)
     save_network(net, os.path.join(args.out_dir, "network.json"))
@@ -366,22 +386,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _check_selection(selection: Optional[str]) -> None:
-    """argparse checks choices only on command-line values, not on env defaults."""
-    if selection is not None and selection not in SELECTION_RULES:
-        raise ScenarioError(f"unknown selection {selection!r} from PLATOON_SELECTION")
-
-
 def cmd_plan(args) -> int:
-    _check_selection(args.selection)
-    run = load_config(args.config)
-    if args.selection is not None:
-        run.selection = args.selection
-    if args.seed is not None:
-        run.seed = args.seed
+    run = load_config(
+        args.config, selection=args.selection, seed=args.seed, exact_limit=args.exact_limit
+    )
     run.exact_selection = args.exact
-    if args.exact_limit is not None:
-        run.exact_limit = args.exact_limit
 
     net = load_network(args.network)
     assignments = scenario.load_assignments(args.assignments)
@@ -423,14 +432,7 @@ def cmd_exact(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid graph CSV {args.graph_csv}: {exc}") from exc
     leader_set = exact(graph, limit=args.limit)
-    doc = {
-        "leaders": sorted(leader_set.leaders),
-        "follower_of": dict(sorted(leader_set.follower_of.items())),
-        "objective_kg": leader_set.objective,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, _leaders_doc(leader_set))
     _log("exact_done", nodes=len(graph.nodes), objective_kg=leader_set.objective)
     return EXIT_OK
 
@@ -444,28 +446,20 @@ def _montecarlo_run(payload: tuple) -> dict:
     config_path, size, size_idx, run_idx, base_seed, selection = payload
     seed = base_seed + 10_000 * size_idx + run_idx
     try:
-        run = load_config(config_path)
-        run.selection = selection
-        run.scenario.n_assignments = size
-        run.scenario.seed = seed
-        run.seed = seed
+        run = load_config(
+            config_path,
+            selection=selection,
+            seed=seed,
+            scenario={"n_assignments": size, "seed": seed},
+        )
         started = time.perf_counter()
         net, assignments, routes = scenario.generate(run.scenario, run.model)
         result = run_pipeline(net, assignments, run, routes=routes)
         wallclock = time.perf_counter() - started
     except Exception as exc:  # recorded, aggregation continues
         return {"size": size, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
-    rep = result.report
-    return {
-        "size": size,
-        "seed": seed,
-        "saving_stage3": rep.saving_stage3,
-        "saving_stage4": rep.saving_stage4,
-        "saving_spontaneous": rep.saving_spontaneous,
-        "upper_bound_rel": rep.upper_bound_rel,
-        "groups_fallback": rep.groups_fallback,
-        "wallclock_s": wallclock,
-    }
+    own = {"size": size, "seed": seed, "wallclock_s": wallclock}
+    return {c: own[c] if c in own else getattr(result.report, c) for c in MONTECARLO_COLUMNS}
 
 
 def run_montecarlo(
@@ -498,18 +492,8 @@ def run_montecarlo(
 
 
 def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
-    fieldnames = [
-        "size",
-        "seed",
-        "saving_stage3",
-        "saving_stage4",
-        "saving_spontaneous",
-        "upper_bound_rel",
-        "groups_fallback",
-        "wallclock_s",
-    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=MONTECARLO_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -518,15 +502,20 @@ def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
             if not batch:
                 continue
             mean_row = {"size": size, "seed": "mean"}
-            for key in fieldnames[2:]:
+            for key in MONTECARLO_COLUMNS[2:]:
                 mean_row[key] = sum(r[key] for r in batch) / len(batch)
             writer.writerow(mean_row)
 
 
 def cmd_montecarlo(args) -> int:
-    _check_selection(args.selection)
-    load_config(args.config)  # a bad config is an input error, not a failed row per run
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        raise ScenarioError(f"invalid --sizes {args.sizes!r}: {exc}") from exc
+    # A bad config, selection or size is an input error, not a failed row per
+    # run; the config is checked even when no size is given.
+    for size in sizes or [None]:
+        load_config(args.config, selection=args.selection, scenario={"n_assignments": size})
     rows = run_montecarlo(
         args.config, sizes, args.runs, args.seed, args.selection, args.jobs
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 from collections.abc import Mapping
 
 from .fuel_model import FuelModel
@@ -34,8 +35,8 @@ class CoordinationGraph:
                 raise ValueError(f"self loop on {n!r}")
             if n not in node_set or m not in node_set:
                 raise ValueError(f"edge ({n!r}, {m!r}) references unknown node")
-            if not (w > 0):
-                raise ValueError(f"edge ({n!r}, {m!r}) has nonpositive weight {w}")
+            if not (0 < w < math.inf):
+                raise ValueError(f"edge ({n!r}, {m!r}) has invalid weight {w}")
             self.weight[(n, m)] = float(w)
             self.out_edges[n].append((m, float(w)))
             self.in_edges[m].append((n, float(w)))

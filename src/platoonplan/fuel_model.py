@@ -7,6 +7,7 @@ array form `clamp_speeds`) is the package's one rounding guard on speeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,9 @@ class FuelModel:
     v_default: float = DEFAULT_V_DEFAULT_KMH * KMH
 
     def __post_init__(self) -> None:
+        values = (self.a0, self.b0, self.ap, self.bp, self.v_min, self.v_max, self.v_default)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("fuel model parameters must be finite")
         if self.a0 < 0 or self.ap < 0:
             raise ValueError("slope coefficients must be nonnegative")
         if not (0 < self.v_min <= self.v_max):

@@ -303,7 +303,6 @@ class _Reduced:
     Z: np.ndarray
     Gy: np.ndarray
     hy: np.ndarray
-    rows: np.ndarray  # indices into the original G/h
 
     @property
     def dim(self) -> int:
@@ -332,7 +331,7 @@ def _reduce(prob: _Problem, base: np.ndarray, Z: np.ndarray) -> _Reduced:
             f"constraint row {k} violated by {-hy_full[k]:.3e} with no freedom left"
         )
     rows = np.flatnonzero(~constant)
-    return _Reduced(base=base, Z=Z, Gy=Gy_full[rows], hy=hy_full[rows], rows=rows)
+    return _Reduced(base=base, Z=Z, Gy=Gy_full[rows], hy=hy_full[rows])
 
 
 def _interior_point(red: _Reduced):

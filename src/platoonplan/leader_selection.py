@@ -136,16 +136,15 @@ class _ClusterState:
         return loss + best[n]
 
     def _two_hop(self, n) -> set:
+        """n, in(n), out(n) and out(in(n)): the nodes whose gain a flip of n
+        can change. A gain reads the node's own best weight and its
+        in-neighbors' leader status, best and second-best weights."""
         g = self.g
-        first = {n}
-        first.update(g.out_neighbors(n))
-        first.update(g.in_neighbors(n))
-        second = set(first)
+        touched = {n, *g.out_neighbors(n)}
         for i in g.in_neighbors(n):
-            second.update(g.out_neighbors(i))
-        for i in g.out_neighbors(n):
-            second.update(g.in_neighbors(i))
-        return second
+            touched.add(i)
+            touched.update(g.out_neighbors(i))
+        return touched
 
     def flip(self, n) -> float:
         gain = self.delta[n]
@@ -220,29 +219,23 @@ def exact(g: CoordinationGraph, limit: int = 20) -> LeaderSet:
     for n in nodes:
         out_bits.append([(1 << index[m], w) for m, w in g.out_edges[n]])
 
-    best_mask = 0
-    best_obj = 0.0
-    best_key = (0, ())
-    for mask in range(1 << n_nodes):
-        total = 0.0
-        for i, edges in enumerate(out_bits):
-            if (mask >> i) & 1:
-                continue
-            for bit, w in edges:
-                if mask & bit:
-                    total += w
-                    break
-        if total > best_obj:
-            best_obj = total
-            best_mask = mask
-            best_key = (bin(mask).count("1"), tuple(str(nodes[i]) for i in range(n_nodes) if (mask >> i) & 1))
-        elif total == best_obj:
-            key = (bin(mask).count("1"), tuple(str(nodes[i]) for i in range(n_nodes) if (mask >> i) & 1))
-            if key < best_key:
-                best_mask = mask
-                best_key = key
-    leaders = {nodes[i] for i in range(n_nodes) if (best_mask >> i) & 1}
-    return make_leader_set(g, leaders)
+    # Sets come by size, then in lexicographic order, so the first strict
+    # maximum is the tie-broken one.
+    best, best_obj = (), 0.0
+    for size in range(n_nodes + 1):
+        for combo in itertools.combinations(range(n_nodes), size):
+            mask = sum(1 << i for i in combo)
+            total = 0.0
+            for i, edges in enumerate(out_bits):
+                if (mask >> i) & 1:
+                    continue
+                for bit, w in edges:
+                    if mask & bit:
+                        total += w
+                        break
+            if total > best_obj:
+                best, best_obj = combo, total
+    return make_leader_set(g, {nodes[i] for i in best})
 
 
 def upper_bound(g: CoordinationGraph) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +51,8 @@ class Assignment:
     t_deadline: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_deadline)):
+            raise ValueError(f"assignment {self.id}: start time and deadline must be finite")
         if not self.t_deadline > self.t_start:
             raise ValueError(f"assignment {self.id}: deadline must exceed start time")
 

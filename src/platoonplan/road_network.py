@@ -90,8 +90,8 @@ class RoadNetwork:
                     raise NetworkFormatError(f"edge {eid!r} references unknown node {u!r}", eid)
                 if v not in self.nodes:
                     raise NetworkFormatError(f"edge {eid!r} references unknown node {v!r}", eid)
-                if not (length > 0):
-                    raise NetworkFormatError(f"edge {eid!r} has nonpositive length {length}", eid)
+                if not (0 < length < math.inf):
+                    raise NetworkFormatError(f"edge {eid!r} has invalid length {length}", eid)
                 if (u, v) in seen_pairs:
                     raise NetworkFormatError(
                         f"duplicate edge for node pair ({u!r}, {v!r})", eid

@@ -10,13 +10,14 @@ determines the output.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .fuel_model import FuelModel
 from .planning import Assignment
-from .road_network import Position, RoadNetwork, route_length, shortest_node_route
+from .road_network import Position, RoadNetwork, load_network, route_length, shortest_node_route
 
 
 class ScenarioError(ValueError):
@@ -36,6 +37,14 @@ class ScenarioConfig:
     network_file: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols", "n_assignments", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass: a JSON true is not a count.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"{name} must be an integer, not {value!r}")
+        for name in ("edge_len_m", "start_window_s", "deadline_slack_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
         if self.network_file is None and (self.rows < 2 or self.cols < 2):
             raise ScenarioError("grid needs rows >= 2 and cols >= 2")
         if self.n_assignments < 0:
@@ -71,22 +80,17 @@ def grid_network(rows: int, cols: int, edge_len: float) -> RoadNetwork:
     return RoadNetwork(nodes, edges)
 
 
-def generate(
-    cfg: ScenarioConfig, model: FuelModel, net: Optional[RoadNetwork] = None
-) -> tuple[RoadNetwork, list[Assignment], dict]:
+def generate(cfg: ScenarioConfig, model: FuelModel) -> tuple[RoadNetwork, list[Assignment], dict]:
     """Sample assignments on the configured network.
 
     Returns (network, assignments, routes) with one shortest route per
     assignment; node pairs that coincide or are unreachable are resampled,
     and sampling aborts after 100 * n fruitless draws.
     """
-    if net is None:
-        if cfg.network_file is not None:
-            from .road_network import load_network
-
-            net = load_network(cfg.network_file)
-        else:
-            net = grid_network(cfg.rows, cfg.cols, cfg.edge_len_m)
+    if cfg.network_file is not None:
+        net = load_network(cfg.network_file)
+    else:
+        net = grid_network(cfg.rows, cfg.cols, cfg.edge_len_m)
 
     nodes = sorted(net.nodes, key=str)
     if cfg.node_weights:

@@ -27,10 +27,13 @@ from platoonplan.scenario import ScenarioConfig, generate, grid_network
 from conftest import chain_network, reference_histogram, sampled_coincidence
 
 
-def _write_scenario_config(path, **scenario):
-    doc = {"scenario": scenario}
+def _write_config(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _write_scenario_config(path, **scenario):
+    return _write_config(path, {"scenario": scenario})
 
 
 def _generate(tmp_path, **scenario):
@@ -137,9 +140,11 @@ def test_missing_file_exits_2(tmp_path):
         lambda e: e.update(dest=dict(e["start"])),
         lambda e: e.update(t_start_s="soon"),
         lambda e: e.update(t_start_s=50.0, t_deadline_s=50.0),
+        lambda e: e.update(t_deadline_s=math.inf),
+        lambda e: e.update(t_start_s=-math.inf),
     ],
     ids=["unknown-edge", "offset-beyond-edge", "dest-at-start", "non-numeric-start",
-         "deadline-at-start"],
+         "deadline-at-start", "infinite-deadline", "minus-infinite-start"],
 )
 def test_bad_assignment_exits_2(tmp_path, edit):
     cfg, network, assignments = _generate(
@@ -160,9 +165,18 @@ def test_bad_assignment_exits_2(tmp_path, edit):
         pytest.param("config", {"solver": {"tol": "x"}}, id="config-tol-not-a-number"),
         pytest.param("config", {"seed": "abc"}, id="config-seed-not-an-int"),
         pytest.param("config", {"selection": "best"}, id="config-unknown-selection"),
+        pytest.param("config", {"fuel": {"v_max_kmh": math.inf}}, id="config-infinite-v-max"),
+        # json parses an overflowing literal to inf without any constant.
+        pytest.param("config", '{"fuel": {"v_max_kmh": 1e999}}', id="config-overflowing-v-max"),
+        pytest.param("config", {"scenario": {"seed": True}}, id="config-bool-seed"),
+        pytest.param(
+            "config", {"scenario": {"deadline_slack_s": math.inf}}, id="config-infinite-slack"
+        ),
+        pytest.param("config", {"scenario": {"start_window_s": math.nan}}, id="config-nan-window"),
         pytest.param("montecarlo", {"solver": {"tol": "x"}}, id="montecarlo-config"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,x\n", id="graph-saving-not-a-number"),
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
+        pytest.param("graph", "src,dst,saving_kg\n1,2,inf\n", id="graph-infinite-saving"),
         pytest.param("report", {"n_assignments": 3}, id="report-missing-fields"),
         pytest.param("network", {"nodes": [{"id": [1]}], "edges": []}, id="network-list-node-id"),
         # Routing from A ties (10, 1) against (10, "B").
@@ -190,6 +204,19 @@ def test_bad_assignment_exits_2(tmp_path, edit):
                 ],
             },
             id="network-bool-length",
+        ),
+        # The infinite edge is off the assignment's route.
+        pytest.param(
+            "network",
+            {
+                "nodes": [{"id": n} for n in ("X", "A", "B", "Y", "Z")],
+                "edges": [
+                    {"id": eid, "from": u, "to": v, "length_m": length}
+                    for eid, u, v, length in (("in", "X", "A", 10.0), ("ab", "A", "B", 10.0),
+                                              ("out", "B", "Y", 10.0), ("bz", "B", "Z", math.inf))
+                ],
+            },
+            id="network-infinite-length",
         ),
     ],
 )
@@ -221,6 +248,45 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
     assert main(argv) == 2
     events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
     assert events == ["input_error"]
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        pytest.param(None, ["generate", "--size", "-5"], id="generate-negative-size"),
+        pytest.param(None, ["montecarlo", "--sizes", "-5"], id="montecarlo-negative-size"),
+        pytest.param(None, ["montecarlo", "--sizes", "a"], id="montecarlo-size-not-an-int"),
+        pytest.param(None, ["montecarlo", "--sizes", "2,2.5"], id="montecarlo-fractional-size"),
+        # Every size is checked before the first run.
+        pytest.param(None, ["montecarlo", "--sizes", "2,-5"], id="montecarlo-second-size-negative"),
+        pytest.param({"scenario": {"rows": 2.5}}, ["generate"], id="generate-fractional-rows"),
+        pytest.param(
+            {"scenario": {"n_assignments": 5.5}}, ["generate"], id="generate-fractional-count"
+        ),
+        # A file value that a flag replaces is still checked.
+        pytest.param({"seed": "abc"}, ["plan", "--seed", "3"], id="plan-seed-flag-over-bad-file"),
+        pytest.param(
+            {"scenario": {"seed": "abc"}}, ["generate", "--seed", "3"], id="generate-seed-flag"
+        ),
+    ],
+)
+def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, config, argv):
+    """Flags and PLATOON_* values get the checks of the config file, before any run."""
+    argv = argv + ["--out-dir", str(tmp_path / "x")]
+    if argv[0] == "montecarlo":
+        argv += ["--runs", "1"]
+    if argv[0] == "plan":
+        _, network, assignments = _generate(
+            tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+        )
+        argv += ["--network", str(network), "--assignments", str(assignments)]
+    if config is not None:
+        argv += ["--config", _write_config(tmp_path / "bad.json", config)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
+    assert events == ["input_error"]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "montecarlo"])

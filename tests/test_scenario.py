@@ -1,5 +1,7 @@
 """Scenario generation: determinism, deadline rule, grid topology."""
 
+import math
+
 import pytest
 
 from platoonplan import default_plan, grid_network, route_length, shortest_node_route
@@ -93,6 +95,10 @@ def test_invalid_configs_rejected():
         ScenarioConfig(n_assignments=-1)
     with pytest.raises(ScenarioError):
         ScenarioConfig.from_json({"rows": 4, "cols": 4, "bogus": 1})
+    for bad in ({"rows": 4.0}, {"n_assignments": 5.5}, {"seed": True}, {"start_window_s": math.inf},
+                {"deadline_slack_s": math.nan}, {"edge_len_m": -math.inf}):
+        with pytest.raises(ScenarioError):
+            ScenarioConfig(**bad)
 
 
 def test_start_times_within_window(model):
