@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -27,18 +28,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import evaluation, road_network, scenario
 from .coordination_graph import build, load_graph_csv, save_graph_csv
 from .fuel_model import FuelModel, plan_fuel
 from .joint_optimization import (
-    InconsistentGroupError,
-    InfeasibleGroupError,
+    GROUP_ERRORS,
     SolverSettings,
     build_group,
     extract_plans,
     solve,
+    start_points,
 )
 from .leader_selection import SizeLimitError, cluster, exact, upper_bound
 from .planning import (
@@ -56,7 +55,7 @@ from .road_network import (
     positions_coincide,
     save_network,
 )
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import ScenarioConfig, ScenarioError, require_int
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -121,17 +120,19 @@ def _run_config(doc: dict, source: str) -> RunConfig:
             model=FuelModel.from_config(doc.get("fuel", {})),
             scenario=ScenarioConfig.from_json(doc.get("scenario", {})),
             selection=doc.get("selection", "greedy"),
-            seed=int(doc.get("seed", 0)),
-            exact_limit=int(doc.get("exact_limit", 20)),
+            seed=require_int("seed", doc.get("seed", 0)),
+            exact_limit=require_int("exact_limit", doc.get("exact_limit", 20)),
             solver=SolverSettings(
                 tol=float(solver_block.get("tol", defaults.tol)),
-                max_iter=int(solver_block.get("max_iter", defaults.max_iter)),
+                max_iter=require_int("max_iter", solver_block.get("max_iter", defaults.max_iter)),
             ),
         )
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid {source}: {exc}") from exc
     if run.selection not in SELECTION_RULES:
         raise ScenarioError(f"invalid {source}: unknown selection {run.selection!r}")
+    if run.solver.max_iter < 1 or not 0 < run.solver.tol < math.inf:
+        raise ScenarioError(f"invalid {source}: solver needs max_iter >= 1 and a finite tol > 0")
     return run
 
 
@@ -191,20 +192,22 @@ def run_pipeline(
     groups_of: dict = {}
     for follower, leader in leader_set.follower_of.items():
         groups_of.setdefault(leader, []).append(follower)
-    for leader, members in sorted(groups_of.items()):
-        group = build_group(
+    groups = (
+        build_group(
             amap[leader],
             default_plans[leader],
             [(amap[f], plan_cache[(f, leader)]) for f in sorted(members)],
         )
-        before = sum(
-            plan_fuel(run.model, stage3_plans[m]) for m in group.members()
-        )
-        entry = {"leader": leader, "followers": len(members), "objective_before_kg": before}
+        for leader, members in sorted(groups_of.items())
+    )
+    for group, start in start_points(groups, run.model):
+        before = sum(plan_fuel(run.model, stage3_plans[m]) for m in group.members())
+        followers = len(group.follower_ids)
+        entry = {"leader": group.leader_id, "followers": followers, "objective_before_kg": before}
         try:
-            sol = solve(group, run.model, run.solver)
+            sol = solve(group, run.model, run.solver, start=start)
             plans = extract_plans(group, sol, run.model)
-        except (InconsistentGroupError, InfeasibleGroupError, np.linalg.LinAlgError) as exc:
+        except GROUP_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
         else:
             problems = (
@@ -512,6 +515,8 @@ def cmd_montecarlo(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         raise ScenarioError(f"invalid --sizes {args.sizes!r}: {exc}") from exc
+    if args.runs < 1 or args.jobs < 1:
+        raise ScenarioError(f"--runs and --jobs must be at least 1, not {args.runs}, {args.jobs}")
     # A bad config, selection or size is an input error, not a failed row per
     # run; the config is checked even when no size is given.
     for size in sizes or [None]:

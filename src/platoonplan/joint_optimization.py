@@ -15,26 +15,29 @@ so the problem is convex with linear constraints. The synchronization
 equalities are eliminated through a null-space parameterization. A primal
 active-set Newton method with an empty initial working set starts from the
 pairwise plans, or from a max-margin LP point when only that is strictly
-interior, and keeps every iterate feasible up to rounding by a ratio test.
-A flat group, whose feasible set has no interior, needs no special path:
-rows tight at the pairwise plans join the working set one at a time.
+interior (one LP serves a block of groups), and keeps every iterate feasible
+up to rounding by a ratio test. A flat group, whose feasible set has no
+interior, needs no special path: rows tight at the pairwise plans join the
+working set one at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog, nnls
+from scipy.sparse import block_diag
 
 from .fuel_model import FuelModel
 from .planning import Assignment, VehiclePlan
 
 EVENT_TOL = 1e-9  # seconds; nearly simultaneous merge/split events collapse
+LP_BLOCK = 16  # groups per start LP; one LP for a whole fleet costs superlinearly more
 
 
 class InconsistentGroupError(ValueError):
@@ -334,31 +337,39 @@ def _reduce(prob: _Problem, base: np.ndarray, Z: np.ndarray) -> _Reduced:
     return _Reduced(base=base, Z=Z, Gy=Gy_full[rows], hy=hy_full[rows])
 
 
-def _interior_point(red: _Reduced):
-    """(y, LPs solved): the feasible start of the active-set method.
+def _strictly_interior(red: _Reduced, y: np.ndarray) -> bool:
+    return red.hy.size == 0 or bool(np.min(red.slack(y) / (1.0 + np.abs(red.hy))) > _INTERIOR_EPS)
 
-    y = 0, the pairwise plans, when it is strictly interior. Otherwise one LP
-    maximizes the minimum row-normalized slack, and its optimum is the start
-    if it is strictly interior. A flat feasible set, with no interior, starts
-    from y = 0 as well: the pairwise plans are exactly feasible, while the LP
-    optimum holds only to the LP solver's tolerance.
+
+def _interior_points(reds: list) -> list:
+    """(y, LPs solved) per reduced system: the feasible start of the active set.
+
+    y = 0, the pairwise plans, when strictly interior. The others share one
+    block-diagonal LP, each maximizing its minimum row-normalized slack in a
+    margin column of its own; its slice of the optimum is its start if strictly
+    interior, else y = 0, as the plans are exactly feasible and the LP optimum
+    only to tolerance. If the LP fails, each system is solved alone, and one
+    that fails alone gets an InfeasibleGroupError in place of its start.
     """
-    m, d = red.Gy.shape
-    scale = 1.0 + np.abs(red.hy)
-    if m == 0 or np.min(red.slack(np.zeros(d)) / scale) > _INTERIOR_EPS:
-        return np.zeros(d), 0
-    norms = np.linalg.norm(red.Gy, axis=1)
-    a_ub = np.hstack([red.Gy, norms[:, None]])
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    bounds = [(None, None)] * d + [(None, 1e6)]
-    res = linprog(c, A_ub=a_ub, b_ub=red.hy, bounds=bounds, method="highs")
-    if not res.success:
-        raise InfeasibleGroupError(f"interior search LP failed: {res.message}")
-    y_star = res.x[:d]
-    if np.min(red.slack(y_star) / scale) > _INTERIOR_EPS:
-        return y_star, 1
-    return np.zeros(d), 1
+    out = [(np.zeros(red.dim), 0) for red in reds]
+    todo = [k for k, red in enumerate(reds) if not _strictly_interior(red, out[k][0])]
+    if not todo:
+        return out
+    blocks = [np.hstack([reds[k].Gy, np.linalg.norm(reds[k].Gy, axis=1)[:, None]]) for k in todo]
+    ends = np.cumsum([0] + [blk.shape[1] for blk in blocks])
+    c, bounds = np.zeros(ends[-1]), np.full((ends[-1], 2), [-np.inf, np.inf])
+    c[ends[1:] - 1], bounds[ends[1:] - 1, 1] = -1.0, 1e6
+    a_ub, b_ub = block_diag(blocks, format="csr"), np.concatenate([reds[k].hy for k in todo])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.success:
+        for k, x in zip(todo, np.split(res.x, ends[1:-1])):  # x[-1] is the margin
+            out[k] = (x[:-1] if _strictly_interior(reds[k], x[:-1]) else out[k][0], 1)
+    elif len(todo) == 1:
+        out[todo[0]] = InfeasibleGroupError(f"interior search LP failed: {res.message}")
+    else:
+        for k in todo:
+            out[k] = _interior_points([reds[k]])[0]
+    return out
 
 
 def _independent(E: np.ndarray, row: np.ndarray) -> bool:
@@ -464,22 +475,12 @@ def _kkt_residual(prob, red, y) -> float:
     return float(np.max(np.abs(g_y + M @ mu))) / scale
 
 
-def solve(
-    group: CoordinationGroup, model: FuelModel, settings: Optional[SolverSettings] = None
-) -> TimingSolution:
-    """Minimize the group's fuel subject to speed, deadline and sync constraints.
+GROUP_ERRORS = (InconsistentGroupError, InfeasibleGroupError, np.linalg.LinAlgError)
 
-    The equalities are eliminated through null_space(A). From the start that
-    _interior_point picks, _active_set runs at most settings.max_iter rounds;
-    the returned point is never worse than the pairwise plans. converged
-    means its KKT residual is at most max(settings.tol, 1e-10). lp_calls is
-    0 or 1, and degeneracy_rounds stays 0.
-    """
-    t0 = time.perf_counter()
-    if settings is None:
-        settings = SolverSettings()
+
+def _set_up(group: CoordinationGroup, model: FuelModel):
+    """(problem without the dense G and A, reduced system), for the active set."""
     prob = _assemble(group, model)
-
     if prob.A.size:
         residual = prob.A @ prob.x0 - prob.b
         if np.max(np.abs(residual)) > 1e-6:
@@ -489,13 +490,51 @@ def solve(
         Z0 = null_space(prob.A)
     else:
         Z0 = np.eye(prob.x0.size)
+    return replace(prob, A=None, G=None), _reduce(prob, prob.x0, Z0)
 
-    red = _reduce(prob, prob.x0, Z0)
-    y = np.zeros(red.dim)
-    rounds = lp_calls = 0
-    if red.dim:
-        y0, lp_calls = _interior_point(red)
-        y, rounds = _active_set(prob, red, y0, settings.max_iter)
+
+def start_points(groups: Iterable[CoordinationGroup], model: FuelModel) -> Iterator[tuple]:
+    """(group, start) per group; start is (problem, reduced system, y, LPs
+    solved) for solve, or the error its solve raises. The starts of each block
+    of LP_BLOCK groups come from one _interior_points call.
+    """
+    groups = iter(groups)
+    while block := list(itertools.islice(groups, LP_BLOCK)):
+        starts: list = []
+        for group in block:
+            try:
+                starts.append(_set_up(group, model))
+            except GROUP_ERRORS as exc:
+                starts.append(exc)
+        ready = [k for k, start in enumerate(starts) if isinstance(start, tuple)]
+        for k, point in zip(ready, _interior_points([starts[k][1] for k in ready])):
+            starts[k] = point if isinstance(point, Exception) else (*starts[k], *point)
+        yield from zip(block, starts)
+
+
+def solve(
+    group: CoordinationGroup, model: FuelModel, settings: Optional[SolverSettings] = None,
+    start=None,
+) -> TimingSolution:
+    """Minimize the group's fuel subject to speed, deadline and sync constraints.
+
+    start is the group's start from start_points, computed here when not given.
+    From it, _active_set runs at most settings.max_iter rounds; the returned
+    point is never worse than the pairwise plans. converged means its KKT
+    residual is at most max(settings.tol, 1e-10). lp_calls is 1 when the start
+    needed a max-margin LP, which may be shared with the other groups given to
+    start_points, else 0; degeneracy_rounds stays 0. solve_s is the time
+    spent in this call, so it leaves out a start computed beforehand.
+    """
+    t0 = time.perf_counter()
+    if settings is None:
+        settings = SolverSettings()
+    if start is None:
+        _, start = next(start_points([group], model))
+    if isinstance(start, Exception):
+        raise start
+    prob, red, y, lp_calls = start
+    y, rounds = _active_set(prob, red, y, settings.max_iter) if red.dim else (y, 0)
     # The initial point is feasible by construction; never return worse.
     if prob.objective(red.x(y)) > prob.objective(prob.x0):
         y = np.zeros(red.dim)

@@ -24,6 +24,12 @@ class ScenarioError(ValueError):
     """Invalid scenario, config, report or graph input, or exhausted sampling."""
 
 
+def require_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):  # a JSON true is not a count
+        raise ScenarioError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass
 class ScenarioConfig:
     rows: int = 20
@@ -38,13 +44,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("rows", "cols", "n_assignments", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass: a JSON true is not a count.
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"{name} must be an integer, not {value!r}")
+            require_int(name, getattr(self, name))
         for name in ("edge_len_m", "start_window_s", "deadline_slack_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite")
+        for node, w in (self.node_weights or {}).items():
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
+                raise ScenarioError(f"node weight of {node} must be finite and >= 0, not {w!r}")
         if self.network_file is None and (self.rows < 2 or self.cols < 2):
             raise ScenarioError("grid needs rows >= 2 and cols >= 2")
         if self.n_assignments < 0:

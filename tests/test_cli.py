@@ -173,6 +173,23 @@ def test_bad_assignment_exits_2(tmp_path, edit):
             "config", {"scenario": {"deadline_slack_s": math.inf}}, id="config-infinite-slack"
         ),
         pytest.param("config", {"scenario": {"start_window_s": math.nan}}, id="config-nan-window"),
+        pytest.param(
+            "config", {"scenario": {"node_weights": {"n0_0": math.inf}}}, id="config-infinite-weight"
+        ),
+        pytest.param(
+            "config",
+            {"scenario": {"node_weights": {"n0_0": -1.0, "n2_2": 2.0}}},
+            id="config-negative-weight",
+        ),
+        pytest.param(
+            "config", {"scenario": {"node_weights": {"n0_0": "heavy"}}}, id="config-text-weight"
+        ),
+        pytest.param("config", {"seed": 2.7}, id="config-fractional-seed"),
+        pytest.param("config", {"exact_limit": True}, id="config-bool-exact-limit"),
+        pytest.param("config", {"solver": {"max_iter": 2.5}}, id="config-fractional-max-iter"),
+        pytest.param("config", {"solver": {"max_iter": 0}}, id="config-zero-max-iter"),
+        pytest.param("config", {"solver": {"tol": -1e-8}}, id="config-negative-tol"),
+        pytest.param("config", {"solver": {"tol": math.inf}}, id="config-infinite-tol"),
         pytest.param("montecarlo", {"solver": {"tol": "x"}}, id="montecarlo-config"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,x\n", id="graph-saving-not-a-number"),
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
@@ -268,12 +285,18 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
         pytest.param(
             {"scenario": {"seed": "abc"}}, ["generate", "--seed", "3"], id="generate-seed-flag"
         ),
+        pytest.param(
+            None, ["montecarlo", "--sizes", "2", "--runs", "0"], id="montecarlo-zero-runs"
+        ),
+        pytest.param(
+            None, ["montecarlo", "--sizes", "2", "--jobs", "-4"], id="montecarlo-negative-jobs"
+        ),
     ],
 )
 def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, config, argv):
     """Flags and PLATOON_* values get the checks of the config file, before any run."""
     argv = argv + ["--out-dir", str(tmp_path / "x")]
-    if argv[0] == "montecarlo":
+    if argv[0] == "montecarlo" and "--runs" not in argv:
         argv += ["--runs", "1"]
     if argv[0] == "plan":
         _, network, assignments = _generate(
@@ -334,12 +357,12 @@ def test_a_failing_group_keeps_its_stage3_plans(tmp_path, capsys, monkeypatch):
 
     failed = []
 
-    def failing_solve(group, model, settings=None):
+    def failing_solve(group, model, settings=None, start=None):
         if not failed:  # the first group solved fails, in every run
             failed.append(group.leader_id)
         if group.leader_id == failed[0]:
             raise InfeasibleGroupError("injected failure")
-        return solve(group, model, settings)
+        return solve(group, model, settings, start=start)
 
     monkeypatch.setattr(cli, "solve", failing_solve)
     cfg, network, assignments = _generate(tmp_path, n_assignments=50, seed=7)
@@ -376,7 +399,7 @@ def test_montecarlo_rows_count_fallback_groups(tmp_path, monkeypatch):
     from platoonplan import cli
     from platoonplan.joint_optimization import InfeasibleGroupError
 
-    def failing_solve(group, model, settings=None):
+    def failing_solve(group, model, settings=None, start=None):
         raise InfeasibleGroupError("injected failure")
 
     monkeypatch.setattr(cli, "solve", failing_solve)

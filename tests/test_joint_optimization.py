@@ -321,8 +321,8 @@ def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
 
     checked = []
 
-    def checked_solve(group, fuel, settings=None):
-        sol = solve(group, fuel, settings)
+    def checked_solve(group, fuel, settings=None, start=None):
+        sol = solve(group, fuel, settings, start=start)
         assert stage4_infeasibility(group, sol, fuel) <= 1e-9, group.leader_id
         assert sol.kkt_residual <= 1e-8, group.leader_id
         assert sol.converged, group.leader_id
@@ -490,6 +490,40 @@ def test_crossover_step_stops_at_the_row_it_would_cross():
     x = red.x(y)
     assert x[0] == pytest.approx(120.0, rel=1e-12)
     assert x[0] <= 120.0
+
+
+def test_a_failed_block_lp_stays_with_its_group():
+    """Three reduced systems share one start LP. The middle one has a row with
+    no freedom that asks 0 <= -1, which _reduce rejects in a real group; it
+    makes the LP infeasible, while the margin column makes every other
+    system's LP feasible (y <= -1 and -y <= -1 has margin -1). The block LP
+    fails, so each system is solved alone: the outer two get the starts they
+    get alone, and the middle one gets the lone LP's error.
+    """
+    from platoonplan.joint_optimization import InfeasibleGroupError, _interior_points, _Reduced
+
+    def system(Gy, hy):
+        Gy = np.array(Gy, dtype=float)
+        d = Gy.shape[1]
+        return _Reduced(base=np.zeros(d), Z=np.eye(d), Gy=Gy, hy=np.array(hy, dtype=float))
+
+    box = system([[-1, 0], [1, 0], [0, -1], [0, 1]], [-1, 3, 0, 2])  # 1 <= y0 <= 3, 0 <= y1 <= 2
+    broken = system([[1], [0]], [1, -1])
+    flat = system([[1], [-1]], [-1, -1])
+    alone = [_interior_points([red])[0] for red in (box, flat)]
+    assert alone[0][0] == pytest.approx([2.0, 1.0]) and alone[0][1] == 1
+    assert np.array_equal(alone[1][0], [0.0]) and alone[1][1] == 1
+
+    first, middle, last = _interior_points([box, broken, flat])
+    for got, want in zip((first, last), alone):
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert isinstance(middle, InfeasibleGroupError)
+    assert str(middle).startswith("interior search LP failed: ")
+    assert str(_interior_points([broken])[0]) == str(middle)
+
+    shared = _interior_points([box, flat])
+    assert [lp for _, lp in shared] == [1, 1]
+    assert shared[0][0] == pytest.approx([2.0, 1.0]) and np.array_equal(shared[1][0], [0.0])
 
 
 def _seeded_fleet_groups(model, n=50, seed=7):

@@ -26,7 +26,7 @@ from platoonplan import (  # noqa: E402
     solve,
     validate,
 )
-from platoonplan.cli import check_follower_coincidence  # noqa: E402
+from platoonplan.cli import RunConfig, check_follower_coincidence, run_pipeline  # noqa: E402
 from platoonplan.coordination_graph import load_graph_csv, save_graph_csv  # noqa: E402
 from platoonplan.joint_optimization import _assemble  # noqa: E402
 from platoonplan.planning import pair_savings  # noqa: E402
@@ -35,7 +35,7 @@ from platoonplan.road_network import (  # noqa: E402
     shortest_node_route,
     shortest_route,
 )
-from platoonplan.scenario import grid_network  # noqa: E402
+from platoonplan.scenario import ScenarioConfig, grid_network  # noqa: E402
 
 from conftest import (  # noqa: E402
     _reference_prune_pairs,
@@ -185,6 +185,51 @@ def test_stage4_solutions_are_feasible_stationary_and_no_worse(model, fleet):
 def test_stage4_flat_groups_are_feasible_stationary_and_no_worse(model, fleet):
     """Trucks pinned at v_max next to trucks with no slack or 1800 s of it."""
     _check_stage4(model, fleet)
+
+
+def _pipeline(model, fleet):
+    assignments, routes = fleet
+    run = RunConfig(model=model, scenario=ScenarioConfig())
+    return run_pipeline(NET, list(assignments.values()), run, routes=routes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fleets())
+def test_stage_fuel_falls_from_default_to_stage3_to_stage4(model, fleet):
+    report = _pipeline(model, fleet).report
+    assert report.stage3_fuel_kg <= report.default_fuel_kg * (1.0 + 1e-12)
+    assert report.stage4_fuel_kg <= report.stage3_fuel_kg * (1.0 + 1e-12)
+
+
+def _check_block_starts(model, fleet):
+    """A group solved from its block's shared start LP in run_pipeline reaches
+    the objective of solve(group, model) alone, and both converge."""
+    result = _pipeline(model, fleet)
+    followers_of: dict = {}
+    for f, leader in sorted(result.leader_set.follower_of.items()):
+        followers_of.setdefault(leader, []).append(f)
+    for entry in result.group_logs:
+        leader = entry["leader"]
+        group = build_group(
+            result.assignments[leader],
+            result.default_plans[leader],
+            [(result.assignments[f], result.stage3_plans[f]) for f in followers_of[leader]],
+        )
+        alone = solve(group, model)
+        assert not entry["fallback"] and entry["converged"] and alone.converged
+        assert entry["objective_after_kg"] == pytest.approx(alone.objective, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fleets())
+def test_block_started_solves_match_lone_solves(model, fleet):
+    _check_block_starts(model, fleet)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fleets(flat=True))
+def test_block_started_flat_solves_match_lone_solves(model, fleet):
+    _check_block_starts(model, fleet)
 
 
 # 0.1 + 0.2 and 0.3 nearly tie, 0.1 + 0.2 and 0.2 + 0.1 tie exactly, and a
