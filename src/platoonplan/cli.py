@@ -55,7 +55,7 @@ from .road_network import (
     positions_coincide,
     save_network,
 )
-from .scenario import ScenarioConfig, ScenarioError, require_int
+from .scenario import ScenarioConfig, ScenarioError, require_int, require_real
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -70,11 +70,24 @@ def _log(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}, sort_keys=True), file=sys.stderr)
 
 
-def _env_default(name: str, fallback, cast=str):
+def _env_default(name: str, fallback):
+    return os.environ.get(f"PLATOON_{name}", fallback)
+
+
+def _env_int(name: str, given: Optional[int], fallback: Optional[int]) -> Optional[int]:
+    """The flag's value if given, else PLATOON_<name> as an integer, else fallback.
+
+    Read when the command runs, so a malformed value is one input error.
+    """
+    if given is not None:
+        return given
     raw = os.environ.get(f"PLATOON_{name}")
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(f"PLATOON_{name} must be an integer, not {raw!r}") from None
 
 
 @dataclass
@@ -123,7 +136,7 @@ def _run_config(doc: dict, source: str) -> RunConfig:
             seed=require_int("seed", doc.get("seed", 0)),
             exact_limit=require_int("exact_limit", doc.get("exact_limit", 20)),
             solver=SolverSettings(
-                tol=float(solver_block.get("tol", defaults.tol)),
+                tol=float(require_real("solver.tol", solver_block.get("tol", defaults.tol))),
                 max_iter=require_int("max_iter", solver_block.get("max_iter", defaults.max_iter)),
             ),
         )
@@ -373,7 +386,8 @@ def _write_outputs(out_dir: str, result: PipelineResult, graph_csv: bool) -> Non
 
 
 def cmd_generate(args) -> int:
-    run = load_config(args.config, scenario={"seed": args.seed, "n_assignments": args.size})
+    seed = _env_int("SEED", args.seed, None)
+    run = load_config(args.config, scenario={"seed": seed, "n_assignments": args.size})
     net, assignments, _ = scenario.generate(run.scenario, run.model)
     os.makedirs(args.out_dir, exist_ok=True)
     save_network(net, os.path.join(args.out_dir, "network.json"))
@@ -390,8 +404,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    seed = _env_int("SEED", args.seed, None)
     run = load_config(
-        args.config, selection=args.selection, seed=args.seed, exact_limit=args.exact_limit
+        args.config, selection=args.selection, seed=seed, exact_limit=args.exact_limit
     )
     run.exact_selection = args.exact
 
@@ -515,15 +530,14 @@ def cmd_montecarlo(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
         raise ScenarioError(f"invalid --sizes {args.sizes!r}: {exc}") from exc
-    if args.runs < 1 or args.jobs < 1:
-        raise ScenarioError(f"--runs and --jobs must be at least 1, not {args.runs}, {args.jobs}")
+    seed, jobs = _env_int("SEED", args.seed, 0), _env_int("JOBS", args.jobs, 1)
+    if args.runs < 1 or jobs < 1:
+        raise ScenarioError(f"--runs and --jobs must be at least 1, not {args.runs}, {jobs}")
     # A bad config, selection or size is an input error, not a failed row per
     # run; the config is checked even when no size is given.
     for size in sizes or [None]:
         load_config(args.config, selection=args.selection, scenario={"n_assignments": size})
-    rows = run_montecarlo(
-        args.config, sizes, args.runs, args.seed, args.selection, args.jobs
-    )
+    rows = run_montecarlo(args.config, sizes, args.runs, seed, args.selection, jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "montecarlo.csv")
     write_montecarlo_csv(rows, sizes, out_path)
@@ -555,7 +569,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="sample a scenario to files")
     p_gen.add_argument("--config", default=None)
-    p_gen.add_argument("--seed", type=int, default=_env_default("SEED", None, int))
+    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--size", type=int, default=None, help="assignment count override")
     p_gen.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))
     p_gen.set_defaults(func=cmd_generate)
@@ -568,7 +582,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", None)
     )
-    p_plan.add_argument("--seed", type=int, default=_env_default("SEED", None, int))
+    p_plan.add_argument("--seed", type=int, default=None)
     p_plan.add_argument("--exact", action="store_true", help="exact leader selection")
     p_plan.add_argument("--exact-limit", type=int, default=None)
     p_plan.add_argument("--graph-csv", action="store_true", help="dump graph.csv")
@@ -587,11 +601,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--config", default=None)
     p_mc.add_argument("--runs", type=int, default=10)
     p_mc.add_argument("--sizes", default="50,200,800")
-    p_mc.add_argument("--seed", type=int, default=_env_default("SEED", 0, int))
+    p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument(
         "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", "greedy")
     )
-    p_mc.add_argument("--jobs", type=int, default=_env_default("JOBS", 1, int))
+    p_mc.add_argument("--jobs", type=int, default=None)
     p_mc.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))
     p_mc.set_defaults(func=cmd_montecarlo)
 

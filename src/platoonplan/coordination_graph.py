@@ -9,16 +9,20 @@ a later stage asks for it.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from collections.abc import Mapping
 
+import numpy as np
+
 from .fuel_model import FuelModel
-from .planning import Assignment, VehiclePlan, adapted_plan, default_speed, pair_savings
+from .planning import Assignment, VehiclePlan, _ranges, adapted_plan, default_speed, pair_savings
 from .road_network import Route, common_subpaths, route_length
 
 WEIGHT_FLOOR = 1e-12  # savings at or below this are float dust, not edges
+# prune_pairs expands the leaders inside its visits' windows about this many
+# hits at a time, so it never holds every hit at once (about 288k at N = 3200).
+HIT_BLOCK = 2**15
 
 
 class CoordinationGraph:
@@ -70,38 +74,55 @@ def prune_pairs(
     segment end is the end of a shared edge, so feasibility there is implied
     whenever any merge point exists.
 
-    Each edge keeps the sorted times at which leaders pass its end; a
-    follower bisects for the leaders inside its reachable time window, so
-    only pairs that meet on some edge are ever looked at.
+    One row per visit (a truck driving a shareable edge): the time its
+    default plan passes the edge's end and the follower's reachable window
+    there. Every time is replaced by its exact rank among all of them, so
+    the sorted int64 keys (edge, passage rank) compare as (edge, time) do,
+    and one searchsorted per window bound finds the leaders inside it. The
+    hits are expanded HIT_BLOCK at a time and deduplicated as int64 pair
+    keys in sorted-id order.
     """
+    speed = {
+        n: default_speed(model, route_length(routes[n]), a.t_deadline - a.t_start)
+        for n, a in assignments.items()
+    }
+    ids = sorted(assignments)
+    rs = [routes[n] for n in ids]
+    sizes = np.array([len(r.edges) for r in rs], dtype=np.int64)
+    codes: dict = {}
+    edge_code = np.array([codes.setdefault(e, len(codes)) for r in rs for e in r.edges], np.int64)
+    # Arc at each edge's end, prefix[i + 1] - start_offset as Route has it.
+    arc_end = np.array([x for r in rs for x in r.prefix[1:]]) - np.repeat(
+        np.array([r.start_offset for r in rs]), sizes
+    )
+    lo = np.cumsum(sizes) - sizes + np.array([r.shareable.start for r in rs], dtype=np.int64)
+    truck, at = _ranges(lo, np.array([len(r.shareable) for r in rs], dtype=np.int64))
+    visits = truck.size
+    if not visits:
+        return []
+
+    t0, arc = np.array([assignments[n].t_start for n in ids])[truck], arc_end[at]
     v_lo = model.v_min * (1.0 - 1e-9) - 1e-9
     v_hi = model.v_max * (1.0 + 1e-9) + 1e-9
+    times = [t0 + arc / np.array([speed[n] for n in ids])[truck], t0 + arc / v_hi, t0 + arc / v_lo]
+    _, rank = np.unique(np.concatenate(times), return_inverse=True)
+    edge = edge_code[at] * (3 * visits)
+    key = edge + rank[:visits]
+    order = np.argsort(key)
+    keys, leader = key[order], truck[order]
+    first = np.searchsorted(keys, edge + rank[visits : 2 * visits], "left")
+    count = np.searchsorted(keys, edge + rank[2 * visits :], "right") - first
 
-    # (edge, follower id, start time, arc at the edge's end) per driven edge.
-    visits = []
-    passages: dict = {}
-    for n, a in assignments.items():
-        r = routes[n]
-        v = default_speed(model, route_length(r), a.t_deadline - a.t_start)
-        for i in r.shareable:
-            arc_end = r.arc_at_edge_start(i + 1)
-            visits.append((r.edges[i], n, a.t_start, arc_end))
-            passages.setdefault(r.edges[i], []).append((a.t_start + arc_end / v, n))
-
-    index = {}
-    for e, entries in passages.items():
-        entries.sort()
-        index[e] = ([t for t, _ in entries], [m for _, m in entries])
-
-    kept = set()
-    for e, n, t0, arc_end in visits:
-        times, leaders = index[e]
-        first = bisect.bisect_left(times, t0 + arc_end / v_hi)
-        last = bisect.bisect_right(times, t0 + arc_end / v_lo)
-        for m in leaders[first:last]:
-            if m != n:
-                kept.add((n, m))
-    return sorted(kept)
+    # Visits [b, stop) hold at most HIT_BLOCK hits, unless one visit alone has more.
+    ends, kept, b = np.cumsum(count), [], 0
+    while b < visits:
+        stop = max(int(np.searchsorted(ends, ends[b] - count[b] + HIT_BLOCK, "right")), b + 1)
+        row, hit = _ranges(first[b:stop], count[b:stop])
+        f, m = truck[b:stop][row], leader[hit]
+        kept.append(np.unique(f[f != m] * len(ids) + m[f != m]))
+        b = stop
+    pairs = np.unique(np.concatenate(kept))
+    return [(ids[k], ids[j]) for k, j in zip(*(x.tolist() for x in np.divmod(pairs, len(ids))))]
 
 
 class AdaptedPlans(Mapping):

@@ -12,6 +12,7 @@ adds or removes whichever node currently improves F.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -102,9 +103,17 @@ def delta_u(g: CoordinationGraph, leaders, n) -> float:
 class _ClusterState:
     """Incremental bookkeeping for the flip heuristic.
 
-    best[n] caches max(W(n, m) for m in out(n) & leaders); flip gains are
-    cached per node and recomputed only inside the two-hop neighborhood of
-    the flipped node, which keeps each iteration local to the average degree.
+    best[n] caches max(W(n, m) for m in out(n) & leaders) and delta[n] the
+    gain of flipping n. A gain reads the node's own status and best, and for
+    each non-leader in-neighbor i, best[i]; a leader m's gain also reads i's
+    best without m. So a flip of n changes only the gains of n, in(n) and
+    out(n), and for each non-leader i in in(n): all of out(i) if best[i]
+    changed, else the leaders in out(i) holding best[i], the only ones for
+    which i's best without them moves. Exactly those are recomputed.
+
+    heap holds (-gain, str(node), position) for the positive gains, pushed
+    when a gain changes. An entry whose gain is no longer its node's is
+    stale and skipped when popped.
     """
 
     def __init__(self, g: CoordinationGraph) -> None:
@@ -114,6 +123,9 @@ class _ClusterState:
         self.objective = 0.0
         self.delta: dict = {n: self._compute_delta(n) for n in g.nodes}
         self.positive: set = {n for n, d in self.delta.items() if d > 0}
+        self.key: dict = {n: (str(n), k) for k, n in enumerate(g.nodes)}
+        self.heap: list = [(-self.delta[n], *self.key[n]) for n in self.positive]
+        heapq.heapify(self.heap)
 
     def _compute_delta(self, n) -> float:
         g, leaders, best = self.g, self.leaders, self.best
@@ -135,38 +147,48 @@ class _ClusterState:
                 loss += _best_weight(g, i, leaders, skip=n) - cur
         return loss + best[n]
 
-    def _two_hop(self, n) -> set:
-        """n, in(n), out(n) and out(in(n)): the nodes whose gain a flip of n
-        can change. A gain reads the node's own best weight and its
-        in-neighbors' leader status, best and second-best weights."""
-        g = self.g
-        touched = {n, *g.out_neighbors(n)}
-        for i in g.in_neighbors(n):
-            touched.add(i)
-            touched.update(g.out_neighbors(i))
-        return touched
+    def pop_best(self):
+        """The positive-gain node of largest gain, ties to the smallest str(id)."""
+        while self.heap:
+            gain, _, k = heapq.heappop(self.heap)
+            n = self.g.nodes[k]
+            if self.delta[n] == -gain:  # entries hold positive gains only
+                return n
+        return None
 
     def flip(self, n) -> float:
         gain = self.delta[n]
-        g = self.g
-        if n in self.leaders:
-            self.leaders.discard(n)
-            for i, w_in in g.in_edges[n]:
-                if self.best[i] <= w_in:
-                    self.best[i] = _best_weight(g, i, self.leaders)
-        else:
-            self.leaders.add(n)
-            for i, w_in in g.in_edges[n]:
-                if w_in > self.best[i]:
-                    self.best[i] = w_in
+        g, best, leaders = self.g, self.best, self.leaders
+        adding = n not in leaders
+        (leaders.add if adding else leaders.discard)(n)
+        touched = {n, *g.out_neighbors(n)}
+        for i, w_in in g.in_edges[n]:
+            touched.add(i)
+            cur = best[i]
+            if adding and w_in > cur:
+                best[i] = w_in
+            elif not adding and cur <= w_in:
+                best[i] = _best_weight(g, i, leaders)
+            if i in leaders:  # its best is read by its own gain only
+                continue
+            if best[i] != cur:
+                touched.update(g.out_neighbors(i))
+                continue
+            for m, w in g.out_edges[i]:  # heaviest first
+                if w < cur:
+                    break
+                if m in leaders:
+                    touched.add(m)
         self.objective += gain
-        for m in self._two_hop(n):
+        for m in touched:
             d = self._compute_delta(m)
-            self.delta[m] = d
             if d > 0:
                 self.positive.add(m)
+                if d != self.delta[m] or m == n:  # n's own entry was popped
+                    heapq.heappush(self.heap, (-d, *self.key[m]))
             else:
                 self.positive.discard(m)
+            self.delta[m] = d
         return gain
 
 
@@ -193,8 +215,7 @@ def cluster(
     state = _ClusterState(g)
     while state.positive:
         if rule == "greedy":
-            best_gain = max(state.delta[x] for x in state.positive)
-            n = min((x for x in state.positive if state.delta[x] == best_gain), key=str)
+            n = state.pop_best()
         else:
             n = rng.choice(sorted(state.positive, key=str))
         state.flip(n)

@@ -30,6 +30,13 @@ def require_int(name: str, value) -> int:
     return value
 
 
+def require_real(name: str, value):
+    """value if it is a finite JSON number; true and "0.5" are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{name} must be a finite number, not {value!r}")
+    return value
+
+
 @dataclass
 class ScenarioConfig:
     rows: int = 20
@@ -46,8 +53,7 @@ class ScenarioConfig:
         for name in ("rows", "cols", "n_assignments", "seed"):
             require_int(name, getattr(self, name))
         for name in ("edge_len_m", "start_window_s", "deadline_slack_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name} must be finite")
+            require_real(name, getattr(self, name))
         for node, w in (self.node_weights or {}).items():
             if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
                 raise ScenarioError(f"node weight of {node} must be finite and >= 0, not {w!r}")

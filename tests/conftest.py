@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from platoonplan import (
     sample,
 )
 from platoonplan.joint_optimization import _assemble
+from platoonplan.leader_selection import _best_weight, make_leader_set
 from platoonplan.planning import default_speed
 
 KMH = 1.0 / 3.6
@@ -97,6 +100,120 @@ def _reference_prune_pairs(assignments, routes, model):
                 kept.append((n, m))
                 break
     return kept
+
+
+def bisect_prune_pairs(assignments, routes, model):
+    """Oracle for prune_pairs: the per-edge bisect index it replaced.
+
+    Each edge keeps the sorted (time, id) at which leaders pass its end; a
+    follower bisects the times for its reachable window
+    [t_start + arc_end / v_hi, t_start + arc_end / v_lo].
+    """
+    v_lo = model.v_min * (1.0 - 1e-9) - 1e-9
+    v_hi = model.v_max * (1.0 + 1e-9) + 1e-9
+
+    visits = []
+    passages: dict = {}
+    for n, a in assignments.items():
+        r = routes[n]
+        v = default_speed(model, route_length(r), a.t_deadline - a.t_start)
+        for i in r.shareable:
+            arc_end = r.arc_at_edge_start(i + 1)
+            visits.append((r.edges[i], n, a.t_start, arc_end))
+            passages.setdefault(r.edges[i], []).append((a.t_start + arc_end / v, n))
+
+    index = {}
+    for e, entries in passages.items():
+        entries.sort()
+        index[e] = ([t for t, _ in entries], [m for _, m in entries])
+
+    kept = set()
+    for e, n, t0, arc_end in visits:
+        times, leaders = index[e]
+        first = bisect.bisect_left(times, t0 + arc_end / v_hi)
+        last = bisect.bisect_right(times, t0 + arc_end / v_lo)
+        for m in leaders[first:last]:
+            if m != n:
+                kept.add((n, m))
+    return sorted(kept)
+
+
+class _ReferenceClusterState:
+    """The flip heuristic's bookkeeping as cluster had it before its narrow
+    recompute: every flip recomputes the gains of the flipped node's whole
+    two-hop neighbourhood, n, in(n), out(n) and out(in(n))."""
+
+    def __init__(self, g):
+        self.g = g
+        self.leaders = set()
+        self.best = {n: 0.0 for n in g.nodes}
+        self.objective = 0.0
+        self.delta = {n: self._compute_delta(n) for n in g.nodes}
+        self.positive = {n for n, d in self.delta.items() if d > 0}
+
+    def _compute_delta(self, n):
+        g, leaders, best = self.g, self.leaders, self.best
+        if n not in leaders:
+            gain = 0.0
+            for i, w_in in g.in_edges[n]:
+                if i in leaders:
+                    continue
+                cur = best[i]
+                if w_in > cur:
+                    gain += w_in - cur
+            return gain - best[n]
+        loss = 0.0
+        for i, w_in in g.in_edges[n]:
+            if i in leaders:
+                continue
+            cur = best[i]
+            if w_in >= cur:
+                loss += _best_weight(g, i, leaders, skip=n) - cur
+        return loss + best[n]
+
+    def flip(self, n):
+        gain = self.delta[n]
+        g = self.g
+        if n in self.leaders:
+            self.leaders.discard(n)
+            for i, w_in in g.in_edges[n]:
+                if self.best[i] <= w_in:
+                    self.best[i] = _best_weight(g, i, self.leaders)
+        else:
+            self.leaders.add(n)
+            for i, w_in in g.in_edges[n]:
+                if w_in > self.best[i]:
+                    self.best[i] = w_in
+        self.objective += gain
+        touched = {n, *g.out_neighbors(n)}
+        for i in g.in_neighbors(n):
+            touched.add(i)
+            touched.update(g.out_neighbors(i))
+        for m in touched:
+            d = self._compute_delta(m)
+            self.delta[m] = d
+            if d > 0:
+                self.positive.add(m)
+            else:
+                self.positive.discard(m)
+        return gain
+
+
+def _reference_cluster(g, rule="greedy", seed=0, on_flip=None):
+    """Oracle for leader_selection.cluster: a full max/min scan over the
+    positive gains for every greedy pick, and the two-hop recompute."""
+    rng = random.Random(seed)
+    state = _ReferenceClusterState(g)
+    while state.positive:
+        if rule == "greedy":
+            best_gain = max(state.delta[x] for x in state.positive)
+            n = min((x for x in state.positive if state.delta[x] == best_gain), key=str)
+        else:
+            n = rng.choice(sorted(state.positive, key=str))
+        state.flip(n)
+        if on_flip is not None:
+            on_flip(n, state.objective)
+    return make_leader_set(g, state.leaders)
 
 
 def stage4_infeasibility(group, sol, model):

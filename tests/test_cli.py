@@ -190,6 +190,10 @@ def test_bad_assignment_exits_2(tmp_path, edit):
         pytest.param("config", {"solver": {"max_iter": 0}}, id="config-zero-max-iter"),
         pytest.param("config", {"solver": {"tol": -1e-8}}, id="config-negative-tol"),
         pytest.param("config", {"solver": {"tol": math.inf}}, id="config-infinite-tol"),
+        # JSON true is a Python int and "0.5" parses as a float: neither is a number here.
+        pytest.param("config", {"solver": {"tol": True}}, id="config-bool-tol"),
+        pytest.param("config", {"solver": {"tol": "0.5"}}, id="config-numeric-string-tol"),
+        pytest.param("config", {"scenario": {"edge_len_m": True}}, id="config-bool-edge-length"),
         pytest.param("montecarlo", {"solver": {"tol": "x"}}, id="montecarlo-config"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,x\n", id="graph-saving-not-a-number"),
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
@@ -329,6 +333,24 @@ def test_bad_selection_from_env_exits_2_with_input_error(tmp_path, capsys, monke
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [e["event"] for e in events] == ["input_error"]
     assert "'best'" in events[0]["error"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        pytest.param("SEED", ["generate", "--size", "3"], id="seed-generate"),
+        pytest.param("JOBS", ["montecarlo", "--runs", "1", "--sizes", "2"], id="jobs-montecarlo"),
+    ],
+)
+def test_bad_integer_from_env_exits_2_with_input_error(tmp_path, capsys, monkeypatch, name, argv):
+    """PLATOON_SEED and PLATOON_JOBS are read when the command runs, not as tracebacks."""
+    monkeypatch.setenv(f"PLATOON_{name}", "abc")
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 2
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["input_error"]
+    assert f"PLATOON_{name}" in events[0]["error"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_group_solved_events_carry_solver_telemetry(tmp_path, capsys):

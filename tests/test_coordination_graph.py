@@ -1,12 +1,16 @@
 """Coordination graph: edge semantics, pruning soundness, plan cache."""
 
+import math
+
 import pytest
 
 from platoonplan import Assignment, Position, build, default_plan, make_route, prune_pairs
 from platoonplan.coordination_graph import CoordinationGraph, load_graph_csv, save_graph_csv
+from platoonplan.planning import default_speed
+from platoonplan.road_network import route_length
 from platoonplan.scenario import ScenarioConfig, generate
 
-from conftest import _reference_prune_pairs, chain_network
+from conftest import _reference_prune_pairs, bisect_prune_pairs, chain_network
 
 
 def _defaults(model, assignments, routes):
@@ -147,6 +151,67 @@ def test_prune_matches_reference_on_seeded_grids(model, n, slack_s):
     pairs = prune_pairs(amap, routes, model)
     assert pairs == _reference_prune_pairs(amap, routes, model)
     assert pairs == sorted(set(pairs))
+
+
+def _passage(model, a, route):
+    """When a's default plan passes the end of the route's first edge."""
+    v = default_speed(model, route_length(route), a.t_deadline - a.t_start)
+    return a.t_start + route.arc_at_edge_start(1) / v
+
+
+def _slow_leader(model, aid, route, at):
+    """A truck at v_min on route whose default plan passes the first edge's end
+    at exactly the float `at`."""
+    length = route_length(route)
+    t0 = at - route.arc_at_edge_start(1) / model.v_min
+    for _ in range(8):
+        a = Assignment(aid, Position(route.edges[0], 0.0), Position(route.edges[-1], length),
+                       t0, t0 + length / model.v_min + 600.0)
+        passes = _passage(model, a, route)
+        if passes == at:
+            return a
+        t0 = math.nextafter(t0, math.inf if passes < at else -math.inf)
+    raise AssertionError(f"no start time passes at {at!r}")
+
+
+def test_prune_keeps_leaders_exactly_on_the_window_bounds(model):
+    """Leaders passing at exactly t0 + arc_end / v_hi and t0 + arc_end / v_lo are
+    kept, as bisect_left and bisect_right keep them; one ulp outside is not."""
+    net = chain_network([10_000.0])
+    route = make_route(net, ["e0"], 0.0, 10_000.0)
+    follower = Assignment("f", Position("e0", 0.0), Position("e0", 10_000.0), 1000.0,
+                          1000.0 + 10_000.0 / 22.0)
+    v_lo = model.v_min * (1.0 - 1e-9) - 1e-9
+    v_hi = model.v_max * (1.0 + 1e-9) + 1e-9
+    early = follower.t_start + 10_000.0 / v_hi
+    late = follower.t_start + 10_000.0 / v_lo
+    leaders = [
+        _slow_leader(model, "m_early", route, early),
+        _slow_leader(model, "m_late", route, late),
+        _slow_leader(model, "x_early", route, math.nextafter(early, -math.inf)),
+        _slow_leader(model, "x_late", route, math.nextafter(late, math.inf)),
+    ]
+    assignments = {a.id: a for a in [follower, *leaders]}
+    routes = {aid: route for aid in assignments}
+    pairs = prune_pairs(assignments, routes, model)
+    assert ("f", "m_early") in pairs and ("f", "m_late") in pairs
+    assert ("f", "x_early") not in pairs and ("f", "x_late") not in pairs
+    assert pairs == bisect_prune_pairs(assignments, routes, model)
+
+
+def test_prune_without_shareable_edges_is_empty(model):
+    assert prune_pairs({}, {}, model) == []
+    net = chain_network([10_000.0, 10_000.0])
+    # Each trip starts and ends inside an edge, so no edge is driven end to end.
+    inside = make_route(net, ["e0"], 1000.0, 9000.0)
+    partial = make_route(net, ["e0", "e1"], 5000.0, 5000.0)
+    assignments = {
+        aid: Assignment(aid, Position(r.edges[0], r.start_offset),
+                        Position(r.edges[-1], r.dest_offset), 0.0, 2000.0)
+        for aid, r in (("a", inside), ("b", inside), ("c", partial))
+    }
+    routes = {"a": inside, "b": inside, "c": partial}
+    assert prune_pairs(assignments, routes, model) == []
 
 
 def test_graph_csv_roundtrip(model, worked_pair, tmp_path):

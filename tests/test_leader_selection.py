@@ -19,6 +19,8 @@ from platoonplan import (
 )
 from platoonplan.coordination_graph import CoordinationGraph
 
+from conftest import _reference_cluster
+
 
 def _graph(edges):
     nodes = sorted({n for e in edges for n in e[:2]}, key=str)
@@ -131,6 +133,28 @@ def test_cluster_objective_strictly_increases_and_matches_scratch():
                 assert state.delta[v] == pytest.approx(
                     delta_u(g, state.leaders, v), abs=1e-12
                 )
+
+
+def test_cluster_equals_the_two_hop_scan_on_a_tied_graph():
+    """Many equal gains and thousands of stale heap entries: the same flips as
+    the full two-hop recompute with a max/min scan, under both rules."""
+    rng = random.Random(23)
+    nodes = [f"v{i:03d}" for i in range(400)]
+    edges = {}
+    for n in nodes:
+        for _ in range(8):
+            m = nodes[rng.randrange(len(nodes))]
+            if m != n:
+                edges[(n, m)] = rng.choice([0.5, 1.0, 1.5])
+    g = CoordinationGraph(nodes, edges)
+    for rule, seed in (("greedy", 0), ("random", 3)):
+        got, want = [], []
+        result = cluster(g, rule, seed, on_flip=lambda n, obj: got.append((n, obj)))
+        expected = _reference_cluster(g, rule, seed, on_flip=lambda n, obj: want.append((n, obj)))
+        assert got == want
+        assert result.leaders == expected.leaders
+        assert result.follower_of == expected.follower_of
+        assert repr(result.objective) == repr(expected.objective)
 
 
 def test_exact_examples():

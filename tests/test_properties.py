@@ -16,6 +16,7 @@ from platoonplan import (  # noqa: E402
     FuelModel,
     Position,
     RoadNetwork,
+    SetCoverInstance,
     adapted_plan,
     build,
     build_group,
@@ -23,11 +24,16 @@ from platoonplan import (  # noqa: E402
     default_plan,
     extract_plans,
     prune_pairs,
+    reduce_set_cover,
     solve,
     validate,
 )
 from platoonplan.cli import RunConfig, check_follower_coincidence, run_pipeline  # noqa: E402
-from platoonplan.coordination_graph import load_graph_csv, save_graph_csv  # noqa: E402
+from platoonplan.coordination_graph import (  # noqa: E402
+    CoordinationGraph,
+    load_graph_csv,
+    save_graph_csv,
+)
 from platoonplan.joint_optimization import _assemble  # noqa: E402
 from platoonplan.planning import pair_savings  # noqa: E402
 from platoonplan.road_network import (  # noqa: E402
@@ -38,7 +44,9 @@ from platoonplan.road_network import (  # noqa: E402
 from platoonplan.scenario import ScenarioConfig, grid_network  # noqa: E402
 
 from conftest import (  # noqa: E402
+    _reference_cluster,
     _reference_prune_pairs,
+    bisect_prune_pairs,
     reference_node_route,
     reference_route,
     stage4_infeasibility,
@@ -95,6 +103,20 @@ def test_pruned_build_equals_unpruned_build(model, fleet):
     assert set(_reference_prune_pairs(assignments, routes, model)) <= set(
         prune_pairs(assignments, routes, model)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+def test_prune_pairs_equal_the_bisect_index(model, fleet):
+    assignments, routes = fleet
+    assert prune_pairs(assignments, routes, model) == bisect_prune_pairs(assignments, routes, model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(flat=True))
+def test_prune_pairs_equal_the_bisect_index_flat(model, fleet):
+    assignments, routes = fleet
+    assert prune_pairs(assignments, routes, model) == bisect_prune_pairs(assignments, routes, model)
 
 
 def _check_pair_savings(model, fleet):
@@ -230,6 +252,57 @@ def test_block_started_solves_match_lone_solves(model, fleet):
 @given(fleets(flat=True))
 def test_block_started_flat_solves_match_lone_solves(model, fleet):
     _check_block_starts(model, fleet)
+
+
+@st.composite
+def tie_graphs(draw):
+    """Up to 14 nodes with weights from {0.5, 1, 1.5}, so equal gains are common."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    nodes = [f"v{k}" for k in range(n)]
+    arcs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from([0.5, 1.0, 1.5])),
+            max_size=50,
+            unique_by=lambda arc: arc[:2],
+        )
+    )
+    return CoordinationGraph(nodes, {(nodes[u], nodes[v]): w for u, v, w in arcs if u != v})
+
+
+@st.composite
+def set_cover_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    family = draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=6)
+    )
+    graph, _ = reduce_set_cover(SetCoverInstance(frozenset().union(*family), tuple(family)))
+    return graph
+
+
+def _check_cluster(g):
+    for rule, seed in (("greedy", 0), ("random", 0), ("random", 1), ("random", 2)):
+        got, want = [], []
+        result = cluster(g, rule, seed, on_flip=lambda n, obj: got.append((n, obj)))
+        expected = _reference_cluster(g, rule, seed, on_flip=lambda n, obj: want.append((n, obj)))
+        assert result.leaders == expected.leaders
+        assert result.follower_of == expected.follower_of
+        assert repr(result.objective) == repr(expected.objective)
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_graphs())
+def test_cluster_equals_the_two_hop_scan_on_tied_weights(g):
+    """Same flips, objectives and leader sets as the full two-hop recompute with
+    a max/min scan, under both rules."""
+    _check_cluster(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_cover_graphs())
+def test_cluster_equals_the_two_hop_scan_on_set_cover_graphs(g):
+    _check_cluster(g)
 
 
 # 0.1 + 0.2 and 0.3 nearly tie, 0.1 + 0.2 and 0.2 + 0.1 tie exactly, and a
