@@ -22,8 +22,8 @@ from .road_network import Route, common_subpaths, route_length
 WEIGHT_FLOOR = 1e-12  # savings at or below this are float dust, not edges
 # prune_pairs expands the leaders inside its visits' windows about this many
 # hits at a time, so it never holds all of them (288k on a 3200-truck grid
-# fleet). Smaller blocks cost no measurable time there; in the benchmark's
-# request loop they keep peak RSS about 0.5 MiB lower than blocks of 2**15.
+# fleet). Smaller blocks cost no measurable time there, and in the fleet-800
+# benchmark they kept peak RSS 0.3-0.6 MiB lower than blocks of 2**15.
 HIT_BLOCK = 2**12
 
 
@@ -120,14 +120,15 @@ def prune_pairs(
 
     # Blocks of whole trucks' visits, about HIT_BLOCK hits each: their keys
     # ascend from block to block, so the pairs come out sorted and unique.
-    ends, last, pairs, b = np.cumsum(count), np.cumsum(shared), [], 0
+    ends, last, names = np.cumsum(count), np.cumsum(shared), np.array(ids, dtype=object)
+    pairs, b = [], 0
     while b < truck.size:
         stop = max(int(np.searchsorted(ends, ends[b] - count[b] + HIT_BLOCK, "right")), b + 1)
         stop = last[truck[stop - 1]]
         row, hit = _ranges(first[b:stop], count[b:stop])
         f, m = truck[b:stop][row], leader[hit]
         k, j = np.divmod(np.unique(f[f != m] * len(ids) + m[f != m]), len(ids))
-        pairs += [(ids[x], ids[y]) for x, y in zip(k.tolist(), j.tolist())]
+        pairs += zip(names[k].tolist(), names[j].tolist())
         b = stop
     return pairs
 
