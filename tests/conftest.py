@@ -17,6 +17,7 @@ from platoonplan import (
     Position,
     RoadNetwork,
     Route,
+    cluster,
     common_subpaths,
     make_route,
     positions_coincide,
@@ -214,6 +215,19 @@ def _reference_cluster(g, rule="greedy", seed=0, on_flip=None):
         if on_flip is not None:
             on_flip(n, state.objective)
     return make_leader_set(g, state.leaders)
+
+
+def check_cluster_matches_reference(g, runs):
+    """cluster gives _reference_cluster's flips, leader set, follower_of and
+    objective bit for bit, for each (rule, seed) in runs."""
+    for rule, seed in runs:
+        got, want = [], []
+        result = cluster(g, rule, seed, on_flip=lambda n, obj: got.append((n, obj)))
+        expected = _reference_cluster(g, rule, seed, on_flip=lambda n, obj: want.append((n, obj)))
+        assert got == want
+        assert result.leaders == expected.leaders
+        assert result.follower_of == expected.follower_of
+        assert repr(result.objective) == repr(expected.objective)
 
 
 def stage4_infeasibility(group, sol, model):

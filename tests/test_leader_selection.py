@@ -19,7 +19,7 @@ from platoonplan import (
 )
 from platoonplan.coordination_graph import CoordinationGraph
 
-from conftest import _reference_cluster
+from conftest import check_cluster_matches_reference
 
 
 def _graph(edges):
@@ -146,15 +146,7 @@ def test_cluster_equals_the_two_hop_scan_on_a_tied_graph():
             m = nodes[rng.randrange(len(nodes))]
             if m != n:
                 edges[(n, m)] = rng.choice([0.5, 1.0, 1.5])
-    g = CoordinationGraph(nodes, edges)
-    for rule, seed in (("greedy", 0), ("random", 3)):
-        got, want = [], []
-        result = cluster(g, rule, seed, on_flip=lambda n, obj: got.append((n, obj)))
-        expected = _reference_cluster(g, rule, seed, on_flip=lambda n, obj: want.append((n, obj)))
-        assert got == want
-        assert result.leaders == expected.leaders
-        assert result.follower_of == expected.follower_of
-        assert repr(result.objective) == repr(expected.objective)
+    check_cluster_matches_reference(CoordinationGraph(nodes, edges), (("greedy", 0), ("random", 3)))
 
 
 def test_exact_examples():

@@ -44,9 +44,9 @@ from platoonplan.road_network import (  # noqa: E402
 from platoonplan.scenario import ScenarioConfig, grid_network  # noqa: E402
 
 from conftest import (  # noqa: E402
-    _reference_cluster,
     _reference_prune_pairs,
     bisect_prune_pairs,
+    check_cluster_matches_reference,
     reference_node_route,
     reference_route,
     stage4_infeasibility,
@@ -280,15 +280,7 @@ def set_cover_graphs(draw):
     return graph
 
 
-def _check_cluster(g):
-    for rule, seed in (("greedy", 0), ("random", 0), ("random", 1), ("random", 2)):
-        got, want = [], []
-        result = cluster(g, rule, seed, on_flip=lambda n, obj: got.append((n, obj)))
-        expected = _reference_cluster(g, rule, seed, on_flip=lambda n, obj: want.append((n, obj)))
-        assert result.leaders == expected.leaders
-        assert result.follower_of == expected.follower_of
-        assert repr(result.objective) == repr(expected.objective)
-        assert got == want
+CLUSTER_RUNS = (("greedy", 0), ("random", 0), ("random", 1), ("random", 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,13 +288,13 @@ def _check_cluster(g):
 def test_cluster_equals_the_two_hop_scan_on_tied_weights(g):
     """Same flips, objectives and leader sets as the full two-hop recompute with
     a max/min scan, under both rules."""
-    _check_cluster(g)
+    check_cluster_matches_reference(g, CLUSTER_RUNS)
 
 
 @settings(max_examples=100, deadline=None)
 @given(set_cover_graphs())
 def test_cluster_equals_the_two_hop_scan_on_set_cover_graphs(g):
-    _check_cluster(g)
+    check_cluster_matches_reference(g, CLUSTER_RUNS)
 
 
 # 0.1 + 0.2 and 0.3 nearly tie, 0.1 + 0.2 and 0.2 + 0.1 tie exactly, and a
