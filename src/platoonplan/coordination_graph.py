@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Mapping
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,13 +44,19 @@ class CoordinationGraph:
                 raise ValueError(f"edge ({n!r}, {m!r}) references unknown node")
             if not (0 < w < math.inf):
                 raise ValueError(f"edge ({n!r}, {m!r}) has invalid weight {w}")
-            self.weight[(n, m)] = float(w)
-            self.out_edges[n].append((m, float(w)))
-            self.in_edges[m].append((n, float(w)))
+            w = self.weight[(n, m)] = float(w)
+            self.out_edges[n].append((m, w))
+            self.in_edges[m].append((n, w))
         # Heaviest-first out-adjacency makes best-leader scans early-exit.
+        # Ties and in-adjacency go by the neighbour's str, computed once; an
+        # id that is a str is its own key.
+        name = {n: str(n) for n in self.nodes}
+        by_name = itemgetter(0) if all(name[n] is n for n in self.nodes) else (
+            lambda mw: name[mw[0]])
         for n in self.nodes:
-            self.out_edges[n].sort(key=lambda mw: (-mw[1], str(mw[0])))
-            self.in_edges[n].sort(key=lambda mw: str(mw[0]))
+            self.out_edges[n].sort(key=by_name)
+            self.out_edges[n].sort(key=itemgetter(1), reverse=True)  # stable
+            self.in_edges[n].sort(key=by_name)
 
     def out_neighbors(self, n) -> list:
         return [m for m, _ in self.out_edges[n]]

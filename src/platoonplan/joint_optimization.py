@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.linalg.lapack import dgesv
 from scipy.optimize import linprog, nnls
 from scipy.sparse import block_diag
 
@@ -227,12 +228,6 @@ class _Problem:
     def objective(self, x: np.ndarray) -> float:
         return float(np.sum(self.c2 / x)) + self.c0
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return -self.c2 / (x * x)
-
-    def hess_diag(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.c2 / (x * x * x)
-
 
 def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
     """The program over all members' segment times, concatenated in members() order.
@@ -247,20 +242,20 @@ def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
     n = ends[-1]
 
     def stacked(per_member: dict) -> np.ndarray:
-        return np.concatenate([np.asarray(per_member[m], dtype=float) for m in members])
+        return np.fromiter(itertools.chain.from_iterable(per_member[m] for m in members), float, n)
 
     w = stacked(group.distances)
     platoon = stacked(group.platoon_flags) == 1
     x0 = stacked(group.initial_times)
     c2 = np.where(platoon, model.ap, model.a0) * w * w
     constant = np.where(platoon, model.bp, model.b0) * w
-    c0 = sum(float(np.sum(constant[sl])) for sl in var_slices.values())
+    c0 = sum(float(constant[sl].sum()) for sl in var_slices.values())
 
-    # Equalities as (+1 columns, -1 columns, right-hand side).
-    equalities = []
-    lead = var_slices[group.leader_id].start
-    for fid in group.follower_ids:
-        f = var_slices[fid].start
+    # Per follower: the merge row unless trivial, then one row per platoon
+    # segment; the leader's variables come first.
+    rows = len(group.follower_ids) + n  # bounds the merge and platoon rows
+    A, b, r = np.zeros((rows, n)), np.zeros(rows), 0
+    for fid, f in zip(group.follower_ids, ends[1:]):
         i_m, i_sp = group.merge_index[fid], group.split_index[fid]
         head = int(group.platoon_flags[fid][0] == 0)
         # Merge synchronization: follower start + head time equals the
@@ -268,21 +263,22 @@ def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
         # T_head - sum(leader prefix) = t_start_leader - t_start_follower.
         rhs = group.t_start[group.leader_id] - group.t_start[fid]
         if head or i_m:
-            equalities.append((range(f, f + head), range(lead, lead + i_m), rhs))
+            A[r, f : f + head], A[r, :i_m], b[r] = 1.0, -1.0, rhs
+            r += 1
         elif abs(rhs) > 1e-6:
             raise InconsistentGroupError(
                 f"follower {fid} merges at the leader's start but departs elsewhere in time"
             )
         # Equal traversal times while platooning.
-        equalities.extend(([f + head + j], [lead + i_m + j], 0.0) for j in range(i_sp - i_m + 1))
-    A = np.zeros((len(equalities), n))
-    for r, (plus, minus, _) in enumerate(equalities):
-        A[r, plus] = 1.0
-        A[r, minus] = -1.0
-    b = np.array([rhs for _, _, rhs in equalities], dtype=float)
+        j = np.arange(i_sp - i_m + 1)
+        A[r + j, f + head + j], A[r + j, i_m + j] = 1.0, -1.0
+        r += j.size
+    A, b = A[:r], b[:r]
 
-    deadline_rows = np.repeat(np.eye(len(members)), sizes, axis=1)
-    G = np.vstack([np.diag(np.full(n, -1.0)), np.eye(n), deadline_rows])
+    j = np.arange(n)
+    G = np.zeros((2 * n + len(members), n))
+    G[j, j], G[n + j, j] = -1.0, 1.0
+    G[np.repeat(np.arange(2 * n, G.shape[0]), sizes), j] = 1.0
     h = np.concatenate([
         -w / model.v_max,
         w / model.v_min,
@@ -372,85 +368,89 @@ def _interior_points(reds: list) -> list:
     return out
 
 
-def _independent(E: np.ndarray, row: np.ndarray) -> bool:
-    """row lies outside the row space of E, which has full row rank."""
-    if E.shape[0] == 0:
-        return True
-    coef = np.linalg.lstsq(E.T, row, rcond=None)[0]
-    return float(np.linalg.norm(row - E.T @ coef)) > 1e-9 * float(np.linalg.norm(row))
-
-
 def _active_set(prob, red, y, max_rounds: int = 200):
     """Primal active-set Newton method from a feasible y; returns (y, rounds).
 
     The working set starts empty. Every round takes a Newton step of F on the
-    working face, solving [[H, E^T], [E, 0]] [d; mu] = [-grad; s_W], cut short
-    by a ratio test so that no other row is crossed and backtracked until F
-    decreases enough (Armijo). A blocking row joins the set if it is
-    independent, else the method stops; once converged on the face, the row
-    with the most negative multiplier leaves, or the method stops (Nocedal &
-    Wright, Numerical Optimization, section 16.5). Rows whose step ds is
-    rounding noise never block: a truck copying a leader segment duplicates
-    its box rows, and a duplicate of a working row would stop the step at 0.
-    The bound grows with |Gy| |d|, the rounding of ds itself: a step from a
-    flat group's pairwise plans can be 7e3 s long, and the row opposite a
-    working row then computes ds of about 1e-12 instead of 0. Every iterate
-    is feasible up to that rounding.
+    working face, solving [[H, E^T], [E, 0]] [d; mu] = [-grad; s_W] by LAPACK
+    dgesv, cut short by a ratio test so that no other row is crossed and
+    backtracked until F decreases enough (Armijo). Rows blocking at the same
+    step to 1e-12, as at a degenerate vertex, go to the lowest index. A
+    blocking row joins the set if it lies outside the span of the working
+    rows, whose orthonormal basis Q grows by one Gram-Schmidt step per joining
+    row and is rebuilt by QR when a row leaves; else the method stops. Once
+    converged on the face, the row with the most negative multiplier leaves,
+    or the method stops, as it does on a singular system (Nocedal & Wright,
+    Numerical Optimization, section 16.5). Rows whose step ds is rounding
+    noise never block: a truck copying a leader segment duplicates its box
+    rows, and a duplicate of a working row would stop the step at 0. The
+    bound grows with |Gy| |d|, the rounding of ds itself: a step from a flat
+    group's pairwise plans can be 7e3 s long, and the row opposite a working
+    row then computes ds of about 1e-12 instead of 0. Every iterate is
+    feasible up to that rounding.
     """
-    noise = 1e-12 * (1.0 + np.abs(red.hy))
-    abs_G = np.abs(red.Gy)
-    s = red.slack(y)
-    f = prob.objective(red.x(y))
+    Z, Gy, hy, c2, c0, dim = red.Z, red.Gy, red.hy, prob.c2, prob.c0, red.dim
+    Zt = np.ascontiguousarray(Z.T)
+    Zt2 = 2.0 * Zt  # H = Zt2 diag(p / x) Z with p = -grad F
+    noise, abs_G = 1e-12 * (1.0 + np.abs(hy)), 1e-14 * np.abs(Gy)
+    row_norm = np.sqrt(np.einsum("ij,ij->i", Gy, Gy))
+    x, s = red.x(y), hy - Gy @ y
+    f = float((c2 / x).sum()) + c0
     work: list = []
+    E, Q = np.empty_like(Gy), np.empty_like(Gy)  # Gy[work] and Q in their first rows
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        x = red.x(y)
-        gF = prob.grad(x)
-        g = red.Z.T @ gF
-        E = red.Gy[work]
-        K = np.zeros((red.dim + len(work),) * 2)
-        K[: red.dim, : red.dim] = (red.Z * prob.hess_diag(x)[:, None]).T @ red.Z
-        K[: red.dim, red.dim :] = E.T
-        K[red.dim :, : red.dim] = E
-        try:
-            sol = np.linalg.solve(K, np.concatenate([-g, s[work]]))
-        except np.linalg.LinAlgError:
+        r = 1.0 / x
+        p = c2 * r * r
+        K, rhs = (Zt2 * (p * r)) @ Z, Zt @ p
+        nw = len(work)
+        if nw:
+            K, H = np.zeros((dim + nw,) * 2), K
+            K[:dim, :dim], K[:dim, dim:], K[dim:, :dim] = H, E[:nw].T, E[:nw]
+            rhs = np.concatenate((rhs, s[work]))
+        sol, info = dgesv(K, rhs, overwrite_a=True)[2:]
+        if info:
             break
-        d, mu = sol[: red.dim], sol[red.dim :]
+        d, mu = sol[:dim], sol[dim:]
+        dx, ds = Z @ d, Gy @ d
         # Longest step up to 1 that keeps every row outside the set satisfied.
-        ds = red.Gy @ d
         ds[work] = 0.0
-        pos = ds > noise + 1e-14 * (abs_G @ np.abs(d))
-        ratio = np.full(ds.shape, np.inf)
-        ratio[pos] = np.maximum(s[pos], 0.0) / ds[pos]
-        k = int(np.argmin(ratio))
-        alpha = blocked = min(1.0, float(ratio[k]))
-        f_new = prob.objective(red.x(y + alpha * d))
+        pos = ds > noise + abs_G @ np.abs(d)
+        ratio = np.divide(np.maximum(s, 0.0), ds, out=np.full(ds.shape, np.inf), where=pos)
+        alpha = blocked = min(1.0, float(ratio.min()))
+        k = int((ratio <= blocked * (1.0 + 1e-12)).argmax())
+        x_new = x + alpha * dx
+        f_new = float((c2 / x_new).sum()) + c0
         # Converged on the face: the step is tiny, or its predicted decrease
         # is below the rounding of F (flat directions leave d at noise level).
-        slope = float(g @ d)
-        tiny = float(np.max(np.abs(red.Z @ d))) <= 1e-9 * (1.0 + float(np.max(np.abs(x))))
-        converged = tiny or -slope <= 1e-15 * (1.0 + abs(f))
+        slope = -float(rhs[:dim] @ d)
+        converged = -slope <= 1e-15 * (1.0 + abs(f)) or float(
+            np.abs(dx).max()) <= 1e-9 * (1.0 + float(x.max()))
         if not converged:  # Armijo
             while alpha > 1e-14 and f_new > f + 1e-4 * alpha * slope:
                 alpha *= 0.5
-                f_new = prob.objective(red.x(y + alpha * d))
+                x_new = x + alpha * dx
+                f_new = float((c2 / x_new).sum()) + c0
             if alpha <= 1e-14 < blocked:
                 break
-        y, f = y + alpha * d, f_new
-        s = red.slack(y)
+        y, x, f = y + alpha * d, x_new, f_new
+        s = hy - Gy @ y
         if alpha < blocked:  # backtracked short of the blocking row
             continue
         if blocked < 1.0:
-            if not _independent(E, red.Gy[k]):
+            res = Gy[k] - (Q[:nw] @ Gy[k]) @ Q[:nw]
+            size = float(np.sqrt(res @ res))
+            if size <= 1e-9 * float(row_norm[k]):
                 break
             work.append(k)
+            E[nw], Q[nw] = Gy[k], res / size
         elif converged:  # stop, or free the row that blocks descent
-            mu_floor = -1e-9 * (1.0 + float(np.max(np.abs(gF))))
-            if mu.size == 0 or float(np.min(mu)) >= mu_floor:
+            if mu.size == 0 or float(mu.min()) >= -1e-9 * (1.0 + float(p.max())):
                 break
-            del work[int(np.argmin(mu))]
+            del work[int(mu.argmin())]
+            E[: nw - 1] = Gy[work]
+            Q[: nw - 1] = np.linalg.qr(E[: nw - 1].T)[0].T
     return y, rounds
 
 
@@ -463,7 +463,7 @@ def _kkt_residual(prob, red, y) -> float:
     if red.dim == 0:
         return 0.0
     x = red.x(y)
-    gF = prob.grad(x)
+    gF = -prob.c2 / (x * x)
     g_y = red.Z.T @ gF
     scale = 1.0 + float(np.max(np.abs(gF)))
     s = red.slack(y)

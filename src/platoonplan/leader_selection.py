@@ -12,6 +12,7 @@ adds or removes whichever node currently improves F.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -111,12 +112,13 @@ class _ClusterState:
     changed, else the leaders in out(i) holding best[i], the only ones for
     which i's best without them moves. Exactly those are recomputed.
 
-    heap holds (-gain, str(node), position) for the positive gains, pushed
-    when a gain changes. An entry whose gain is no longer its node's is
-    stale and skipped when popped.
+    For the greedy rule, heap holds (-gain, str(node), position) for the
+    positive gains, pushed when a gain changes; an entry whose gain is no
+    longer its node's is stale and skipped when popped. For the random rule,
+    ranked holds (str(node), position) of the positive gains in order.
     """
 
-    def __init__(self, g: CoordinationGraph) -> None:
+    def __init__(self, g: CoordinationGraph, rule: str = "greedy") -> None:
         self.g = g
         self.leaders: set = set()
         self.best: dict = {n: 0.0 for n in g.nodes}
@@ -124,8 +126,13 @@ class _ClusterState:
         self.delta: dict = {n: self._compute_delta(n) for n in g.nodes}
         self.positive: set = {n for n, d in self.delta.items() if d > 0}
         self.key: dict = {n: (str(n), k) for k, n in enumerate(g.nodes)}
-        self.heap: list = [(-self.delta[n], *self.key[n]) for n in self.positive]
-        heapq.heapify(self.heap)
+        self.heap: Optional[list] = None
+        self.ranked: Optional[list] = None
+        if rule == "greedy":
+            self.heap = [(-self.delta[n], *self.key[n]) for n in self.positive]
+            heapq.heapify(self.heap)
+        else:
+            self.ranked = sorted(self.key[n] for n in self.positive)
 
     def _compute_delta(self, n) -> float:
         g, leaders, best = self.g, self.leaders, self.best
@@ -183,11 +190,15 @@ class _ClusterState:
         for m in touched:
             d = self._compute_delta(m)
             if d > 0:
+                if self.heap is not None and (d != self.delta[m] or m == n):
+                    heapq.heappush(self.heap, (-d, *self.key[m]))  # n's own entry was popped
+                elif self.ranked is not None and m not in self.positive:
+                    bisect.insort(self.ranked, self.key[m])
                 self.positive.add(m)
-                if d != self.delta[m] or m == n:  # n's own entry was popped
-                    heapq.heappush(self.heap, (-d, *self.key[m]))
-            else:
+            elif m in self.positive:
                 self.positive.discard(m)
+                if self.ranked is not None:
+                    del self.ranked[bisect.bisect_left(self.ranked, self.key[m])]
             self.delta[m] = d
         return gain
 
@@ -212,12 +223,12 @@ def cluster(
     if rule not in ("greedy", "random"):
         raise ValueError(f"unknown selection rule {rule!r}")
     rng = random.Random(seed)
-    state = _ClusterState(g)
+    state = _ClusterState(g, rule)
     while state.positive:
         if rule == "greedy":
             n = state.pop_best()
         else:
-            n = rng.choice(sorted(state.positive, key=str))
+            n = g.nodes[rng.choice(state.ranked)[1]]
         state.flip(n)
         if on_flip is not None:
             on_flip(n, state.objective)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import math
 import random
 
@@ -24,7 +25,7 @@ from platoonplan import (
     route_length,
     sample,
 )
-from platoonplan.joint_optimization import _assemble
+from platoonplan.joint_optimization import InconsistentGroupError, _assemble, _Problem
 from platoonplan.leader_selection import _best_weight, make_leader_set
 from platoonplan.planning import default_speed
 
@@ -239,6 +240,130 @@ def stage4_infeasibility(group, sol, model):
     prob = _assemble(group, model)
     x = np.concatenate([sol.times[member] for member in group.members()])
     return float(np.max((prob.G @ x - prob.h) / (1.0 + np.abs(prob.h))))
+
+
+def reference_assemble(group, model):
+    """Oracle for joint_optimization._assemble: the equality rows built one at
+    a time from (+1 columns, -1 columns, right-hand side) tuples, the speed
+    boxes from np.diag and np.eye, and the deadline rows by np.repeat."""
+    members = group.members()
+    sizes = [len(group.distances[member]) for member in members]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    var_slices = {member: slice(lo, hi) for member, lo, hi in zip(members, ends, ends[1:])}
+    n = ends[-1]
+
+    def stacked(per_member):
+        return np.concatenate([np.asarray(per_member[m], dtype=float) for m in members])
+
+    w = stacked(group.distances)
+    platoon = stacked(group.platoon_flags) == 1
+    x0 = stacked(group.initial_times)
+    c2 = np.where(platoon, model.ap, model.a0) * w * w
+    constant = np.where(platoon, model.bp, model.b0) * w
+    c0 = sum(float(np.sum(constant[sl])) for sl in var_slices.values())
+
+    equalities = []
+    lead = var_slices[group.leader_id].start
+    for fid in group.follower_ids:
+        f = var_slices[fid].start
+        i_m, i_sp = group.merge_index[fid], group.split_index[fid]
+        head = int(group.platoon_flags[fid][0] == 0)
+        rhs = group.t_start[group.leader_id] - group.t_start[fid]
+        if head or i_m:
+            equalities.append((range(f, f + head), range(lead, lead + i_m), rhs))
+        elif abs(rhs) > 1e-6:
+            raise InconsistentGroupError(f"follower {fid} merges at the leader's start")
+        equalities.extend(([f + head + j], [lead + i_m + j], 0.0) for j in range(i_sp - i_m + 1))
+    A = np.zeros((len(equalities), n))
+    for r, (plus, minus, _) in enumerate(equalities):
+        A[r, plus] = 1.0
+        A[r, minus] = -1.0
+    b = np.array([rhs for _, _, rhs in equalities], dtype=float)
+
+    deadline_rows = np.repeat(np.eye(len(members)), sizes, axis=1)
+    G = np.vstack([np.diag(np.full(n, -1.0)), np.eye(n), deadline_rows])
+    h = np.concatenate([
+        -w / model.v_max,
+        w / model.v_min,
+        [group.t_deadline[m] - group.t_start[m] for m in members],
+    ])
+    return _Problem(x0=x0, c2=c2, c0=c0, A=A, b=b, G=G, h=h, var_slices=var_slices)
+
+
+def check_assemble_matches_reference(group, model):
+    """_assemble gives reference_assemble's arrays, shapes and constant bit for bit."""
+    got, want = _assemble(group, model), reference_assemble(group, model)
+    for name in ("x0", "c2", "A", "b", "G", "h"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), (group.leader_id, name)
+    assert repr(got.c0) == repr(want.c0) and got.var_slices == want.var_slices
+
+
+def _reference_independent(E, row):
+    """row lies outside the row space of E, which has full row rank."""
+    if E.shape[0] == 0:
+        return True
+    coef = np.linalg.lstsq(E.T, row, rcond=None)[0]
+    return float(np.linalg.norm(row - E.T @ coef)) > 1e-9 * float(np.linalg.norm(row))
+
+
+def reference_active_set(prob, red, y, max_rounds=200):
+    """Oracle for joint_optimization._active_set: the same method with the
+    gradient and Hessian from their formulas, the KKT system by
+    np.linalg.solve, every objective from y, and a least-squares dependence
+    test per blocking row; ties in the ratio test go to np.argmin."""
+    noise = 1e-12 * (1.0 + np.abs(red.hy))
+    abs_G = np.abs(red.Gy)
+    s = red.slack(y)
+    f = prob.objective(red.x(y))
+    work = []
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        x = red.x(y)
+        gF = -prob.c2 / (x * x)
+        g = red.Z.T @ gF
+        E = red.Gy[work]
+        K = np.zeros((red.dim + len(work),) * 2)
+        K[: red.dim, : red.dim] = (red.Z * (2.0 * prob.c2 / (x * x * x))[:, None]).T @ red.Z
+        K[: red.dim, red.dim :] = E.T
+        K[red.dim :, : red.dim] = E
+        try:
+            sol = np.linalg.solve(K, np.concatenate([-g, s[work]]))
+        except np.linalg.LinAlgError:
+            break
+        d, mu = sol[: red.dim], sol[red.dim :]
+        ds = red.Gy @ d
+        ds[work] = 0.0
+        pos = ds > noise + 1e-14 * (abs_G @ np.abs(d))
+        ratio = np.full(ds.shape, np.inf)
+        ratio[pos] = np.maximum(s[pos], 0.0) / ds[pos]
+        k = int(np.argmin(ratio))
+        alpha = blocked = min(1.0, float(ratio[k]))
+        f_new = prob.objective(red.x(y + alpha * d))
+        slope = float(g @ d)
+        tiny = float(np.max(np.abs(red.Z @ d))) <= 1e-9 * (1.0 + float(np.max(np.abs(x))))
+        converged = tiny or -slope <= 1e-15 * (1.0 + abs(f))
+        if not converged:
+            while alpha > 1e-14 and f_new > f + 1e-4 * alpha * slope:
+                alpha *= 0.5
+                f_new = prob.objective(red.x(y + alpha * d))
+            if alpha <= 1e-14 < blocked:
+                break
+        y, f = y + alpha * d, f_new
+        s = red.slack(y)
+        if alpha < blocked:
+            continue
+        if blocked < 1.0:
+            if not _reference_independent(E, red.Gy[k]):
+                break
+            work.append(k)
+        elif converged:
+            mu_floor = -1e-9 * (1.0 + float(np.max(np.abs(gF))))
+            if mu.size == 0 or float(np.min(mu)) >= mu_floor:
+                break
+            del work[int(np.argmin(mu))]
+    return y, rounds
 
 
 def _time_in_domain(plan, t):

@@ -20,9 +20,22 @@ from platoonplan import (
     solve,
     validate,
 )
-from platoonplan.joint_optimization import CoordinationGroup, _assemble
+from platoonplan.joint_optimization import (
+    CoordinationGroup,
+    _active_set,
+    _assemble,
+    _kkt_residual,
+    _Problem,
+    _reduce,
+    start_points,
+)
 
-from conftest import chain_network, stage4_infeasibility
+from conftest import (
+    chain_network,
+    check_assemble_matches_reference,
+    reference_active_set,
+    stage4_infeasibility,
+)
 
 
 def _check_constraints(group, sol, model, tol=1e-6):
@@ -389,7 +402,6 @@ def test_solve_flat_group_from_a_degenerate_vertex(model):
     free dimensions. The optimum drives the leader's last segment at the
     speed that meets its deadline exactly, 22 m/s.
     """
-    from platoonplan.joint_optimization import _reduce
     from scipy.linalg import null_space
 
     lead_w, foll_w = (30_000.0, 40_000.0, 20_000.0), (30_000.0, 40_000.0, 15_000.0)
@@ -473,8 +485,6 @@ def test_crossover_step_stops_at_the_row_it_would_cross():
     would cross the upper bound, so the ratio test stops on it, the row joins
     the working set, and its positive multiplier ends the pass at x = 120.
     """
-    from platoonplan.joint_optimization import _active_set, _Problem, _reduce
-
     prob = _Problem(
         x0=np.array([100.0]),
         c2=np.array([1.0]),
@@ -490,6 +500,87 @@ def test_crossover_step_stops_at_the_row_it_would_cross():
     x = red.x(y)
     assert x[0] == pytest.approx(120.0, rel=1e-12)
     assert x[0] <= 120.0
+
+
+def _plane_problem(G, h, c2):
+    """min sum c2_j / x_j subject to G x <= h from x = (10, 10), unreduced."""
+    G = np.array(G, dtype=float)
+    prob = _Problem(
+        x0=np.array([10.0, 10.0]),
+        c2=np.array(c2, dtype=float),
+        c0=0.0,
+        A=np.zeros((0, 2)),
+        b=np.zeros(0),
+        G=G,
+        h=np.array(h, dtype=float),
+        var_slices={},
+    )
+    return prob, _reduce(prob, prob.x0, np.eye(2))
+
+
+def test_a_row_parallel_to_the_one_that_left_joins_after_the_basis_rebuild():
+    """min 1/x1 + 6/x2 on the band 25 <= 2 x1 + x2 <= 31 below x1 + 2 x2 <= 31.
+
+    The first step meets both upper rows at x1 = x2 = 31/3. The band's upper
+    row has a negative multiplier there and leaves the working set, so the
+    next step slides along x1 + 2 x2 = 31 and stops on the band's lower row.
+    That row is independent of the working row, but parallel to the row that
+    left: a basis still spanning the left row would call it dependent and stop
+    there. It joins, leaves again with a negative multiplier, and the method
+    ends at the optimum on x1 + 2 x2 = 31, x2 = sqrt(3) x1, inside the band.
+    """
+    prob, red = _plane_problem([[2, 1], [1, 2], [-2, -1]], [31, 31, -25], [1, 6])
+    y, rounds = _active_set(prob, red, np.zeros(2))
+    x1 = 31.0 / (1.0 + 2.0 * math.sqrt(3.0))
+    assert red.x(y) == pytest.approx([x1, math.sqrt(3.0) * x1], rel=1e-9)
+    assert rounds == reference_active_set(prob, red, np.zeros(2))[1] == 9
+
+
+@pytest.mark.parametrize("eps, joins", [(1e-10, False), (1e-8, True)])
+def test_a_blocking_row_joins_only_outside_the_span_of_the_working_rows(eps, joins):
+    """min 1/x1 + 6/x2 below 2 x1 + x2 <= 31 and a row tilted eps from it,
+    tight at (9, 13). The first row joins at x1 = x2 = 31/3; along it the
+    tilted row blocks at (9, 13). Its residual off the working row is about
+    0.4 eps of its norm: at 1e-10 that is below the 1e-9 dependence bound, so
+    the method stops there; at 1e-8 the row joins and the method goes on to
+    the optimum on 2 x1 + x2 = 31, x2 = sqrt(12) x1. Both match the
+    least-squares dependence test round for round. A basis row left
+    unnormalized (its squared norm is 5) would let the first row through.
+    """
+    prob, red = _plane_problem([[2, 1], [2, 1 + eps]], [31, 31 + 13 * eps], [1, 6])
+    y, rounds = _active_set(prob, red, np.zeros(2))
+    y_ref, rounds_ref = reference_active_set(prob, red, np.zeros(2))
+    assert rounds == rounds_ref
+    assert red.x(y) == pytest.approx(red.x(y_ref), rel=1e-9)
+    x1 = 31.0 / (2.0 + math.sqrt(12.0))
+    assert red.x(y) == pytest.approx([x1, math.sqrt(12.0) * x1] if joins else [9, 13], rel=1e-5)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("slack", [0.0, 1800.0])
+def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model, slack):
+    """On the 800-truck fleet of seed 101 and its 1800 s slack twin, _assemble
+    equals the per-equality build bit for bit, and from every group's start
+    _active_set takes as many rounds as the least-squares reference, reaches
+    its objective to 1e-12 relative, satisfies G x <= h to 1e-9 and is
+    stationary to 1e-8.
+    """
+    groups = _seeded_fleet_groups(model, n=800, seed=101, deadline_slack_s=slack)
+    assert len(groups) > 150
+    for group, start in start_points(groups, model):
+        check_assemble_matches_reference(group, model)
+        assert not isinstance(start, Exception), group.leader_id
+        prob, red, y0, _ = start
+        if not red.dim:
+            continue
+        y, rounds = _active_set(prob, red, y0)
+        y_ref, rounds_ref = reference_active_set(prob, red, y0)
+        assert rounds == rounds_ref, group.leader_id
+        f, f_ref = prob.objective(red.x(y)), prob.objective(red.x(y_ref))
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref), group.leader_id
+        full = _assemble(group, model)
+        assert np.max((full.G @ red.x(y) - full.h) / (1.0 + np.abs(full.h))) <= 1e-9
+        assert _kkt_residual(prob, red, y) <= 1e-8, group.leader_id
 
 
 def test_a_failed_block_lp_stays_with_its_group():
@@ -526,12 +617,13 @@ def test_a_failed_block_lp_stays_with_its_group():
     assert shared[0][0] == pytest.approx([2.0, 1.0]) and np.array_equal(shared[1][0], [0.0])
 
 
-def _seeded_fleet_groups(model, n=50, seed=7):
+def _seeded_fleet_groups(model, n=50, seed=7, deadline_slack_s=0.0):
     """The coordination groups of a generated fleet, as stage 4 builds them."""
     from platoonplan import cli
     from platoonplan.scenario import ScenarioConfig, generate
 
-    run = cli.RunConfig(model=model, scenario=ScenarioConfig(n_assignments=n, seed=seed))
+    cfg = ScenarioConfig(n_assignments=n, seed=seed, deadline_slack_s=deadline_slack_s)
+    run = cli.RunConfig(model=model, scenario=cfg)
     net, assignments, routes = generate(run.scenario, model)
     result = cli.run_pipeline(net, assignments, run, routes=routes)
     followers_of = {}

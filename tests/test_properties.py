@@ -46,6 +46,7 @@ from platoonplan.scenario import ScenarioConfig, grid_network  # noqa: E402
 from conftest import (  # noqa: E402
     _reference_prune_pairs,
     bisect_prune_pairs,
+    check_assemble_matches_reference,
     check_cluster_matches_reference,
     reference_node_route,
     reference_route,
@@ -169,22 +170,29 @@ def test_graph_csv_round_trips_bit_for_bit(model, fleet):
     assert all(type(w) is float for w in graph.weight.values())
 
 
-def _check_stage4(model, fleet):
-    """Every group's solution is feasible, stationary and no worse than the
-    pairwise plans; its plans validate and pass the exact coincidence audit."""
+def _fleet_groups(model, fleet):
+    """The fleet's coordination groups under greedy leader selection."""
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
     graph, plan_cache = build(assignments, routes, dplans, model)
-    leader_set = cluster(graph)
-    groups: dict = {}
-    for follower, leader in leader_set.follower_of.items():
-        groups.setdefault(leader, []).append(follower)
-    for leader, members in sorted(groups.items()):
-        group = build_group(
+    followers_of: dict = {}
+    for follower, leader in cluster(graph).follower_of.items():
+        followers_of.setdefault(leader, []).append(follower)
+    return [
+        build_group(
             assignments[leader],
             dplans[leader],
-            [(assignments[f], plan_cache[(f, leader)]) for f in sorted(members)],
+            [(assignments[f], plan_cache[(f, leader)]) for f in sorted(followers)],
         )
+        for leader, followers in sorted(followers_of.items())
+    ]
+
+
+def _check_stage4(model, fleet):
+    """Every group's solution is feasible, stationary and no worse than the
+    pairwise plans; its plans validate and pass the exact coincidence audit."""
+    assignments, _ = fleet
+    for group in _fleet_groups(model, fleet):
         sol = solve(group, model)
         start = _assemble(group, model)
         assert stage4_infeasibility(group, sol, model) <= 1e-9
@@ -207,6 +215,20 @@ def test_stage4_solutions_are_feasible_stationary_and_no_worse(model, fleet):
 def test_stage4_flat_groups_are_feasible_stationary_and_no_worse(model, fleet):
     """Trucks pinned at v_max next to trucks with no slack or 1800 s of it."""
     _check_stage4(model, fleet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+def test_assemble_equals_the_per_equality_build(model, fleet):
+    for group in _fleet_groups(model, fleet):
+        check_assemble_matches_reference(group, model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(flat=True))
+def test_assemble_equals_the_per_equality_build_flat(model, fleet):
+    for group in _fleet_groups(model, fleet):
+        check_assemble_matches_reference(group, model)
 
 
 def _pipeline(model, fleet):
