@@ -242,7 +242,7 @@ def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
     n = ends[-1]
 
     def stacked(per_member: dict) -> np.ndarray:
-        return np.fromiter(itertools.chain.from_iterable(per_member[m] for m in members), float, n)
+        return np.fromiter(itertools.chain.from_iterable(per_member[m] for m in members), float)
 
     w = stacked(group.distances)
     platoon = stacked(group.platoon_flags) == 1
@@ -397,7 +397,7 @@ def _active_set(prob, red, y, max_rounds: int = 200):
     x, s = red.x(y), hy - Gy @ y
     f = float((c2 / x).sum()) + c0
     work: list = []
-    E, Q = np.empty_like(Gy), np.empty_like(Gy)  # Gy[work] and Q in their first rows
+    E, Q = np.empty_like(Gy), np.empty_like(Gy)  # first len(work) rows: Gy[work], and Q
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
