@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Mapping
-from operator import itemgetter
 
 import numpy as np
 
@@ -48,15 +47,11 @@ class CoordinationGraph:
             self.out_edges[n].append((m, w))
             self.in_edges[m].append((n, w))
         # Heaviest-first out-adjacency makes best-leader scans early-exit.
-        # Ties and in-adjacency go by the neighbour's str, computed once; an
-        # id that is a str is its own key.
+        # Ties and in-adjacency go by the neighbour's str, computed once.
         name = {n: str(n) for n in self.nodes}
-        by_name = itemgetter(0) if all(name[n] is n for n in self.nodes) else (
-            lambda mw: name[mw[0]])
         for n in self.nodes:
-            self.out_edges[n].sort(key=by_name)
-            self.out_edges[n].sort(key=itemgetter(1), reverse=True)  # stable
-            self.in_edges[n].sort(key=by_name)
+            self.out_edges[n].sort(key=lambda mw: (-mw[1], name[mw[0]]))
+            self.in_edges[n].sort(key=lambda mw: name[mw[0]])
 
     def out_neighbors(self, n) -> list:
         return [m for m, _ in self.out_edges[n]]

@@ -226,7 +226,7 @@ class _Problem:
     var_slices: dict
 
     def objective(self, x: np.ndarray) -> float:
-        return float(np.sum(self.c2 / x)) + self.c0
+        return float((self.c2 / x).sum()) + self.c0
 
 
 def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
@@ -254,7 +254,9 @@ def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
     # Per follower: the merge row unless trivial, then one row per platoon
     # segment; the leader's variables come first.
     rows = len(group.follower_ids) + n  # bounds the merge and platoon rows
-    A, b, r = np.zeros((rows, n)), np.zeros(rows), 0
+    A = np.zeros((rows, n))
+    b = np.zeros(rows)
+    r = 0
     for fid, f in zip(group.follower_ids, ends[1:]):
         i_m, i_sp = group.merge_index[fid], group.split_index[fid]
         head = int(group.platoon_flags[fid][0] == 0)
@@ -263,7 +265,9 @@ def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
         # T_head - sum(leader prefix) = t_start_leader - t_start_follower.
         rhs = group.t_start[group.leader_id] - group.t_start[fid]
         if head or i_m:
-            A[r, f : f + head], A[r, :i_m], b[r] = 1.0, -1.0, rhs
+            A[r, f : f + head] = 1.0
+            A[r, :i_m] = -1.0
+            b[r] = rhs
             r += 1
         elif abs(rhs) > 1e-6:
             raise InconsistentGroupError(
@@ -271,13 +275,15 @@ def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
             )
         # Equal traversal times while platooning.
         j = np.arange(i_sp - i_m + 1)
-        A[r + j, f + head + j], A[r + j, i_m + j] = 1.0, -1.0
+        A[r + j, f + head + j] = 1.0
+        A[r + j, i_m + j] = -1.0
         r += j.size
     A, b = A[:r], b[:r]
 
     j = np.arange(n)
     G = np.zeros((2 * n + len(members), n))
-    G[j, j], G[n + j, j] = -1.0, 1.0
+    G[j, j] = -1.0
+    G[n + j, j] = 1.0
     G[np.repeat(np.arange(2 * n, G.shape[0]), sizes), j] = 1.0
     h = np.concatenate([
         -w / model.v_max,
@@ -389,31 +395,40 @@ def _active_set(prob, red, y, max_rounds: int = 200):
     row then computes ds of about 1e-12 instead of 0. Every iterate is
     feasible up to that rounding.
     """
-    Z, Gy, hy, c2, c0, dim = red.Z, red.Gy, red.hy, prob.c2, prob.c0, red.dim
+    Z = red.Z
+    Gy = red.Gy
+    dim = red.dim
     Zt = np.ascontiguousarray(Z.T)
-    Zt2 = 2.0 * Zt  # H = Zt2 diag(p / x) Z with p = -grad F
-    noise, abs_G = 1e-12 * (1.0 + np.abs(hy)), 1e-14 * np.abs(Gy)
+    noise = 1e-12 * (1.0 + np.abs(red.hy))
+    abs_G = 1e-14 * np.abs(Gy)
     row_norm = np.sqrt(np.einsum("ij,ij->i", Gy, Gy))
-    x, s = red.x(y), hy - Gy @ y
-    f = float((c2 / x).sum()) + c0
+    x = red.x(y)
+    s = red.slack(y)
+    f = prob.objective(x)
     work: list = []
-    E, Q = np.empty_like(Gy), np.empty_like(Gy)  # first len(work) rows: Gy[work], and Q
+    Q = np.empty_like(Gy)  # first len(work) rows: orthonormal basis of Gy[work]
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
         r = 1.0 / x
-        p = c2 * r * r
-        K, rhs = (Zt2 * (p * r)) @ Z, Zt @ p
+        p = prob.c2 * r * r  # -grad F; the Hessian diagonal is 2 p / x
+        H = (Zt * (2.0 * p * r)) @ Z
+        rhs = Zt @ p
         nw = len(work)
+        K = H
         if nw:
-            K, H = np.zeros((dim + nw,) * 2), K
-            K[:dim, :dim], K[:dim, dim:], K[dim:, :dim] = H, E[:nw].T, E[:nw]
+            E = Gy[work]
+            K = np.zeros((dim + nw,) * 2)
+            K[:dim, :dim] = H
+            K[:dim, dim:] = E.T
+            K[dim:, :dim] = E
             rhs = np.concatenate((rhs, s[work]))
         sol, info = dgesv(K, rhs, overwrite_a=True)[2:]
         if info:
             break
         d, mu = sol[:dim], sol[dim:]
-        dx, ds = Z @ d, Gy @ d
+        dx = Z @ d
+        ds = Gy @ d
         # Longest step up to 1 that keeps every row outside the set satisfied.
         ds[work] = 0.0
         pos = ds > noise + abs_G @ np.abs(d)
@@ -421,21 +436,21 @@ def _active_set(prob, red, y, max_rounds: int = 200):
         alpha = blocked = min(1.0, float(ratio.min()))
         k = int((ratio <= blocked * (1.0 + 1e-12)).argmax())
         x_new = x + alpha * dx
-        f_new = float((c2 / x_new).sum()) + c0
+        f_new = prob.objective(x_new)
         # Converged on the face: the step is tiny, or its predicted decrease
         # is below the rounding of F (flat directions leave d at noise level).
         slope = -float(rhs[:dim] @ d)
-        converged = -slope <= 1e-15 * (1.0 + abs(f)) or float(
-            np.abs(dx).max()) <= 1e-9 * (1.0 + float(x.max()))
+        tiny = float(np.abs(dx).max()) <= 1e-9 * (1.0 + float(x.max()))
+        converged = tiny or -slope <= 1e-15 * (1.0 + abs(f))
         if not converged:  # Armijo
             while alpha > 1e-14 and f_new > f + 1e-4 * alpha * slope:
                 alpha *= 0.5
                 x_new = x + alpha * dx
-                f_new = float((c2 / x_new).sum()) + c0
+                f_new = prob.objective(x_new)
             if alpha <= 1e-14 < blocked:
                 break
         y, x, f = y + alpha * d, x_new, f_new
-        s = hy - Gy @ y
+        s = red.slack(y)
         if alpha < blocked:  # backtracked short of the blocking row
             continue
         if blocked < 1.0:
@@ -444,13 +459,13 @@ def _active_set(prob, red, y, max_rounds: int = 200):
             if size <= 1e-9 * float(row_norm[k]):
                 break
             work.append(k)
-            E[nw], Q[nw] = Gy[k], res / size
+            Q[nw] = res / size
         elif converged:  # stop, or free the row that blocks descent
-            if mu.size == 0 or float(mu.min()) >= -1e-9 * (1.0 + float(p.max())):
+            mu_floor = -1e-9 * (1.0 + float(p.max()))  # p = |grad F|
+            if mu.size == 0 or float(mu.min()) >= mu_floor:
                 break
             del work[int(mu.argmin())]
-            E[: nw - 1] = Gy[work]
-            Q[: nw - 1] = np.linalg.qr(E[: nw - 1].T)[0].T
+            Q[: nw - 1] = np.linalg.qr(Gy[work].T)[0].T
     return y, rounds
 
 
@@ -575,13 +590,10 @@ def extract_plans(
             # Snap rounding dust; a real violation is left for validate().
             clamped = model.clamp_speed(v)
             speeds.append(v if clamped is None else clamped)
-        breakpoints = [group.t_start[member]]
-        for ti in times_rel:
-            breakpoints.append(breakpoints[-1] + ti)
         plans[member] = VehiclePlan(
             route=group.routes[member],
             speeds=tuple(speeds),
-            times=tuple(breakpoints),
+            times=tuple(itertools.accumulate(times_rel, initial=group.t_start[member])),
             follower_flags=group.platoon_flags[member],
             platoon_leader_id=None if member == group.leader_id else group.leader_id,
         )
