@@ -377,23 +377,22 @@ def _interior_points(reds: list) -> list:
 def _active_set(prob, red, y, max_rounds: int = 200):
     """Primal active-set Newton method from a feasible y; returns (y, rounds).
 
-    The working set starts empty. Every round takes a Newton step of F on the
-    working face, solving [[H, E^T], [E, 0]] [d; mu] = [-grad; s_W] by LAPACK
-    dgesv, cut short by a ratio test so that no other row is crossed and
-    backtracked until F decreases enough (Armijo). Rows blocking at the same
-    step to 1e-12, as at a degenerate vertex, go to the lowest index. A
-    blocking row joins the set if it lies outside the span of the working
-    rows, whose orthonormal basis Q grows by one Gram-Schmidt step per joining
-    row and is rebuilt by QR when a row leaves; else the method stops. Once
+    The working set starts empty. Every round takes a Newton step of F that
+    keeps the working rows tight, solving [[H, E^T], [E, 0]] [d; mu] =
+    [-grad; 0] by LAPACK dgesv, cut short by a ratio test so that no other
+    row is crossed and backtracked until F decreases enough (Armijo). Rows
+    blocking at the same step to 1e-12, as at a degenerate vertex, go to the
+    lowest index. A blocking row always joins the set; a row in the span of
+    the working rows cannot block, as the step leaves it unchanged. Once
     converged on the face, the row with the most negative multiplier leaves,
-    or the method stops, as it does on a singular system (Nocedal & Wright,
-    Numerical Optimization, section 16.5). Rows whose step ds is rounding
-    noise never block: a truck copying a leader segment duplicates its box
-    rows, and a duplicate of a working row would stop the step at 0. The
-    bound grows with |Gy| |d|, the rounding of ds itself: a step from a flat
-    group's pairwise plans can be 7e3 s long, and the row opposite a working
-    row then computes ds of about 1e-12 instead of 0. Every iterate is
-    feasible up to that rounding.
+    or the method stops (Nocedal & Wright, Numerical Optimization, section
+    16.5); before that only a singular system or a failed Armijo search stops
+    it. Rows whose step ds is rounding noise never block: a truck copying a
+    leader segment duplicates its box rows, and a duplicate of a working row
+    would stop the step at 0. The bound grows with |Gy| |d|, the rounding of
+    ds itself: a step from a flat group's pairwise plans can be 7e3 s long,
+    and the row opposite a working row then computes ds of about 1e-12
+    instead of 0. Every iterate is feasible up to that rounding.
     """
     Z = red.Z
     Gy = red.Gy
@@ -401,12 +400,10 @@ def _active_set(prob, red, y, max_rounds: int = 200):
     Zt = np.ascontiguousarray(Z.T)
     noise = 1e-12 * (1.0 + np.abs(red.hy))
     abs_G = 1e-14 * np.abs(Gy)
-    row_norm = np.sqrt(np.einsum("ij,ij->i", Gy, Gy))
     x = red.x(y)
     s = red.slack(y)
     f = prob.objective(x)
     work: list = []
-    Q = np.empty_like(Gy)  # first len(work) rows: orthonormal basis of Gy[work]
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
@@ -422,7 +419,7 @@ def _active_set(prob, red, y, max_rounds: int = 200):
             K[:dim, :dim] = H
             K[:dim, dim:] = E.T
             K[dim:, :dim] = E
-            rhs = np.concatenate((rhs, s[work]))
+            rhs = np.concatenate((rhs, np.zeros(nw)))
         sol, info = dgesv(K, rhs, overwrite_a=True)[2:]
         if info:
             break
@@ -454,18 +451,12 @@ def _active_set(prob, red, y, max_rounds: int = 200):
         if alpha < blocked:  # backtracked short of the blocking row
             continue
         if blocked < 1.0:
-            res = Gy[k] - (Q[:nw] @ Gy[k]) @ Q[:nw]
-            size = float(np.sqrt(res @ res))
-            if size <= 1e-9 * float(row_norm[k]):
-                break
             work.append(k)
-            Q[nw] = res / size
         elif converged:  # stop, or free the row that blocks descent
             mu_floor = -1e-9 * (1.0 + float(p.max()))  # p = |grad F|
             if mu.size == 0 or float(mu.min()) >= mu_floor:
                 break
             del work[int(mu.argmin())]
-            Q[: nw - 1] = np.linalg.qr(Gy[work].T)[0].T
     return y, rounds
 
 

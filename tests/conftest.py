@@ -308,10 +308,14 @@ def _reference_independent(E, row):
 
 
 def reference_active_set(prob, red, y, max_rounds=200):
-    """Oracle for joint_optimization._active_set: the same method with the
-    gradient and Hessian from their formulas, the KKT system by
-    np.linalg.solve, every objective from y, and a least-squares dependence
-    test per blocking row; ties in the ratio test go to np.argmin."""
+    """Parity oracle for joint_optimization._active_set: its earlier form,
+    with the gradient and Hessian from their formulas, the KKT system by
+    np.linalg.solve, every objective from y, and ties in the ratio test to
+    np.argmin. Unlike _active_set it steps the working rows to zero slack
+    (right-hand side s[work]), tests each blocking row for dependence on
+    them by least squares, and stops at a dependent one, which can leave it
+    short of the optimum. Where it ends stationary, _active_set takes the
+    same rounds."""
     noise = 1e-12 * (1.0 + np.abs(red.hy))
     abs_G = np.abs(red.Gy)
     s = red.slack(y)
