@@ -127,10 +127,14 @@ def load_config(path: Optional[str], **overrides) -> RunConfig:
 
 def _run_config(doc: dict, source: str) -> RunConfig:
     try:
+        fuel = {key: require_real(f"fuel.{key}", v) for key, v in doc.get("fuel", {}).items()}
         solver_block = doc.get("solver", {})
+        unknown = set(solver_block) - set(SolverSettings.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
         defaults = SolverSettings()
         run = RunConfig(
-            model=FuelModel.from_config(doc.get("fuel", {})),
+            model=FuelModel.from_config(fuel),
             scenario=ScenarioConfig.from_json(doc.get("scenario", {})),
             selection=doc.get("selection", "greedy"),
             seed=require_int("seed", doc.get("seed", 0)),
@@ -171,9 +175,9 @@ def run_pipeline(
     """Stages 1-4 over prepared assignments; raises on infeasible inputs.
 
     One InfeasibleDeadlineError names every assignment whose deadline no
-    admissible speed meets. A group whose solve or plan extraction fails, or
-    whose extracted plans fail validate, keeps its stage-3 plans; its
-    group_logs entry has fallback set and the error.
+    admissible speed meets. A group whose build, solve or plan extraction
+    fails, or whose extracted plans fail validate, keeps its stage-3 plans;
+    its group_logs entry has fallback set and the error.
     """
     amap = {a.id: a for a in assignments}
 
@@ -189,34 +193,43 @@ def run_pipeline(
     if infeasible:
         raise InfeasibleDeadlineError("; ".join(infeasible))
 
-    graph, plan_cache = build(amap, routes, default_plans, run.model)
+    graph, plan_of = build(amap, routes, default_plans, run.model)
 
     if run.exact_selection:
         leader_set = exact(graph, limit=run.exact_limit)
     else:
         leader_set = cluster(graph, rule=run.selection, seed=run.seed)
 
-    stage3_plans = dict(default_plans)
+    stage3_plans, groups_of = dict(default_plans), {}
     for follower, leader in leader_set.follower_of.items():
-        stage3_plans[follower] = plan_cache[(follower, leader)]
-
-    stage4_plans = dict(default_plans)
-    group_logs = []
-    groups_of: dict = {}
-    for follower, leader in leader_set.follower_of.items():
+        stage3_plans[follower] = plan_of(follower, leader)
         groups_of.setdefault(leader, []).append(follower)
-    groups = (
-        build_group(
-            amap[leader],
-            default_plans[leader],
-            [(amap[f], plan_cache[(f, leader)]) for f in sorted(members)],
+
+    # A group that fails to build, solve, extract or validate keeps its
+    # stage-3 plans instead of sinking the fleet.
+    stage4_plans, group_logs = dict(stage3_plans), []
+
+    def log(leader, followers, **fields) -> None:
+        before = sum(plan_fuel(run.model, stage3_plans[m]) for m in (leader, *followers))
+        group_logs.append(
+            {"leader": leader, "followers": len(followers), "objective_before_kg": before, **fields}
         )
-        for leader, members in sorted(groups_of.items())
-    )
-    for group, start in start_points(groups, run.model):
-        before = sum(plan_fuel(run.model, stage3_plans[m]) for m in group.members())
-        followers = len(group.follower_ids)
-        entry = {"leader": group.leader_id, "followers": followers, "objective_before_kg": before}
+
+    def groups():
+        for leader, members in sorted(groups_of.items()):
+            followers = sorted(members)
+            try:
+                group = build_group(
+                    amap[leader],
+                    default_plans[leader],
+                    [(amap[f], stage3_plans[f]) for f in followers],
+                )
+            except GROUP_ERRORS as exc:
+                log(leader, followers, fallback=True, error=f"{type(exc).__name__}: {exc}")
+            else:
+                yield group
+
+    for group, start in start_points(groups(), run.model):
         try:
             sol = solve(group, run.model, run.solver, start=start)
             plans = extract_plans(group, sol, run.model)
@@ -228,24 +241,23 @@ def run_pipeline(
             )
             error = next(problems, None)
         if error is not None:
-            # One failing group keeps its stage-3 plans instead of sinking the fleet.
-            stage4_plans.update((m, stage3_plans[m]) for m in group.members())
-            group_logs.append({**entry, "fallback": True, "error": error})
+            log(group.leader_id, group.follower_ids, fallback=True, error=error)
             continue
         stage4_plans.update(plans)
-        group_logs.append(
-            {
-                **entry,
-                "fallback": False,
-                "newton_steps": sol.newton_steps,
-                "converged": sol.converged,
-                "objective_after_kg": sol.objective,
-                "kkt_residual": sol.kkt_residual,
-                "lp_calls": sol.lp_calls,
-                "degeneracy_rounds": sol.degeneracy_rounds,
-                "solve_s": sol.solve_s,
-            }
+        log(
+            group.leader_id,
+            group.follower_ids,
+            fallback=False,
+            newton_steps=sol.newton_steps,
+            converged=sol.converged,
+            objective_after_kg=sol.objective,
+            kkt_residual=sol.kkt_residual,
+            lp_calls=sol.lp_calls,
+            degeneracy_rounds=sol.degeneracy_rounds,
+            solve_s=sol.solve_s,
         )
+    # start_points reads groups ahead, so a build failure is logged early.
+    group_logs.sort(key=lambda e: e["leader"])
 
     report = evaluation.make_report(
         amap,

@@ -3,15 +3,16 @@
 An edge (n, m) with weight w means truck n saves w kilograms by adapting
 its plan to m's default plan. A sound pruning pass keeps the candidate
 ordered pairs that could platoon; one array pass (`planning.pair_savings`)
-gives every kept pair's saving. An edge's adapted plan is derived only when
-a later stage asks for it.
+gives every kept pair's saving. `build` returns the graph with `plan_of`,
+which derives one edge's adapted plan when a later stage asks for it:
+stage 3 asks once per chosen follower.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
+from collections.abc import Callable
 
 import numpy as np
 
@@ -135,68 +136,36 @@ def prune_pairs(
     return pairs
 
 
-class AdaptedPlans(Mapping):
-    """Read-only (follower, leader) -> adapted plan over a graph's edges.
-
-    A plan is derived with `adapted_plan` on first access and kept; the
-    pipeline reads one per chosen follower, not one per edge.
-    """
-
-    def __init__(self, graph, assignments, routes, default_plans, model) -> None:
-        self._weight = graph.weight
-        self._args = (assignments, routes, default_plans, model)
-        self._plans: dict = {}
-
-    def __getitem__(self, key) -> VehiclePlan:
-        plan = self._plans.get(key)
-        if plan is None:
-            if key not in self._weight:
-                raise KeyError(key)
-            assignments, routes, default_plans, model = self._args
-            f, leader = key
-            plan, _ = adapted_plan(
-                assignments[f],
-                routes[f],
-                leader,
-                default_plans[leader],
-                model,
-                follower_default=default_plans[f],
-                segments=common_subpaths(routes[f], routes[leader]),
-            )
-            self._plans[key] = plan
-        return plan
-
-    def __contains__(self, key) -> bool:
-        return key in self._weight
-
-    def __iter__(self):
-        return iter(self._weight)
-
-    def __len__(self) -> int:
-        return len(self._weight)
-
-
 def build(
     assignments: dict[str, Assignment],
     routes: dict[str, Route],
     default_plans: dict[str, VehiclePlan],
     model: FuelModel,
-    prune: bool = True,
-) -> tuple[CoordinationGraph, AdaptedPlans]:
-    """Coordination graph of the candidate pairs' positive savings.
-
-    Returns the graph plus the mapping (follower, leader) -> adapted plan
-    over its edges, whose plans are derived on first access.
-    """
-    ids = sorted(assignments)
-    if prune:
-        pairs = prune_pairs(assignments, routes, model)
-    else:
-        pairs = [(n, m) for n in ids for m in ids if n != m]
+) -> tuple[CoordinationGraph, Callable[[str, str], VehiclePlan]]:
+    """Coordination graph of the pruned pairs' positive savings, and
+    plan_of(follower, leader), which derives one edge's adapted plan and
+    raises KeyError for a pair that is not an edge."""
+    pairs = prune_pairs(assignments, routes, model)
     savings = pair_savings(assignments, routes, default_plans, model, pairs)
-    weights = {pair: w for pair, w in savings.items() if w > WEIGHT_FLOOR}
-    graph = CoordinationGraph(ids, weights)
-    return graph, AdaptedPlans(graph, assignments, routes, default_plans, model)
+    graph = CoordinationGraph(
+        sorted(assignments), {pair: w for pair, w in savings.items() if w > WEIGHT_FLOOR}
+    )
+
+    def plan_of(follower: str, leader: str) -> VehiclePlan:
+        if (follower, leader) not in graph.weight:
+            raise KeyError((follower, leader))
+        plan, _ = adapted_plan(
+            assignments[follower],
+            routes[follower],
+            leader,
+            default_plans[leader],
+            model,
+            follower_default=default_plans[follower],
+            segments=common_subpaths(routes[follower], routes[leader]),
+        )
+        return plan
+
+    return graph, plan_of
 
 
 def save_graph_csv(g: CoordinationGraph, path: str) -> None:

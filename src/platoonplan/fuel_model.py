@@ -84,16 +84,21 @@ class FuelModel:
 
     @classmethod
     def from_config(cls, block: dict) -> "FuelModel":
-        """Build from a config block with km/h speed fields."""
-        return cls(
-            a0=float(block.get("a0", DEFAULT_A0)),
-            b0=float(block.get("b0", DEFAULT_B0)),
-            ap=float(block.get("ap", DEFAULT_AP)),
-            bp=float(block.get("bp", DEFAULT_BP)),
-            v_min=float(block.get("v_min_kmh", DEFAULT_V_MIN_KMH)) * KMH,
-            v_max=float(block.get("v_max_kmh", DEFAULT_V_MAX_KMH)) * KMH,
-            v_default=float(block.get("v_default_kmh", DEFAULT_V_DEFAULT_KMH)) * KMH,
+        """Build from a config block with km/h speed fields; an unknown key
+        is a ValueError."""
+        rest = dict(block)
+        model = cls(
+            a0=float(rest.pop("a0", DEFAULT_A0)),
+            b0=float(rest.pop("b0", DEFAULT_B0)),
+            ap=float(rest.pop("ap", DEFAULT_AP)),
+            bp=float(rest.pop("bp", DEFAULT_BP)),
+            v_min=float(rest.pop("v_min_kmh", DEFAULT_V_MIN_KMH)) * KMH,
+            v_max=float(rest.pop("v_max_kmh", DEFAULT_V_MAX_KMH)) * KMH,
+            v_default=float(rest.pop("v_default_kmh", DEFAULT_V_DEFAULT_KMH)) * KMH,
         )
+        if rest:
+            raise ValueError(f"unknown fuel config keys: {sorted(rest)}")
+        return model
 
 
 def per_distance(model: FuelModel, v: float, follower: bool) -> float:

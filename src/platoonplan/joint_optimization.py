@@ -74,7 +74,6 @@ class CoordinationGroup:
     merge_index: dict
     split_index: dict
     routes: dict
-    leader_speed: float
 
     def members(self) -> list:
         return [self.leader_id, *self.follower_ids]
@@ -194,7 +193,6 @@ def build_group(
         merge_index=merge_index,
         split_index=split_index,
         routes=routes,
-        leader_speed=v_leader,
     )
 
 

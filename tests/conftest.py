@@ -25,9 +25,10 @@ from platoonplan import (
     route_length,
     sample,
 )
+from platoonplan.coordination_graph import WEIGHT_FLOOR, CoordinationGraph
 from platoonplan.joint_optimization import InconsistentGroupError, _assemble, _Problem
 from platoonplan.leader_selection import _best_weight, make_leader_set
-from platoonplan.planning import default_speed
+from platoonplan.planning import adapted_plan, default_speed, pair_savings
 
 KMH = 1.0 / 3.6
 
@@ -102,6 +103,25 @@ def _reference_prune_pairs(assignments, routes, model):
                 kept.append((n, m))
                 break
     return kept
+
+
+def unpruned_build(assignments, routes, default_plans, model):
+    """Reference for coordination_graph.build: every ordered pair is a
+    candidate, with no pruning. Returns (graph, plan_of) as build does; its
+    plan_of lets adapted_plan find the shared segments itself."""
+    ids = sorted(assignments)
+    pairs = [(n, m) for n in ids for m in ids if n != m]
+    savings = pair_savings(assignments, routes, default_plans, model, pairs)
+    graph = CoordinationGraph(ids, {pair: w for pair, w in savings.items() if w > WEIGHT_FLOOR})
+
+    def plan_of(follower, leader):
+        if (follower, leader) not in graph.weight:
+            raise KeyError((follower, leader))
+        return adapted_plan(
+            assignments[follower], routes[follower], leader, default_plans[leader], model
+        )[0]
+
+    return graph, plan_of
 
 
 def bisect_prune_pairs(assignments, routes, model):

@@ -222,7 +222,6 @@ def test_criterion_5_solo_constant_speed():
         merge_index={},
         split_index={},
         routes={"L": None},
-        leader_speed=MODEL.v_default,
     )
     sol = solve(group, MODEL)
     v_expected = max(MODEL.v_min, d / window)

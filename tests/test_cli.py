@@ -194,6 +194,11 @@ def test_bad_assignment_exits_2(tmp_path, edit):
         pytest.param("config", {"solver": {"tol": True}}, id="config-bool-tol"),
         pytest.param("config", {"solver": {"tol": "0.5"}}, id="config-numeric-string-tol"),
         pytest.param("config", {"scenario": {"edge_len_m": True}}, id="config-bool-edge-length"),
+        # A fuel value goes through float(), which took true as 1.0 and "95" as 95.
+        pytest.param("config", {"fuel": {"a0": True}}, id="config-bool-a0"),
+        pytest.param("config", {"fuel": {"v_max_kmh": "95"}}, id="config-numeric-string-v-max"),
+        pytest.param("config", {"fuel": {"a_0": 1e-5}}, id="config-unknown-fuel-key"),
+        pytest.param("config", {"solver": {"max_iters": 5}}, id="config-unknown-solver-key"),
         pytest.param("montecarlo", {"solver": {"tol": "x"}}, id="montecarlo-config"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,x\n", id="graph-saving-not-a-number"),
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
@@ -413,6 +418,81 @@ def test_a_failing_group_keeps_its_stage3_plans(tmp_path, capsys, monkeypatch):
     for m in members:
         assert result.stage4_plans[m] == result.stage3_plans[m]
     assert result.report.groups_fallback == 1
+
+
+def test_a_group_that_fails_to_build_keeps_its_stage3_plans(tmp_path, capsys, monkeypatch):
+    """A group whose build_group raises falls back to its stage-3 plans; every
+    other group is still built and solved, the group events stay in leader
+    order, and the run exits 0."""
+    from platoonplan import cli, scenario
+    from platoonplan.fuel_model import plan_fuel
+    from platoonplan.joint_optimization import InconsistentGroupError, build_group
+
+    built, failed = [], []
+
+    def failing_build_group(leader, leader_plan, followers):
+        built.append(leader.id)
+        if len(built) == 3:  # the third group built fails, in every run
+            failed.append(leader.id)
+        if leader.id in failed[:1]:
+            raise InconsistentGroupError("injected failure")
+        return build_group(leader, leader_plan, followers)
+
+    monkeypatch.setattr(cli, "build_group", failing_build_group)
+    cfg, network, assignments = _generate(tmp_path, n_assignments=50, seed=7)
+    capsys.readouterr()
+    rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
+               "--config", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    groups = [e for e in events if e["event"] in ("group_fallback", "group_solved")]
+    fallback = [e for e in groups if e["event"] == "group_fallback"]
+    assert [e["leader"] for e in fallback] == failed[:1]
+    assert {"leader", "followers", "objective_before_kg", "error"} <= set(fallback[0])
+    assert fallback[0]["fallback"] is True
+    assert fallback[0]["error"] == "InconsistentGroupError: injected failure"
+    assert len(groups) == len(set(built)) > 3
+    assert [e["leader"] for e in groups] == sorted(set(built))
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["groups_fallback"] == 1
+
+    result = cli.run_pipeline(
+        cli.load_network(str(network)),
+        scenario.load_assignments(str(assignments)),
+        cli.load_config(cfg),
+    )
+    # The leader, then its followers in id order, as the group sums its fuel.
+    members = [failed[0], *sorted(f for f, lead in result.leader_set.follower_of.items()
+                                  if lead == failed[0])]
+    assert len(members) > 1
+    for m in members:
+        assert result.stage4_plans[m] == result.stage3_plans[m]
+    (entry,) = [e for e in result.group_logs if e["fallback"]]
+    assert entry["leader"] == failed[0] and entry["followers"] == len(members) - 1
+    assert entry["objective_before_kg"] == sum(
+        plan_fuel(FuelModel(), result.stage3_plans[m]) for m in members
+    )
+    assert result.report.groups_fallback == 1
+
+
+def test_each_chosen_plan_is_derived_once(monkeypatch):
+    """Stage 3 derives the adapted plan of each chosen (follower, leader) pair
+    exactly once, and stage 4 builds its groups from those plans."""
+    from platoonplan import coordination_graph
+    from platoonplan.planning import adapted_plan
+
+    calls = []
+
+    def counting_adapted_plan(follower, follower_route, leader_id, *args, **kwargs):
+        calls.append((follower.id, leader_id))
+        return adapted_plan(follower, follower_route, leader_id, *args, **kwargs)
+
+    monkeypatch.setattr(coordination_graph, "adapted_plan", counting_adapted_plan)
+    run = RunConfig(model=FuelModel(), scenario=ScenarioConfig(n_assignments=50, seed=7))
+    net, assignments, routes = generate(run.scenario, run.model)
+    result = run_pipeline(net, assignments, run, routes=routes)
+    assert len(calls) == len(result.leader_set.follower_of) > 0
+    assert sorted(calls) == sorted(result.leader_set.follower_of.items())
 
 
 def test_montecarlo_rows_count_fallback_groups(tmp_path, monkeypatch):

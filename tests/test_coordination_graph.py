@@ -1,4 +1,4 @@
-"""Coordination graph: edge semantics, pruning soundness, plan cache."""
+"""Coordination graph: edge semantics, pruning soundness, edge plans."""
 
 import math
 
@@ -10,7 +10,7 @@ from platoonplan.planning import default_speed
 from platoonplan.road_network import route_length
 from platoonplan.scenario import ScenarioConfig, generate
 
-from conftest import _reference_prune_pairs, bisect_prune_pairs, chain_network
+from conftest import _reference_prune_pairs, bisect_prune_pairs, chain_network, unpruned_build
 
 
 def _defaults(model, assignments, routes):
@@ -27,19 +27,21 @@ def test_disjoint_routes_give_empty_graph(model):
         "b": Assignment("b", Position("e3", 0.0), Position("e5", 10_000.0), 0.0, window),
     }
     routes = {"a": r1, "b": r2}
-    graph, cache = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, plan_of = build(assignments, routes, _defaults(model, assignments, routes), model)
     assert graph.num_edges() == 0
-    assert cache == {}
+    for pair in (("a", "b"), ("b", "a")):
+        with pytest.raises(KeyError):
+            plan_of(*pair)
 
 
 def test_worked_pair_produces_edge_with_known_weight(model, worked_pair):
     _, leader, leader_route, follower, follower_route = worked_pair
     assignments = {leader.id: leader, follower.id: follower}
     routes = {leader.id: leader_route, follower.id: follower_route}
-    graph, cache = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, plan_of = build(assignments, routes, _defaults(model, assignments, routes), model)
     assert ("follower", "leader") in graph.weight
     assert graph.weight[("follower", "leader")] == pytest.approx(2.98, abs=0.01)
-    assert ("follower", "leader") in cache
+    assert plan_of("follower", "leader").platoon_leader_id == "leader"
 
 
 def test_one_directional_edge_when_leader_finishes_first(model):
@@ -74,9 +76,9 @@ def test_exactly_one_edge_when_reverse_is_infeasible(model):
     )
     assignments = {"a": a, "b": b}
     routes = {"a": route, "b": route}
-    graph, cache = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, plan_of = build(assignments, routes, _defaults(model, assignments, routes), model)
     assert set(graph.weight) == {("b", "a")}
-    plan = cache[("b", "a")]
+    plan = plan_of("b", "a")
     assert plan.follower_flags == (0, 1)
     assert plan.speeds[0] == pytest.approx(model.v_max, rel=1e-9)
 
@@ -121,7 +123,7 @@ def test_adjacency_consistent_with_edge_map(model, worked_pair):
 
 
 def test_prune_is_sound_against_unpruned_build(model):
-    """Graphs built with and without pruning are identical on random scenarios."""
+    """build's graph and edge plans equal the unpruned reference's on random scenarios."""
     for seed, n in [(0, 28), (1, 28), (2, 28), (3, 50), (4, 50), (5, 28), (6, 28), (7, 50)]:
         weights = {
             f"n{r}_{c}": 1.0 if (r in (0, 4) and c in (0, 4)) else 0.1
@@ -135,10 +137,10 @@ def test_prune_is_sound_against_unpruned_build(model):
         net, assignments, routes = generate(cfg, model)
         amap = {a.id: a for a in assignments}
         dplans = {a.id: default_plan(a, routes[a.id], model) for a in assignments}
-        pruned, cache_p = build(amap, routes, dplans, model, prune=True)
-        full, cache_f = build(amap, routes, dplans, model, prune=False)
+        pruned, plan_p = build(amap, routes, dplans, model)
+        full, plan_f = unpruned_build(amap, routes, dplans, model)
         assert pruned.weight == full.weight
-        assert set(cache_p) == set(cache_f)
+        assert all(plan_p(*e) == plan_f(*e) for e in full.weight)
 
 
 @pytest.mark.parametrize("n", [200, pytest.param(800, marks=pytest.mark.slow)])

@@ -65,7 +65,6 @@ def _solo_group(model, distances, window, t_start=0.0):
     total = sum(distances)
     net = chain_network([total])
     route = make_route(net, ["e0"], 0.0, total)
-    v0 = total / sum(d / model.v_default for d in distances)
     return CoordinationGroup(
         leader_id="L",
         follower_ids=(),
@@ -77,7 +76,6 @@ def _solo_group(model, distances, window, t_start=0.0):
         merge_index={},
         split_index={},
         routes={"L": route},
-        leader_speed=v0,
     )
 
 
@@ -420,7 +418,6 @@ def test_solve_flat_group_from_a_degenerate_vertex(model):
         merge_index={"F": 0},
         split_index={"F": 1},
         routes={"L": route, "F": route},
-        leader_speed=model.v_max,
     )
     prob = _assemble(group, model)
     red = _reduce(prob, prob.x0, null_space(prob.A))
@@ -469,7 +466,6 @@ def test_duplicate_rows_of_a_copied_segment_do_not_block_the_step(model, w, spee
         merge_index={"F": 0},
         split_index={"F": 1},
         routes={"L": route, "F": route},
-        leader_speed=sum(w) / sum(start),
     )
     sol = solve(group, model)
     assert sol.converged

@@ -51,6 +51,7 @@ from conftest import (  # noqa: E402
     reference_node_route,
     reference_route,
     stage4_infeasibility,
+    unpruned_build,
 )
 
 EDGE_M = 20_000.0
@@ -97,10 +98,10 @@ def fleets(draw, flat=False):
 def test_pruned_build_equals_unpruned_build(model, fleet):
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
-    pruned, cache_p = build(assignments, routes, dplans, model, prune=True)
-    full, cache_f = build(assignments, routes, dplans, model, prune=False)
+    pruned, plan_p = build(assignments, routes, dplans, model)
+    full, plan_f = unpruned_build(assignments, routes, dplans, model)
     assert pruned.weight == full.weight
-    assert set(cache_p) == set(cache_f)
+    assert all(plan_p(*e) == plan_f(*e) for e in full.weight)
     assert set(_reference_prune_pairs(assignments, routes, model)) <= set(
         prune_pairs(assignments, routes, model)
     )
@@ -174,7 +175,7 @@ def _fleet_groups(model, fleet):
     """The fleet's coordination groups under greedy leader selection."""
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
-    graph, plan_cache = build(assignments, routes, dplans, model)
+    graph, plan_of = build(assignments, routes, dplans, model)
     followers_of: dict = {}
     for follower, leader in cluster(graph).follower_of.items():
         followers_of.setdefault(leader, []).append(follower)
@@ -182,7 +183,7 @@ def _fleet_groups(model, fleet):
         build_group(
             assignments[leader],
             dplans[leader],
-            [(assignments[f], plan_cache[(f, leader)]) for f in sorted(followers)],
+            [(assignments[f], plan_of(f, leader)) for f in sorted(followers)],
         )
         for leader, followers in sorted(followers_of.items())
     ]
