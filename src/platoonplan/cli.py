@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import evaluation, road_network, scenario
@@ -39,7 +39,7 @@ from .joint_optimization import (
     solve,
     start_points,
 )
-from .leader_selection import SizeLimitError, cluster, exact, upper_bound
+from .leader_selection import EXACT_LIMIT, SizeLimitError, cluster, exact, upper_bound
 from .planning import (
     Assignment,
     InfeasibleDeadlineError,
@@ -64,6 +64,8 @@ SELECTION_RULES = ("greedy", "random")
 # montecarlo.csv columns; all but size, seed and wallclock_s are RunReport fields.
 MONTECARLO_COLUMNS = ("size", "seed", "saving_stage3", "saving_stage4", "saving_spontaneous",
                       "upper_bound_rel", "groups_fallback", "wallclock_s")
+# report.json fields that are counts; every other field but the histogram is a real.
+REPORT_COUNTS = ("n_assignments", "n_leaders", "n_followers", "groups_fallback")
 
 
 def _log(event: str, **fields) -> None:
@@ -97,7 +99,7 @@ class RunConfig:
     selection: str = "greedy"
     seed: int = 0
     exact_selection: bool = False
-    exact_limit: int = 20
+    exact_limit: int = EXACT_LIMIT
     solver: SolverSettings = field(default_factory=SolverSettings)
 
 
@@ -127,18 +129,17 @@ def load_config(path: Optional[str], **overrides) -> RunConfig:
 
 def _run_config(doc: dict, source: str) -> RunConfig:
     try:
-        fuel = {key: require_real(f"fuel.{key}", v) for key, v in doc.get("fuel", {}).items()}
         solver_block = doc.get("solver", {})
         unknown = set(solver_block) - set(SolverSettings.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
         defaults = SolverSettings()
         run = RunConfig(
-            model=FuelModel.from_config(fuel),
+            model=FuelModel.from_config(doc.get("fuel", {})),
             scenario=ScenarioConfig.from_json(doc.get("scenario", {})),
             selection=doc.get("selection", "greedy"),
             seed=require_int("seed", doc.get("seed", 0)),
-            exact_limit=require_int("exact_limit", doc.get("exact_limit", 20)),
+            exact_limit=require_int("exact_limit", doc.get("exact_limit", EXACT_LIMIT)),
             solver=SolverSettings(
                 tol=float(require_real("solver.tol", solver_block.get("tol", defaults.tol))),
                 max_iter=require_int("max_iter", solver_block.get("max_iter", defaults.max_iter)),
@@ -341,12 +342,12 @@ def check_follower_coincidence(result: PipelineResult, net: RoadNetwork) -> list
 
 
 def validate_all(result: PipelineResult, model: FuelModel) -> list[str]:
-    problems = []
-    for stage, plans in (("stage3", result.stage3_plans), ("stage4", result.stage4_plans)):
-        for truck, plan in plans.items():
-            issues = validate(plan, result.assignments[truck], model)
-            problems.extend(f"{stage}/{truck}: {msg}" for msg in issues)
-    return problems
+    """Problems of the stage-3 plans; run_pipeline validated each stage-4 plan it took."""
+    return [
+        f"stage3/{truck}: {msg}"
+        for truck, plan in result.stage3_plans.items()
+        for msg in validate(plan, result.assignments[truck], model)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +468,14 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _montecarlo_run(payload: tuple) -> dict:
+def _montecarlo_run(run: RunConfig) -> dict:
     """One seeded pipeline run; top-level so process pools can pickle it.
 
     Failures are reported as rows with an "error" key so a bad seed never
     aborts the whole batch.
     """
-    config_path, size, size_idx, run_idx, base_seed, selection = payload
-    seed = base_seed + 10_000 * size_idx + run_idx
+    size, seed = run.scenario.n_assignments, run.seed
     try:
-        run = load_config(
-            config_path,
-            selection=selection,
-            seed=seed,
-            scenario={"n_assignments": size, "seed": seed},
-        )
         started = time.perf_counter()
         net, assignments, routes = scenario.generate(run.scenario, run.model)
         result = run_pipeline(net, assignments, run, routes=routes)
@@ -492,41 +486,23 @@ def _montecarlo_run(payload: tuple) -> dict:
     return {c: own[c] if c in own else getattr(result.report, c) for c in MONTECARLO_COLUMNS}
 
 
-def run_montecarlo(
-    config_path: Optional[str],
-    sizes: list[int],
-    runs: int,
-    base_seed: int,
-    selection: str,
-    jobs: int,
-) -> list[dict]:
-    payloads = [
-        (config_path, size, size_idx, run_idx, base_seed, selection)
-        for size_idx, size in enumerate(sizes)
-        for run_idx in range(runs)
-    ]
-    results: list[dict] = []
+def run_montecarlo(runs: list[RunConfig], jobs: int) -> list[dict]:
+    """Plan each run's generated fleet, in order, on up to jobs processes."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_montecarlo_run, payloads))
+            results = list(pool.map(_montecarlo_run, runs))
     else:
-        results = [_montecarlo_run(payload) for payload in payloads]
-    rows = []
+        results = [_montecarlo_run(run) for run in runs]
     for row in results:
-        if "error" in row:
-            _log("montecarlo_failed", **row)
-        else:
-            _log("montecarlo_run", **row)
-            rows.append(row)
-    return rows
+        _log("montecarlo_failed" if "error" in row else "montecarlo_run", **row)
+    return [row for row in results if "error" not in row]
 
 
 def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MONTECARLO_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         for size in sizes:
             batch = [r for r in rows if r["size"] == size]
             if not batch:
@@ -546,10 +522,13 @@ def cmd_montecarlo(args) -> int:
     if args.runs < 1 or jobs < 1:
         raise ScenarioError(f"--runs and --jobs must be at least 1, not {args.runs}, {jobs}")
     # A bad config, selection or size is an input error, not a failed row per
-    # run; the config is checked even when no size is given.
-    for size in sizes or [None]:
-        load_config(args.config, selection=args.selection, scenario={"n_assignments": size})
-    rows = run_montecarlo(args.config, sizes, args.runs, seed, args.selection, jobs)
+    # run; the config is checked even when no size is given, which runs nothing.
+    runs = []
+    for size_idx, size in enumerate(sizes or [None]):
+        base = load_config(args.config, selection=args.selection, scenario={"n_assignments": size})
+        for s in range(seed + 10_000 * size_idx, seed + 10_000 * size_idx + args.runs):
+            runs.append(replace(base, seed=s, scenario=replace(base.scenario, seed=s)))
+    rows = run_montecarlo(runs if sizes else [], jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "montecarlo.csv")
     write_montecarlo_csv(rows, sizes, out_path)
@@ -561,7 +540,10 @@ def cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        histogram = {int(k): float(v) for k, v in doc.pop("histogram", {}).items()}
+        hist = doc.pop("histogram", {})
+        histogram = {int(k): float(require_real(f"histogram[{k}]", v)) for k, v in hist.items()}
+        for key, value in doc.items():
+            (require_int if key in REPORT_COUNTS else require_real)(key, value)
         rep = evaluation.RunReport(histogram=histogram, **doc)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid report {args.report}: {exc}") from exc
@@ -606,7 +588,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="exact leader selection on a graph dump")
     p_exact.add_argument("--graph-csv", required=True)
     p_exact.add_argument("--out", required=True)
-    p_exact.add_argument("--limit", type=int, default=20)
+    p_exact.add_argument("--limit", type=int, default=EXACT_LIMIT)
     p_exact.set_defaults(func=cmd_exact)
 
     p_mc = sub.add_parser("montecarlo", help="repeated seeded pipeline runs")

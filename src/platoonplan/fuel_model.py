@@ -84,9 +84,11 @@ class FuelModel:
 
     @classmethod
     def from_config(cls, block: dict) -> "FuelModel":
-        """Build from a config block with km/h speed fields; an unknown key
-        is a ValueError."""
-        rest = dict(block)
+        """Build from a config block with km/h speed fields; an unknown key or
+        a value that is not a finite JSON number (true and "95" are not) is a ValueError."""
+        from .scenario import require_real  # scenario imports this module
+
+        rest = {key: require_real(f"fuel.{key}", value) for key, value in block.items()}
         model = cls(
             a0=float(rest.pop("a0", DEFAULT_A0)),
             b0=float(rest.pop("b0", DEFAULT_B0)),

@@ -21,6 +21,8 @@ from typing import Callable, Optional
 
 from .coordination_graph import CoordinationGraph
 
+EXACT_LIMIT = 20  # default node limit of the exhaustive search in `exact`
+
 
 class SizeLimitError(ValueError):
     """Exact search refused: instance exceeds the node limit."""
@@ -235,7 +237,7 @@ def cluster(
     return make_leader_set(g, state.leaders)
 
 
-def exact(g: CoordinationGraph, limit: int = 20) -> LeaderSet:
+def exact(g: CoordinationGraph, limit: int = EXACT_LIMIT) -> LeaderSet:
     """Global maximizer of the objective by exhaustive subset enumeration.
 
     Ties break toward fewer leaders, then the lexicographically smallest

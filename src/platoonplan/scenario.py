@@ -37,6 +37,13 @@ def require_real(name: str, value):
     return value
 
 
+def require_id(name: str, value):
+    """value if it is a JSON string or integer; true and ["x"] are not."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ScenarioError(f"{name} must be a string or an integer, not {value!r}")
+    return value
+
+
 @dataclass
 class ScenarioConfig:
     rows: int = 20
@@ -168,6 +175,11 @@ def save_assignments(assignments: list[Assignment], path: str) -> None:
         fh.write("\n")
 
 
+def _position(block: dict, end: str) -> Position:
+    edge = require_id(f"{end}.edge", block["edge"])
+    return Position(edge, float(require_real(f"{end}.offset_m", block["offset_m"])))
+
+
 def load_assignments(path: str) -> list[Assignment]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -178,11 +190,11 @@ def load_assignments(path: str) -> list[Assignment]:
         try:
             assignments.append(
                 Assignment(
-                    id=str(entry["id"]),
-                    start=Position(entry["start"]["edge"], float(entry["start"]["offset_m"])),
-                    dest=Position(entry["dest"]["edge"], float(entry["dest"]["offset_m"])),
-                    t_start=float(entry["t_start_s"]),
-                    t_deadline=float(entry["t_deadline_s"]),
+                    id=str(require_id("id", entry["id"])),
+                    start=_position(entry["start"], "start"),
+                    dest=_position(entry["dest"], "dest"),
+                    t_start=float(require_real("t_start_s", entry["t_start_s"])),
+                    t_deadline=float(require_real("t_deadline_s", entry["t_deadline_s"])),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -50,6 +50,7 @@ from platoonplan.cli import (
 from platoonplan.coordination_graph import CoordinationGraph
 from platoonplan.joint_optimization import CoordinationGroup, _assemble, _reduce
 from platoonplan.leader_selection import objective_value
+from platoonplan.planning import validate
 from platoonplan.scenario import ScenarioConfig, generate
 
 MODEL = FuelModel()
@@ -310,7 +311,11 @@ def test_criterion_8_plan_soundness():
         net, assignments, routes = generate(cfg, MODEL)
         run = RunConfig(model=MODEL, scenario=cfg)
         result = run_pipeline(net, assignments, run, routes=routes)
-        problems = validate_all(result, MODEL)
+        problems = validate_all(result, MODEL) + [
+            msg
+            for truck, plan in result.stage4_plans.items()
+            for msg in validate(plan, result.assignments[truck], MODEL)
+        ]
         coincidence = check_follower_coincidence(result, net)
         ok &= not problems and not coincidence and result.report.groups_fallback == 0
         plans_checked += len(result.stage4_plans)

@@ -13,6 +13,7 @@ from platoonplan import FuelModel, Position, RoadNetwork, VehiclePlan, make_rout
 from platoonplan.cli import (
     RunConfig,
     check_follower_coincidence,
+    load_config,
     main,
     route_assignments,
     run_montecarlo,
@@ -20,11 +21,28 @@ from platoonplan.cli import (
     write_montecarlo_csv,
 )
 from platoonplan.evaluation import RunReport, platoon_size_histogram
-from platoonplan.planning import Assignment
+from platoonplan.planning import Assignment, validate
 from platoonplan.road_network import _dijkstra
 from platoonplan.scenario import ScenarioConfig, generate, grid_network
 
 from conftest import chain_network, reference_histogram, sampled_coincidence
+
+
+# A well-typed report.json document; test_report_fields_of_the_right_types_load runs it.
+REPORT = json.loads(
+    RunReport(
+        n_assignments=3, default_fuel_kg=30.0, stage3_fuel_kg=29.0, stage4_fuel_kg=28.5,
+        spontaneous_fuel_kg=29.8, upper_bound_kg=2.0, saving_stage3=1 / 30,
+        saving_stage4=0.05, saving_spontaneous=0.2 / 30, upper_bound_rel=2 / 30,
+        n_leaders=1, n_followers=2, histogram={1: 100.0, 3: 5000.0}, groups_fallback=0,
+    ).to_json()
+)
+
+
+def _montecarlo_runs(cfg, size, seeds):
+    base = load_config(cfg, scenario={"n_assignments": size})
+    return [dataclasses.replace(base, seed=s, scenario=dataclasses.replace(base.scenario, seed=s))
+            for s in seeds]
 
 
 def _write_config(path, doc):
@@ -142,20 +160,30 @@ def test_missing_file_exits_2(tmp_path):
         lambda e: e.update(t_start_s=50.0, t_deadline_s=50.0),
         lambda e: e.update(t_deadline_s=math.inf),
         lambda e: e.update(t_start_s=-math.inf),
+        # A JSON true or a numeric string is not a number, and an id is a string or an int.
+        lambda e: e.update(t_start_s=str(e["t_start_s"])),
+        lambda e: e["start"].update(offset_m=True),
+        lambda e: e["start"].update(edge=[e["start"]["edge"]]),
+        lambda e: e.update(id=True),
+        lambda e: e.update(id=[e["id"]]),
     ],
     ids=["unknown-edge", "offset-beyond-edge", "dest-at-start", "non-numeric-start",
-         "deadline-at-start", "infinite-deadline", "minus-infinite-start"],
+         "deadline-at-start", "infinite-deadline", "minus-infinite-start",
+         "numeric-string-start", "bool-offset", "list-edge-id", "bool-id", "list-id"],
 )
-def test_bad_assignment_exits_2(tmp_path, edit):
+def test_bad_assignment_exits_2(tmp_path, capsys, edit):
     cfg, network, assignments = _generate(
         tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
     )
     doc = json.loads(assignments.read_text())
     edit(doc[0])
     assignments.write_text(json.dumps(doc))
+    capsys.readouterr()
     rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
                "--config", cfg, "--out-dir", str(tmp_path / "x")])
     assert rc == 2
+    events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
+    assert events == ["input_error"]
 
 
 @pytest.mark.parametrize(
@@ -194,7 +222,7 @@ def test_bad_assignment_exits_2(tmp_path, edit):
         pytest.param("config", {"solver": {"tol": True}}, id="config-bool-tol"),
         pytest.param("config", {"solver": {"tol": "0.5"}}, id="config-numeric-string-tol"),
         pytest.param("config", {"scenario": {"edge_len_m": True}}, id="config-bool-edge-length"),
-        # A fuel value goes through float(), which took true as 1.0 and "95" as 95.
+        # FuelModel.from_config takes only JSON numbers: true and "95" are not.
         pytest.param("config", {"fuel": {"a0": True}}, id="config-bool-a0"),
         pytest.param("config", {"fuel": {"v_max_kmh": "95"}}, id="config-numeric-string-v-max"),
         pytest.param("config", {"fuel": {"a_0": 1e-5}}, id="config-unknown-fuel-key"),
@@ -204,6 +232,10 @@ def test_bad_assignment_exits_2(tmp_path, edit):
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,inf\n", id="graph-infinite-saving"),
         pytest.param("report", {"n_assignments": 3}, id="report-missing-fields"),
+        pytest.param("report", {**REPORT, "saving_stage3": "x"}, id="report-text-saving"),
+        pytest.param("report", {**REPORT, "n_leaders": True}, id="report-bool-count"),
+        pytest.param("report", {**REPORT, "n_followers": 2.5}, id="report-fractional-count"),
+        pytest.param("report", {**REPORT, "histogram": {"2": True}}, id="report-bool-histogram"),
         pytest.param("network", {"nodes": [{"id": [1]}], "edges": []}, id="network-list-node-id"),
         # Routing from A ties (10, 1) against (10, "B").
         pytest.param(
@@ -495,6 +527,30 @@ def test_each_chosen_plan_is_derived_once(monkeypatch):
     assert sorted(calls) == sorted(result.leader_set.follower_of.items())
 
 
+def test_each_plan_is_validated_once(monkeypatch):
+    """run_pipeline validates the plans of each solved group and validate_all
+    the stage-3 plans, so a stage-4 plan is never validated twice."""
+    from platoonplan import cli
+
+    calls = []
+
+    def counting_validate(plan, assignment, model):
+        calls.append(assignment.id)
+        return validate(plan, assignment, model)
+
+    monkeypatch.setattr(cli, "validate", counting_validate)
+    run = RunConfig(model=FuelModel(), scenario=ScenarioConfig(n_assignments=50, seed=7))
+    net, assignments, routes = generate(run.scenario, run.model)
+    result = run_pipeline(net, assignments, run, routes=routes)
+    assert cli.validate_all(result, run.model) == []
+    assert result.report.groups_fallback == 0
+    follower_of = result.leader_set.follower_of
+    members = [*follower_of, *set(follower_of.values())]
+    assert len(members) == sum(1 + entry["followers"] for entry in result.group_logs) > 0
+    assert len(calls) == len(result.stage3_plans) + len(members)
+    assert sorted(calls) == sorted([*result.stage3_plans, *members])
+
+
 def test_montecarlo_rows_count_fallback_groups(tmp_path, monkeypatch):
     """A run whose every solve raises keeps its stage-3 plans; its montecarlo
     row counts the fallback groups in a CSV column of its own."""
@@ -506,8 +562,9 @@ def test_montecarlo_rows_count_fallback_groups(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "solve", failing_solve)
     cfg = _write_scenario_config(tmp_path / "config.json")
-    rows = run_montecarlo(cfg, sizes=[50], runs=1, base_seed=7, selection="greedy", jobs=1)
+    rows = run_montecarlo(_montecarlo_runs(cfg, 50, [7]), jobs=1)
     assert len(rows) == 1 and rows[0]["groups_fallback"] > 0
+    assert (rows[0]["size"], rows[0]["seed"]) == (50, 7)
     assert rows[0]["saving_stage4"] == pytest.approx(rows[0]["saving_stage3"], abs=1e-12)
     out = tmp_path / "mc.csv"
     write_montecarlo_csv(rows, [50], str(out))
@@ -792,9 +849,9 @@ def test_montecarlo_rows_and_means(tmp_path):
     cfg = _write_scenario_config(
         tmp_path / "config.json", rows=5, cols=5, edge_len_m=6000.0, start_window_s=900.0
     )
-    rows = run_montecarlo(cfg, sizes=[10], runs=3, base_seed=123, selection="greedy", jobs=1)
-    assert len(rows) == 3
-    rows_again = run_montecarlo(cfg, sizes=[10], runs=3, base_seed=123, selection="greedy", jobs=1)
+    rows = run_montecarlo(_montecarlo_runs(cfg, 10, [123, 124, 125]), jobs=1)
+    assert [(r["size"], r["seed"]) for r in rows] == [(10, 123), (10, 124), (10, 125)]
+    rows_again = run_montecarlo(_montecarlo_runs(cfg, 10, [123, 124, 125]), jobs=1)
     metric_cols = ["size", "seed", "saving_stage3", "saving_stage4", "saving_spontaneous",
                    "upper_bound_rel"]
     strip = lambda rs: [{k: r[k] for k in metric_cols} for r in rs]
@@ -809,6 +866,29 @@ def test_montecarlo_rows_and_means(tmp_path):
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 4  # 3 runs + 1 mean row
     assert parsed[-1]["seed"] == "mean"
+
+
+def test_montecarlo_reads_the_config_once_per_size(tmp_path, monkeypatch, capsys):
+    """Each size's checked RunConfig is reused by its runs, seeded as seed + 10000 * i + k."""
+    from platoonplan import cli
+
+    calls = []
+
+    def counting_load_config(path, **overrides):
+        calls.append(overrides["scenario"]["n_assignments"])
+        return load_config(path, **overrides)
+
+    monkeypatch.setattr(cli, "load_config", counting_load_config)
+    cfg = _write_scenario_config(
+        tmp_path / "config.json", rows=4, cols=4, edge_len_m=5000.0, start_window_s=600.0
+    )
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", cfg, "--runs", "3", "--sizes", "6,8", "--seed", "5",
+                 "--jobs", "1", "--out-dir", str(tmp_path / "mc")]) == 0
+    assert calls == [6, 8]
+    logged = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    runs = [(e["size"], e["seed"]) for e in logged if e["event"] == "montecarlo_run"]
+    assert runs == [(6, 5), (6, 6), (6, 7), (8, 10_005), (8, 10_006), (8, 10_007)]
 
 
 def test_montecarlo_cli_parallel_jobs(tmp_path):
@@ -877,6 +957,17 @@ def test_report_writes_one_metrics_row_per_field(tmp_path):
     fields = [f.name for f in dataclasses.fields(RunReport) if f.name != "histogram"]
     assert metrics == fields
     assert set(metrics) == set(doc) - {"histogram"}
+
+
+def test_report_fields_of_the_right_types_load(tmp_path):
+    """The report-* input-error cases differ from REPORT only in the value they name."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(REPORT))
+    assert main(["report", "--report", str(path), "--out-dir", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "histogram.csv", newline="") as fh:
+        assert [(r["size"], r["meters"]) for r in csv.DictReader(fh)] == [
+            ("1", "100.0"), ("3", "5000.0")
+        ]
 
 
 def test_env_var_overrides_seed(tmp_path, monkeypatch):

@@ -50,6 +50,12 @@ def test_from_config_converts_kmh():
     assert FuelModel.from_config({}) == FuelModel()
 
 
+@pytest.mark.parametrize("block", [{"a0": True}, {"v_max_kmh": "95"}], ids=["bool", "string"])
+def test_from_config_rejects_values_that_are_not_json_numbers(block):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        FuelModel.from_config(block)
+
+
 def test_invalid_models_rejected():
     with pytest.raises(ValueError):
         FuelModel(a0=-1e-9)

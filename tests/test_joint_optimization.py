@@ -350,6 +350,8 @@ def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
     assert result.report.groups_fallback == 0
     assert len(checked) == len(result.group_logs)
     assert cli.validate_all(result, model) == []
+    for truck, plan in result.stage4_plans.items():
+        assert validate(plan, result.assignments[truck], model) == [], truck
     return checked
 
 
