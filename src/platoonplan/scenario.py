@@ -175,9 +175,9 @@ def save_assignments(assignments: list[Assignment], path: str) -> None:
         fh.write("\n")
 
 
-def _position(block: dict, end: str) -> Position:
-    edge = require_id(f"{end}.edge", block["edge"])
-    return Position(edge, float(require_real(f"{end}.offset_m", block["offset_m"])))
+def _position(entry: dict, end: str) -> Position:
+    edge = require_id(f"{end}.edge", entry[end]["edge"])
+    return Position(edge, float(require_real(f"{end}.offset_m", entry[end]["offset_m"])))
 
 
 def load_assignments(path: str) -> list[Assignment]:
@@ -191,8 +191,8 @@ def load_assignments(path: str) -> list[Assignment]:
             assignments.append(
                 Assignment(
                     id=str(require_id("id", entry["id"])),
-                    start=_position(entry["start"], "start"),
-                    dest=_position(entry["dest"], "dest"),
+                    start=_position(entry, "start"),
+                    dest=_position(entry, "dest"),
                     t_start=float(require_real("t_start_s", entry["t_start_s"])),
                     t_deadline=float(require_real("t_deadline_s", entry["t_deadline_s"])),
                 )
