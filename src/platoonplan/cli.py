@@ -515,20 +515,21 @@ def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
 
 def cmd_montecarlo(args) -> int:
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+        sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
         raise ScenarioError(f"invalid --sizes {args.sizes!r}: {exc}") from exc
+    if len(set(sizes)) < len(sizes):
+        raise ScenarioError(f"invalid --sizes {args.sizes!r}: a size is repeated")
     seed, jobs = _env_int("SEED", args.seed, 0), _env_int("JOBS", args.jobs, 1)
     if args.runs < 1 or jobs < 1:
         raise ScenarioError(f"--runs and --jobs must be at least 1, not {args.runs}, {jobs}")
-    # A bad config, selection or size is an input error, not a failed row per
-    # run; the config is checked even when no size is given, which runs nothing.
+    # A bad config, selection or size is an input error, not a failed row per run.
     runs = []
-    for size_idx, size in enumerate(sizes or [None]):
+    for size_idx, size in enumerate(sizes):
         base = load_config(args.config, selection=args.selection, scenario={"n_assignments": size})
         for s in range(seed + 10_000 * size_idx, seed + 10_000 * size_idx + args.runs):
             runs.append(replace(base, seed=s, scenario=replace(base.scenario, seed=s)))
-    rows = run_montecarlo(runs if sizes else [], jobs)
+    rows = run_montecarlo(runs, jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "montecarlo.csv")
     write_montecarlo_csv(rows, sizes, out_path)
@@ -545,6 +546,14 @@ def cmd_report(args) -> int:
         for key, value in doc.items():
             (require_int if key in REPORT_COUNTS else require_real)(key, value)
         rep = evaluation.RunReport(histogram=histogram, **doc)
+        out_of_range = [
+            key for key, value in doc.items()
+            if value < 0 and (key in REPORT_COUNTS or key.endswith("_kg"))
+            or value > 1 and (key.startswith("saving_") or key == "upper_bound_rel")
+        ]
+        out_of_range += [f"histogram[{k}]" for k, v in histogram.items() if k < 1 or v < 0]
+        if out_of_range:
+            raise ValueError(f"out of range: {', '.join(out_of_range)}")
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid report {args.report}: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)

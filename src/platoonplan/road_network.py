@@ -23,7 +23,6 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import json
 import math
@@ -70,7 +69,8 @@ class SharedSegment:
 class RoadNetwork:
     """Directed graph with strictly positive edge lengths.
 
-    At most one edge per ordered node pair; edge ids are unique.
+    At most one edge per ordered node pair; edge ids are unique. Every length
+    exceeds 2**-52 of the summed lengths, so no distance absorbs one.
     """
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple]) -> None:
@@ -123,9 +123,16 @@ class RoadNetwork:
         )
         # fl(d + length) == d needs length <= ulp(d)/2 <= d * 2**-53, and no
         # distance reaches twice the summed lengths: above this ratio no
-        # length is ever absorbed by rounding.
+        # length is absorbed by rounding, so every edge of a shortest path
+        # strictly increases the distance and the routes' tie rule holds.
         lengths = self.csr.data
-        self.may_absorb = bool(lengths.size and lengths.min() * 2.0**52 <= lengths.sum())
+        if lengths.size and lengths.min() * 2.0**52 <= lengths.sum():
+            eid = min(self.edges, key=self.edge_length)
+            raise NetworkFormatError(
+                f"edge {eid!r} has length {self.edge_length(eid)}, at most 2**-52 of the"
+                f" summed lengths {lengths.sum()}: rounding could absorb it",
+                eid,
+            )
 
     def edge_length(self, eid: str) -> float:
         return self.edges[eid][2]
@@ -214,35 +221,6 @@ def _dijkstra(net: RoadNetwork, source) -> list:
     return dijkstra(net.csr, indices=net.index[source]).tolist()
 
 
-@functools.lru_cache(maxsize=1)
-def _settle_rank(net: RoadNetwork, source) -> list:
-    """Position of each node in a heap Dijkstra's settle order (n if never settled).
-
-    The heap pops the smallest (distance, node); a node enters it, at its
-    final distance, when its first tight in-neighbour settles. Only needed
-    when a length can be absorbed by rounding: a node then ties its
-    predecessor's distance, and the settle order is no longer the
-    (distance, node) order.
-    """
-    dist = _dijkstra(net, source)
-    s = net.index[source]
-    indptr, heads, lengths = (a.tolist() for a in (net.csr.indptr, net.csr.indices, net.csr.data))
-    rank = [len(dist)] * len(dist)
-    pushed = {s}
-    heap = [(0.0, s)]
-    settled = 0
-    while heap:
-        d, u = heapq.heappop(heap)
-        rank[u] = settled
-        settled += 1
-        for k in range(indptr[u], indptr[u + 1]):
-            v = heads[k]
-            if v not in pushed and d + lengths[k] == dist[v]:
-                pushed.add(v)
-                heapq.heappush(heap, (dist[v], v))
-    return rank
-
-
 def _node_path_edges(net: RoadNetwork, source, target) -> Optional[list]:
     """Edge ids of the shortest path from source to target, or None if unreachable.
 
@@ -250,29 +228,21 @@ def _node_path_edges(net: RoadNetwork, source, target) -> Optional[list]:
     Dijkstra implements: a node's predecessor is the first node to settle
     whose relaxation reaches the node's final distance. Among the in-edges
     u -> v with dist[u] + length == dist[v] (exact float equality), that is
-    the u that settles first, counting only nodes that settle before v.
-    Nodes settle in (dist[u], u) order, with ids compared in
-    `net.node_order`, unless a length is absorbed by rounding; then
-    `_settle_rank` gives the order. Either way the walk stays finite.
+    the u that settles first. Nodes settle in (dist[u], u) order, with ids
+    compared in `net.node_order`, and every such u has dist[u] < dist[v]
+    since no length is absorbed by rounding, so the walk stays finite.
     """
     dist = _dijkstra(net, source)
     v = net.index.get(target)
     if v is None or dist[v] == math.inf:
         return None
-    if net.may_absorb:
-        key = _settle_rank(net, source).__getitem__
-    else:
-        def key(u):
-            return (dist[u], u)
-
     s = net.index[source]
     edges = []
     while v != s:
-        kv = key(v)
         _, v, eid = min(
-            (key(u), u, eid)
+            (dist[u], u, eid)
             for u, eid, length in net.in_edges[v]
-            if dist[u] + length == dist[v] and key(u) < kv
+            if dist[u] + length == dist[v]
         )
         edges.append(eid)
     edges.reverse()

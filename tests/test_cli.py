@@ -11,6 +11,7 @@ import pytest
 
 from platoonplan import FuelModel, Position, RoadNetwork, VehiclePlan, make_route, shortest_route
 from platoonplan.cli import (
+    MONTECARLO_COLUMNS,
     RunConfig,
     check_follower_coincidence,
     load_config,
@@ -22,7 +23,7 @@ from platoonplan.cli import (
 )
 from platoonplan.evaluation import RunReport, platoon_size_histogram
 from platoonplan.planning import Assignment, validate
-from platoonplan.road_network import _dijkstra
+from platoonplan.road_network import _dijkstra, save_network
 from platoonplan.scenario import ScenarioConfig, generate, grid_network
 
 from conftest import chain_network, reference_histogram, sampled_coincidence
@@ -37,6 +38,18 @@ REPORT = json.loads(
         n_leaders=1, n_followers=2, histogram={1: 100.0, 3: 5000.0}, groups_fallback=0,
     ).to_json()
 )
+
+
+# A 1 m edge beside a 1e16 m one, which rounding could absorb: the network is
+# rejected, and the error names the 1 m edge's line.
+ABSORBED_NETWORK = """{"nodes": [{"id": "X"}, {"id": "A"}, {"id": "B"}, {"id": "Y"}],
+ "edges": [
+  {"id": "in", "from": "X", "to": "A", "length_m": 10.0},
+  {"id": "ab", "from": "A", "to": "B", "length_m": 1e16},
+  {"id": "ba", "from": "B", "to": "A", "length_m": 1.0},
+  {"id": "out", "from": "B", "to": "Y", "length_m": 10.0}
+ ]}
+"""
 
 
 def _montecarlo_runs(cfg, size, seeds):
@@ -236,6 +249,16 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit):
         pytest.param("report", {**REPORT, "n_leaders": True}, id="report-bool-count"),
         pytest.param("report", {**REPORT, "n_followers": 2.5}, id="report-fractional-count"),
         pytest.param("report", {**REPORT, "histogram": {"2": True}}, id="report-bool-histogram"),
+        pytest.param("report", {**REPORT, "n_leaders": -4}, id="report-negative-count"),
+        pytest.param("report", {**REPORT, "stage4_fuel_kg": -1.0}, id="report-negative-fuel"),
+        pytest.param("report", {**REPORT, "saving_stage3": 7.5}, id="report-saving-above-one"),
+        pytest.param(
+            "report", {**REPORT, "upper_bound_rel": 1.5}, id="report-upper-bound-rel-above-one"
+        ),
+        pytest.param("report", {**REPORT, "histogram": {"0": 5.0}}, id="report-histogram-size-0"),
+        pytest.param(
+            "report", {**REPORT, "histogram": {"1": -5.0}}, id="report-negative-histogram-meters"
+        ),
         pytest.param("network", {"nodes": [{"id": [1]}], "edges": []}, id="network-list-node-id"),
         # Routing from A ties (10, 1) against (10, "B").
         pytest.param(
@@ -276,6 +299,19 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit):
             },
             id="network-infinite-length",
         ),
+        pytest.param("network", ABSORBED_NETWORK, id="network-absorbed-length"),
+        # The assignment's start and destination edges lie in two components.
+        pytest.param(
+            "network",
+            {
+                "nodes": [{"id": n} for n in ("X", "A", "B", "Y")],
+                "edges": [
+                    {"id": eid, "from": u, "to": v, "length_m": 10.0}
+                    for eid, u, v in (("in", "X", "A"), ("out", "B", "Y"))
+                ],
+            },
+            id="network-no-route",
+        ),
     ],
 )
 def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
@@ -304,8 +340,10 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
         argv = ["report", "--report", str(bad), "--out-dir", str(tmp_path / "x")]
     capsys.readouterr()
     assert main(argv) == 2
-    events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
-    assert events == ["input_error"]
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["input_error"]
+    if content is ABSORBED_NETWORK:
+        assert f"{bad}:5: edge 'ba'" in events[0]["error"]
 
 
 @pytest.mark.parametrize(
@@ -317,6 +355,8 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
         pytest.param(None, ["montecarlo", "--sizes", "2,2.5"], id="montecarlo-fractional-size"),
         # Every size is checked before the first run.
         pytest.param(None, ["montecarlo", "--sizes", "2,-5"], id="montecarlo-second-size-negative"),
+        pytest.param(None, ["montecarlo", "--sizes", "2,3,2"], id="montecarlo-repeated-size"),
+        pytest.param(None, ["montecarlo", "--sizes", ""], id="montecarlo-empty-sizes"),
         pytest.param({"scenario": {"rows": 2.5}}, ["generate"], id="generate-fractional-rows"),
         pytest.param(
             {"scenario": {"n_assignments": 5.5}}, ["generate"], id="generate-fractional-count"
@@ -583,6 +623,28 @@ def test_report_without_groups_fallback_still_loads(tmp_path):
     (out / "report.json").write_text(json.dumps(doc))
     assert main(["report", "--report", str(out / "report.json"),
                  "--out-dir", str(tmp_path / "rep")]) == 0
+
+
+def test_an_invalid_stage3_plan_exits_1_without_outputs(tmp_path, capsys, monkeypatch):
+    """A stage-3 plan that fails validate is logged as plan_invalid, and no plans are written."""
+    from platoonplan import cli
+
+    cfg, network, assignments = _generate(
+        tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+    )
+    target = json.loads(assignments.read_text())[0]["id"]
+
+    def failing_validate(plan, assignment, model):
+        return ["injected"] if assignment.id == target else validate(plan, assignment, model)
+
+    monkeypatch.setattr(cli, "validate", failing_validate)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["plan", "--network", str(network), "--assignments", str(assignments),
+                 "--config", cfg, "--out-dir", str(out)]) == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events == [{"event": "plan_invalid", "detail": f"stage3/{target}: injected"}]
+    assert not (out / "plans.json").exists()
 
 
 def test_infeasible_deadline_still_exits_1(tmp_path, capsys):
@@ -889,6 +951,65 @@ def test_montecarlo_reads_the_config_once_per_size(tmp_path, monkeypatch, capsys
     logged = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     runs = [(e["size"], e["seed"]) for e in logged if e["event"] == "montecarlo_run"]
     assert runs == [(6, 5), (6, 6), (6, 7), (8, 10_005), (8, 10_006), (8, 10_007)]
+
+
+@pytest.mark.parametrize(
+    "sizes, runs, failing, kept",
+    [
+        pytest.param("6", 3, {1}, {6: [0, 2]}, id="one-run"),
+        pytest.param("6,8", 2, {10_000, 10_001}, {6: [0, 1]}, id="every-run-of-a-size"),
+    ],
+)
+def test_failed_montecarlo_runs_leave_the_other_rows(
+    tmp_path, capsys, monkeypatch, sizes, runs, failing, kept
+):
+    """A run that raises is logged as montecarlo_failed and left out of the CSV
+    and of its size's mean; a size with no run left gets no mean row."""
+    from platoonplan import cli
+
+    def failing_pipeline(net, assignments, run, routes=None):
+        if run.seed in failing:
+            raise RuntimeError("injected failure")
+        return run_pipeline(net, assignments, run, routes=routes)
+
+    monkeypatch.setattr(cli, "run_pipeline", failing_pipeline)
+    cfg = _write_scenario_config(
+        tmp_path / "config.json", rows=4, cols=4, edge_len_m=5000.0, start_window_s=600.0
+    )
+    out = tmp_path / "mc"
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", cfg, "--runs", str(runs), "--sizes", sizes,
+                 "--seed", "0", "--jobs", "1", "--out-dir", str(out)]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    failed = [e for e in events if e["event"] == "montecarlo_failed"]
+    assert sorted(e["seed"] for e in failed) == sorted(failing)
+    assert all(e["error"] == "RuntimeError: injected failure" for e in failed)
+    with open(out / "montecarlo.csv", newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    rows = [r for r in parsed if r["seed"] != "mean"]
+    means = [r for r in parsed if r["seed"] == "mean"]
+    assert [(int(r["size"]), int(r["seed"])) for r in rows] == [
+        (size, seed) for size, seeds in kept.items() for seed in seeds
+    ]
+    assert [int(r["size"]) for r in means] == list(kept)
+    for mean in means:
+        batch = [r for r in rows if r["size"] == mean["size"]]
+        for column in MONTECARLO_COLUMNS[2:]:
+            values = [float(r[column]) for r in batch]
+            assert float(mean[column]) == sum(values) / len(values)
+
+
+def test_generate_on_a_saved_grid_matches_the_grid(tmp_path):
+    """scenario.network_file loads the network: a saved grid samples the grid's assignments."""
+    grid = tmp_path / "network.json"
+    save_network(grid_network(4, 4, 5000.0), str(grid))
+    for name, network in (("grid", {"rows": 4, "cols": 4, "edge_len_m": 5000.0}),
+                          ("file", {"network_file": str(grid)})):
+        cfg = _write_scenario_config(tmp_path / f"{name}-config.json", n_assignments=10, seed=3,
+                                     **network)
+        assert main(["generate", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+    for f in ("network.json", "assignments.json"):
+        assert (tmp_path / "grid" / f).read_bytes() == (tmp_path / "file" / f).read_bytes()
 
 
 def test_montecarlo_cli_parallel_jobs(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from platoonplan import (  # noqa: E402
     Assignment,
     FuelModel,
+    NetworkFormatError,
     Position,
     RoadNetwork,
     SetCoverInstance,
@@ -321,14 +322,16 @@ def test_cluster_equals_the_two_hop_scan_on_set_cover_graphs(g):
 
 
 # 0.1 + 0.2 and 0.3 nearly tie, 0.1 + 0.2 and 0.2 + 0.1 tie exactly, and a
-# 1 m edge after a 1e16 m one is absorbed: 1e16 + 1.0 == 1e16.
+# 1 m edge after a 1e16 m one would be absorbed: 1e16 + 1.0 == 1e16.
 ROUTING_LENGTHS = [0.1, 0.2, 0.3, 0.5, 1.0, 1e16]
 
 
 @st.composite
 def digraphs(draw):
-    """Up to six int or str nodes, self-loops allowed, unreachable nodes likely."""
+    """(nodes, edges) of up to six int or str nodes, self-loops allowed,
+    unreachable nodes likely; only some networks may draw the 1e16 length."""
     n = draw(st.integers(min_value=2, max_value=6))
+    lengths = ROUTING_LENGTHS if draw(st.booleans()) else ROUTING_LENGTHS[:-1]
     if draw(st.booleans()):
         ids = st.integers(min_value=-9, max_value=9)
     else:
@@ -337,12 +340,12 @@ def digraphs(draw):
     arcs = draw(
         st.lists(
             st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
-                      st.sampled_from(ROUTING_LENGTHS)),
+                      st.sampled_from(lengths)),
             max_size=12,
             unique_by=lambda arc: arc[:2],
         )
     )
-    return RoadNetwork(nodes, [(f"e{k}", u, v, length) for k, (u, v, length) in enumerate(arcs)])
+    return nodes, [(f"e{k}", u, v, length) for k, (u, v, length) in enumerate(arcs)]
 
 
 def _outcome(route_fn, *args):
@@ -354,8 +357,16 @@ def _outcome(route_fn, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
-def test_routes_equal_the_heap_dijkstra(net):
-    """Same routes as the heap loop, ties and rounding-absorbed lengths included."""
+def test_routes_equal_the_heap_dijkstra(graph):
+    """Same routes as the heap loop, ties included; a network that mixes 1e16
+    with a length rounding could absorb is rejected, and no other is."""
+    nodes, edges = graph
+    lengths = {length for *_, length in edges}
+    if 1e16 in lengths and min(lengths) <= 1.0:
+        with pytest.raises(NetworkFormatError, match="rounding could absorb"):
+            RoadNetwork(nodes, edges)
+        return
+    net = RoadNetwork(nodes, edges)
     for u, v in itertools.permutations(sorted(net.nodes), 2):
         assert shortest_node_route(net, u, v) == reference_node_route(net, u, v)
     for e, f in itertools.product(sorted(net.edges), repeat=2):

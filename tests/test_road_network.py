@@ -23,7 +23,7 @@ from platoonplan import (
     shortest_route,
 )
 
-from conftest import chain_network, reference_node_route
+from conftest import chain_network
 
 
 def _enumerate_routes(net, frm, to):
@@ -411,19 +411,16 @@ def test_route_ties_break_to_the_first_settled_node():
 
 
 def test_route_through_lengths_absorbed_by_rounding():
-    """1e16 + 1.0 == 1e16, so z, y and x all lie at one distance.
-
-    The heap settles them in path order, z before y before x, which is the
-    reverse of their node order: the path is rebuilt by settle order.
-    """
-    net = RoadNetwork(
-        ["S", "z", "y", "x"],
-        [("sz", "S", "z", 1e16), ("zy", "z", "y", 1.0), ("yx", "y", "x", 1.0)],
-    )
-    assert net.may_absorb
-    route = shortest_node_route(net, "S", "x")
-    assert route.edges == ("sz", "zy", "yx")
-    assert route == reference_node_route(net, "S", "x")
+    """1e16 + 1.0 == 1e16, so z, y and x would all lie at one distance and
+    the distances could no longer order a route through them: the network
+    is rejected, naming one of its 1 m edges."""
+    with pytest.raises(NetworkFormatError, match="rounding could absorb") as exc:
+        RoadNetwork(
+            ["S", "z", "y", "x"],
+            [("sz", "S", "z", 1e16), ("zy", "z", "y", 1.0), ("yx", "y", "x", 1.0)],
+        )
+    assert exc.value.edge_id in ("zy", "yx")
+    assert repr(exc.value.edge_id) in str(exc.value)
 
 
 @pytest.mark.parametrize(
