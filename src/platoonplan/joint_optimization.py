@@ -12,7 +12,10 @@ the variables of a convex program
 
 With affine consumption each objective term is c2 / T + const with c2 >= 0,
 so the problem is convex with linear constraints. The synchronization
-equalities are eliminated through a null-space parameterization. A primal
+equalities are eliminated: a platoon equality copies a leader segment's time,
+so it goes by index, and the merge equalities through the null space of what
+is left; a copied segment's speed window is its leader segment's and is
+stated once. A primal
 active-set Newton method with an empty initial working set starts from the
 pairwise plans, or from a max-margin LP point when only that is strictly
 interior (one LP serves a block of groups), and keeps every iterate feasible
@@ -312,7 +315,9 @@ class _Reduced:
         return self.Z.shape[1]
 
     def x(self, y: np.ndarray) -> np.ndarray:
-        return self.base + self.Z @ y
+        # Row by row, so that equal rows of Z give equal times; a BLAS product
+        # may round the rows of one matrix differently.
+        return self.base + (self.Z * y).sum(axis=1)
 
     def slack(self, y: np.ndarray) -> np.ndarray:
         return self.hy - self.Gy @ y
@@ -385,12 +390,13 @@ def _active_set(prob, red, y, max_rounds: int = 200):
     converged on the face, the row with the most negative multiplier leaves,
     or the method stops (Nocedal & Wright, Numerical Optimization, section
     16.5); before that only a singular system or a failed Armijo search stops
-    it. Rows whose step ds is rounding noise never block: a truck copying a
-    leader segment duplicates its box rows, and a duplicate of a working row
-    would stop the step at 0. The bound grows with |Gy| |d|, the rounding of
-    ds itself: a step from a flat group's pairwise plans can be 7e3 s long,
-    and the row opposite a working row then computes ds of about 1e-12
-    instead of 0. Every iterate is feasible up to that rounding.
+    it. Rows whose step ds is rounding noise never block: the row opposite a
+    working box row, or the twin of a working deadline row (two trucks with
+    the same window and segments), would stop the step at 0. The bound grows
+    with |Gy| |d|, the rounding of ds itself: a step from a flat group's
+    pairwise plans can be 7e3 s long, and the row opposite a working row then
+    computes ds of about 1e-12 instead of 0. Every iterate is feasible up to
+    that rounding.
     """
     Z = red.Z
     Gy = red.Gy
@@ -483,7 +489,15 @@ GROUP_ERRORS = (InconsistentGroupError, InfeasibleGroupError, np.linalg.LinAlgEr
 
 
 def _set_up(group: CoordinationGroup, model: FuelModel):
-    """(problem without the dense G and A, reduced system), for the active set."""
+    """(problem without the dense G and A, reduced system), for the active set.
+
+    A platoon row only says that a follower's segment copies a leader segment,
+    so it is eliminated by index: col maps each variable to its free variable
+    (the leader's segments and each follower's head and tail), and the SVD
+    sees only the merge rows. Weighting the free variables by D^-1/2, D their
+    copy counts, keeps Z orthonormal; a copied segment's row of Z is its
+    leader segment's row, so its box rows, exact duplicates, are dropped.
+    """
     prob = _assemble(group, model)
     if prob.A.size:
         residual = prob.A @ prob.x0 - prob.b
@@ -491,10 +505,21 @@ def _set_up(group: CoordinationGroup, model: FuelModel):
             raise InconsistentGroupError(
                 f"initial plans violate synchronization by {np.max(np.abs(residual)):.3e} s"
             )
-        Z0 = null_space(prob.A)
-    else:
-        Z0 = np.eye(prob.x0.size)
-    return replace(prob, A=None, G=None), _reduce(prob, prob.x0, Z0)
+    n = prob.x0.size
+    col = np.arange(n)
+    for fid in group.follower_ids:
+        f = prob.var_slices[fid].start + int(group.platoon_flags[fid][0] == 0)
+        i_m, i_sp = group.merge_index[fid], group.split_index[fid]
+        col[f : f + i_sp - i_m + 1] = np.arange(i_m, i_sp + 1)
+    copied = col != np.arange(n)
+    col = np.unique(col, return_inverse=True)[1]
+    scale = 1.0 / np.sqrt(np.bincount(col))
+    merge = prob.A[~prob.A[:, copied].any(axis=1)][:, ~copied]
+    N = null_space(merge * scale) if merge.size else np.eye(scale.size)
+    Z = (scale[:, None] * N)[col]
+    kept = np.concatenate([~copied, ~copied, np.ones(prob.G.shape[0] - 2 * n, bool)])
+    red = _reduce(replace(prob, G=prob.G[kept], h=prob.h[kept]), prob.x0, Z)
+    return replace(prob, A=None, G=None), red
 
 
 def start_points(groups: Iterable[CoordinationGroup], model: FuelModel) -> Iterator[tuple]:
@@ -569,19 +594,19 @@ def extract_plans(
     truck's start time; merge/split locations are untouched because the
     distance partition is fixed.
     """
+    members = group.members()
+    w, t = (np.fromiter(itertools.chain.from_iterable(per_member[m] for m in members), float)
+            for per_member in (group.distances, sol.times))
+    v = w / t
+    # Snap rounding dust; a real violation is left for validate().
+    snapped, ok = model.clamp_speeds(v)
+    speeds = iter(np.where(ok, snapped, v).tolist())
     plans = {}
-    for member in group.members():
-        w = group.distances[member]
+    for member in members:
         times_rel = sol.times[member]
-        speeds = []
-        for wi, ti in zip(w, times_rel):
-            v = float(wi / ti)
-            # Snap rounding dust; a real violation is left for validate().
-            clamped = model.clamp_speed(v)
-            speeds.append(v if clamped is None else clamped)
         plans[member] = VehiclePlan(
             route=group.routes[member],
-            speeds=tuple(speeds),
+            speeds=tuple(itertools.islice(speeds, len(times_rel))),
             times=tuple(itertools.accumulate(times_rel, initial=group.t_start[member])),
             follower_flags=group.platoon_flags[member],
             platoon_leader_id=None if member == group.leader_id else group.leader_id,

@@ -8,9 +8,12 @@ import heapq
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
+from scipy.optimize import nnls
 
 from platoonplan import (
     Assignment,
@@ -18,6 +21,7 @@ from platoonplan import (
     Position,
     RoadNetwork,
     Route,
+    VehiclePlan,
     cluster,
     common_subpaths,
     make_route,
@@ -26,7 +30,15 @@ from platoonplan import (
     sample,
 )
 from platoonplan.coordination_graph import WEIGHT_FLOOR, CoordinationGraph
-from platoonplan.joint_optimization import InconsistentGroupError, _assemble, _Problem
+from platoonplan.joint_optimization import (
+    InconsistentGroupError,
+    _active_set,
+    _assemble,
+    _interior_points,
+    _Problem,
+    _reduce,
+    _set_up,
+)
 from platoonplan.leader_selection import _best_weight, make_leader_set
 from platoonplan.planning import adapted_plan, default_speed, pair_savings
 
@@ -317,6 +329,125 @@ def check_assemble_matches_reference(group, model):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and np.array_equal(a, b), (group.leader_id, name)
     assert repr(got.c0) == repr(want.c0) and got.var_slices == want.var_slices
+
+
+def reference_set_up(group, model):
+    """Parity oracle for joint_optimization._set_up: its earlier form, with
+    the SVD null space of every equality row, platoon rows included, and
+    every row of G kept, so each copied segment keeps its own box rows."""
+    prob = _assemble(group, model)
+    Z = null_space(prob.A) if prob.A.size else np.eye(prob.x0.size)
+    return replace(prob, A=None, G=None), _reduce(prob, prob.x0, Z)
+
+
+def reference_objective(group, model):
+    """The objective solve reaches from reference_set_up's reduction: its own
+    start LP, then _active_set, never worse than the pairwise plans."""
+    prob, red = reference_set_up(group, model)
+    f0 = prob.objective(prob.x0)
+    if not red.dim:
+        return f0
+    start = _interior_points([red])[0]
+    if isinstance(start, Exception):
+        raise start
+    y, _ = _active_set(prob, red, start[0])
+    return min(prob.objective(red.x(y)), f0)
+
+
+def copied_segments(group):
+    """(follower variable, leader variable) for every platoon segment a
+    follower copies, as indices into the stacked variables of _assemble."""
+    f = len(group.distances[group.leader_id])
+    for fid in group.follower_ids:
+        i_m, i_sp = group.merge_index[fid], group.split_index[fid]
+        head = int(group.platoon_flags[fid][0] == 0)
+        yield from ((f + head + j, i_m + j) for j in range(i_sp - i_m + 1))
+        f += len(group.distances[fid])
+
+
+def check_set_up_matches_reference(group, model, objective):
+    """_set_up against reference_set_up on one group: Z is orthonormal and
+    spans null(A), both to 1e-12; a copied segment's row of Z is its leader
+    segment's bit for bit, and of the two equal box rows only the leader's
+    reaches red.Gy; the solved objective is within 1e-12 relative of the one
+    reached from reference_set_up."""
+    full = _assemble(group, model)
+    _, red = _set_up(group, model)
+    Z, n = red.Z, full.x0.size
+    assert np.max(np.abs(Z.T @ Z - np.eye(red.dim)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(full.A @ Z), initial=0.0) <= 1e-12
+    for j, i in copied_segments(group):
+        assert Z[j].tobytes() == Z[i].tobytes(), (group.leader_id, j, i)
+        for row in (j, n + j):  # lower and upper box row
+            gy, hy = full.G[row] @ Z, full.h[row] - full.G[row] @ full.x0
+            same = np.all(red.Gy == gy, axis=1) & (red.hy == hy)
+            assert int(same.sum()) == 1, (group.leader_id, row)
+    ref = reference_objective(group, model)
+    assert abs(objective - ref) <= 1e-12 * abs(ref), group.leader_id
+
+
+def reference_extract_plans(group, sol, model):
+    """Oracle for joint_optimization.extract_plans: its earlier scalar loop,
+    each speed W / T snapped by FuelModel.clamp_speed, or kept as it is where
+    clamp_speed rejects it."""
+    plans = {}
+    for member in group.members():
+        speeds = []
+        for wi, ti in zip(group.distances[member], sol.times[member]):
+            v = float(wi / ti)
+            clamped = model.clamp_speed(v)
+            speeds.append(v if clamped is None else clamped)
+        plans[member] = VehiclePlan(
+            route=group.routes[member],
+            speeds=tuple(speeds),
+            times=tuple(itertools.accumulate(sol.times[member], initial=group.t_start[member])),
+            follower_flags=group.platoon_flags[member],
+            platoon_leader_id=None if member == group.leader_id else group.leader_id,
+        )
+    return plans
+
+
+def check_copies_exact(group, sol, plans):
+    """Every follower's platoon-segment times and speeds equal the leader's
+    copied ones exactly."""
+    members = group.members()
+    times = list(itertools.chain.from_iterable(sol.times[m] for m in members))
+    speeds = list(itertools.chain.from_iterable(plans[m].speeds for m in members))
+    for j, i in copied_segments(group):
+        assert (times[j], speeds[j]) == (times[i], speeds[i]), (group.leader_id, j, i)
+
+
+def dual_gap(group, model, times):
+    """Certified relative optimality gap (F(x) - g) / F(x) of the times.
+
+    g is a value of the Lagrangian dual with the speed boxes lo <= x <= hi
+    kept as the domain (Boyd & Vandenberghe, Convex Optimization, ch. 5):
+    with nu on A x = b, lam >= 0 on the deadline rows and
+    r = A^T nu + G_dl^T lam,
+    g = sum_j min over [lo_j, hi_j] of (c2_j / x + r_j x) + c0 - nu b - lam h_dl.
+    Each term is minimized in closed form: at clip(sqrt(c2_j / r_j), lo_j,
+    hi_j) when r_j > 0, else at hi_j. The multipliers come from one nnls on
+    the stationarity equations c2 / x^2 = A^T nu + G_t^T kappa over the rows
+    G_t tight at x (nu split into two nonnegative parts); the box rows'
+    multipliers are then dropped, as the box is the domain. Any nu and
+    lam >= 0 give a lower bound on the optimum, so the gap is at least the
+    true one.
+    """
+    prob = _assemble(group, model)
+    x = np.concatenate([times[member] for member in group.members()])
+    n, m = x.size, prob.A.shape[0]
+    tight = np.flatnonzero(prob.h - prob.G @ x <= 1e-9 * (1.0 + np.abs(prob.h)))
+    coef = nnls(np.hstack([prob.A.T, -prob.A.T, prob.G[tight].T]), prob.c2 / (x * x))[0]
+    nu = coef[:m] - coef[m : 2 * m]
+    lam = np.zeros(prob.h.size)
+    lam[tight] = coef[2 * m :]
+    lo, hi, lam_dl = -prob.h[:n], prob.h[n : 2 * n], lam[2 * n :]
+    r = prob.A.T @ nu + prob.G[2 * n :].T @ lam_dl
+    pos = r > 0
+    xs = np.where(pos, np.clip(np.sqrt(prob.c2 / np.where(pos, r, 1.0)), lo, hi), hi)
+    g = float(np.sum(prob.c2 / xs + r * xs)) + prob.c0 - nu @ prob.b - lam_dl @ prob.h[2 * n :]
+    f = prob.objective(x)
+    return (f - g) / f
 
 
 def _reference_independent(E, row):

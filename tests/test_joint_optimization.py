@@ -33,7 +33,11 @@ from platoonplan.joint_optimization import (
 from conftest import (
     chain_network,
     check_assemble_matches_reference,
+    check_copies_exact,
+    check_set_up_matches_reference,
+    dual_gap,
     reference_active_set,
+    reference_extract_plans,
     stage4_infeasibility,
 )
 
@@ -323,9 +327,10 @@ def test_solver_runs_with_custom_settings(model, worked_pair):
 
 def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
     """Run the 800-truck fleet of this seed and deadline slack; every group's
-    solution must be feasible to 1e-9, stationary and converged, from at most
-    one LP; no group may fall back to its stage-3 plans, and every plan must
-    validate. Returns the leader ids of the groups solved.
+    solution must be feasible to 1e-9, stationary, converged and certified
+    optimal to a dual gap of 1e-9, from at most one LP; no group may fall
+    back to its stage-3 plans, and every plan must validate. Returns the
+    leader ids of the groups solved.
     """
     from platoonplan import cli
     from platoonplan.scenario import ScenarioConfig, generate
@@ -337,6 +342,7 @@ def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
         assert stage4_infeasibility(group, sol, fuel) <= 1e-9, group.leader_id
         assert sol.kkt_residual <= 1e-8, group.leader_id
         assert sol.converged, group.leader_id
+        assert dual_gap(group, fuel, sol.times) <= 1e-9, group.leader_id
         assert sol.lp_calls <= 1, group.leader_id
         checked.append(group.leader_id)
         return sol
@@ -448,11 +454,11 @@ def test_solve_flat_group_from_a_degenerate_vertex(model):
 )
 def test_duplicate_rows_of_a_copied_segment_do_not_block_the_step(model, w, speeds, v_opt):
     """A follower platooning over the leader's whole journey, with the same
-    start and deadline, copies every row of the leader: box rows and deadline
-    agree up to the rounding of the null-space basis. The optimum is constant
-    speed v_opt on the shared deadline, reached by several Newton steps on its
-    face; the twin of the working deadline row sees only rounding noise in
-    its step and must not stop the method there.
+    start and deadline, copies every row of the leader: its box rows are the
+    leader's and are stated once, and its deadline row equals the leader's.
+    The optimum is constant speed v_opt on the shared deadline, reached by
+    several Newton steps on its face; the twin of the working deadline row
+    sees only rounding noise in its step and must not stop the method there.
     """
     window = sum(w) / v_opt
     start = tuple(wi / v for wi, v in zip(w, speeds))
@@ -568,13 +574,26 @@ def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model
     equals the per-equality build bit for bit, and from every group's start
     _active_set takes as many rounds as the least-squares reference, reaches
     its objective to 1e-12 relative, satisfies G x <= h to 1e-9 and is
-    stationary to 1e-8.
+    stationary to 1e-8. _set_up's reduction passes
+    check_set_up_matches_reference; the solution is certified optimal to a
+    dual gap of 1e-9, its plans equal the scalar loop's, its followers copy
+    the leader's platoon times and speeds exactly, and at the pairwise plans
+    the certified gap is at least the true one.
     """
     groups = _seeded_fleet_groups(model, n=800, seed=101, deadline_slack_s=slack)
     assert len(groups) > 150
     for group, start in start_points(groups, model):
         check_assemble_matches_reference(group, model)
         assert not isinstance(start, Exception), group.leader_id
+        sol = solve(group, model, start=start)
+        check_set_up_matches_reference(group, model, sol.objective)
+        plans = extract_plans(group, sol, model)
+        assert plans == reference_extract_plans(group, sol, model), group.leader_id
+        check_copies_exact(group, sol, plans)
+        assert dual_gap(group, model, sol.times) <= 1e-9, group.leader_id
+        f_pairwise = group_objective(group, model, group.initial_times)
+        true_gap = (f_pairwise - sol.objective) / f_pairwise
+        assert dual_gap(group, model, group.initial_times) >= true_gap - 1e-15, group.leader_id
         prob, red, y0, _ = start
         if not red.dim:
             continue
@@ -591,11 +610,12 @@ def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model
 @pytest.mark.slow
 def test_active_set_ends_optimal_on_every_group_of_a_slack_fleet(model):
     """On the 800-truck fleet of seed 105 with 1800 s of deadline slack, from
-    every group's start _active_set ends stationary to 1e-8, satisfies
-    G x <= h to 1e-9 and is no worse than the pairwise plans. In group a0647
-    a row within 1e-9 of the span of the working rows once blocked and
-    stopped the method after 3 rounds at 80.990 kg, KKT residual 3.8e-3,
-    worse than the pairwise plans' 80.664 kg.
+    every group's start _active_set ends stationary to 1e-8, certified
+    optimal to a dual gap of 1e-9, satisfies G x <= h to 1e-9 and is no
+    worse than the pairwise plans. In group a0647 a row within 1e-9 of the
+    span of the working rows once blocked and stopped the method after 3
+    rounds at 80.990 kg, KKT residual 3.8e-3, worse than the pairwise
+    plans' 80.664 kg.
     """
     groups = _seeded_fleet_groups(model, n=800, seed=105, deadline_slack_s=1800.0)
     assert "a0647" in [group.leader_id for group in groups]
@@ -606,6 +626,8 @@ def test_active_set_ends_optimal_on_every_group_of_a_slack_fleet(model):
             continue
         y, _ = _active_set(prob, red, y0)
         assert _kkt_residual(prob, red, y) <= 1e-8, group.leader_id
+        times = {member: red.x(y)[prob.var_slices[member]] for member in group.members()}
+        assert dual_gap(group, model, times) <= 1e-9, group.leader_id
         full = _assemble(group, model)
         assert np.max((full.G @ red.x(y) - full.h) / (1.0 + np.abs(full.h))) <= 1e-9
         f, f_pairwise = prob.objective(red.x(y)), prob.objective(prob.x0)

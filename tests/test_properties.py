@@ -49,6 +49,10 @@ from conftest import (  # noqa: E402
     bisect_prune_pairs,
     check_assemble_matches_reference,
     check_cluster_matches_reference,
+    check_copies_exact,
+    check_set_up_matches_reference,
+    dual_gap,
+    reference_extract_plans,
     reference_node_route,
     reference_route,
     stage4_infeasibility,
@@ -191,8 +195,11 @@ def _fleet_groups(model, fleet):
 
 
 def _check_stage4(model, fleet):
-    """Every group's solution is feasible, stationary and no worse than the
-    pairwise plans; its plans validate and pass the exact coincidence audit."""
+    """Every group's solution is feasible, stationary, certified optimal to a
+    dual gap of 1e-9 and no worse than the pairwise plans; _set_up's
+    reduction passes check_set_up_matches_reference; its plans equal the
+    scalar loop's, copy the leader's platoon times and speeds exactly,
+    validate and pass the exact coincidence audit."""
     assignments, _ = fleet
     for group in _fleet_groups(model, fleet):
         sol = solve(group, model)
@@ -200,7 +207,12 @@ def _check_stage4(model, fleet):
         assert stage4_infeasibility(group, sol, model) <= 1e-9
         assert sol.objective <= start.objective(start.x0)
         assert sol.kkt_residual <= 1e-8
+        assert dual_gap(group, model, sol.times) <= 1e-9
+        check_set_up_matches_reference(group, model, sol.objective)
         plans = extract_plans(group, sol, model)
+        assert plans == reference_extract_plans(group, sol, model)
+        assert all(type(v) is float for plan in plans.values() for v in plan.speeds)
+        check_copies_exact(group, sol, plans)
         for member, plan in plans.items():
             assert validate(plan, assignments[member], model) == []
         assert check_follower_coincidence(SimpleNamespace(stage4_plans=plans), NET) == []
