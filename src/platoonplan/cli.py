@@ -129,6 +129,9 @@ def load_config(path: Optional[str], **overrides) -> RunConfig:
 
 def _run_config(doc: dict, source: str) -> RunConfig:
     try:
+        unknown = set(doc) - {"fuel", "scenario", "solver", "selection", "seed", "exact_limit"}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         solver_block = doc.get("solver", {})
         unknown = set(solver_block) - set(SolverSettings.__dataclass_fields__)
         if unknown:
@@ -157,7 +160,6 @@ def _run_config(doc: dict, source: str) -> RunConfig:
 @dataclass
 class PipelineResult:
     assignments: dict
-    routes: dict
     default_plans: dict
     stage3_plans: dict
     stage4_plans: dict
@@ -167,12 +169,7 @@ class PipelineResult:
     group_logs: list
 
 
-def run_pipeline(
-    net: RoadNetwork,
-    assignments: list[Assignment],
-    run: RunConfig,
-    routes: Optional[dict] = None,
-) -> PipelineResult:
+def run_pipeline(net: RoadNetwork, assignments: list[Assignment], run: RunConfig) -> PipelineResult:
     """Stages 1-4 over prepared assignments; raises on infeasible inputs.
 
     One InfeasibleDeadlineError names every assignment whose deadline no
@@ -181,9 +178,7 @@ def run_pipeline(
     its group_logs entry has fallback set and the error.
     """
     amap = {a.id: a for a in assignments}
-
-    if routes is None:
-        routes = route_assignments(net, assignments)
+    routes = route_assignments(net, assignments)
 
     default_plans, infeasible = {}, []
     for aid, a in amap.items():
@@ -272,7 +267,6 @@ def run_pipeline(
     )
     return PipelineResult(
         assignments=amap,
-        routes=routes,
         default_plans=default_plans,
         stage3_plans=stage3_plans,
         stage4_plans=stage4_plans,
@@ -287,10 +281,19 @@ def route_assignments(net: RoadNetwork, assignments: list[Assignment]) -> dict:
     """Shortest route per assignment id, in assignment order.
 
     Assignments are routed grouped by the node where their start edge ends,
-    so each such node's shortest-path tree is built once.
+    so each such node's shortest-path tree is built once. A start or
+    destination off the network, or a start at the destination, is a
+    ScenarioError naming the assignment.
     """
     by_exit: dict = {}
     for a in assignments:
+        try:
+            net.check_position(a.start)
+            net.check_position(a.dest)
+        except ValueError as exc:
+            raise ScenarioError(f"assignment {a.id}: {exc}") from exc
+        if a.start == a.dest:
+            raise ScenarioError(f"assignment {a.id}: start and destination coincide")
         by_exit.setdefault(net.edge_head(a.start.edge), []).append(a)
     found = {
         a.id: road_network.shortest_route(net, a.start, a.dest)
@@ -425,15 +428,6 @@ def cmd_plan(args) -> int:
 
     net = load_network(args.network)
     assignments = scenario.load_assignments(args.assignments)
-    for a in assignments:
-        try:
-            net.check_position(a.start)
-            net.check_position(a.dest)
-        except ValueError as exc:
-            raise ScenarioError(f"assignment {a.id}: {exc}") from exc
-        if a.start == a.dest:
-            raise ScenarioError(f"assignment {a.id}: start and destination coincide")
-
     result = run_pipeline(net, assignments, run)
     problems = validate_all(result, run.model)
     if args.check:
@@ -477,8 +471,8 @@ def _montecarlo_run(run: RunConfig) -> dict:
     size, seed = run.scenario.n_assignments, run.seed
     try:
         started = time.perf_counter()
-        net, assignments, routes = scenario.generate(run.scenario, run.model)
-        result = run_pipeline(net, assignments, run, routes=routes)
+        net, assignments, _ = scenario.generate(run.scenario, run.model)
+        result = run_pipeline(net, assignments, run)
         wallclock = time.perf_counter() - started
     except Exception as exc:  # recorded, aggregation continues
         return {"size": size, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}

@@ -77,30 +77,36 @@ def _best_weight(g: CoordinationGraph, n, leaders, skip=None) -> float:
     return 0.0
 
 
-def delta_u(g: CoordinationGraph, leaders, n) -> float:
-    """Objective change from flipping n's leader membership.
+def _gain(g: CoordinationGraph, leaders, best, n) -> float:
+    """F(L +- {n}) - F(L), given best[i] = max(W(i, m) for m in out(i) & L) for n and in(n).
 
-    Expands F(L +- {n}) - F(L) over n's in-neighborhood: non-leader
-    in-neighbors may gain or lose n as their best leader, and n itself
-    starts or stops following its own best leader.
+    Non-leader in-neighbors may gain or lose n as their best leader, and n
+    itself starts or stops following its own best leader.
     """
-    leaders = set(leaders)
     if n not in leaders:
         gain = 0.0
         for i, w_in in g.in_edges[n]:
             if i in leaders:
                 continue
-            cur = _best_weight(g, i, leaders)
-            gain += max(cur, w_in) - cur
-        return gain - _best_weight(g, n, leaders)
+            cur = best[i]
+            if w_in > cur:
+                gain += w_in - cur
+        return gain - best[n]
     loss = 0.0
     for i, w_in in g.in_edges[n]:
         if i in leaders:
             continue
-        cur = _best_weight(g, i, leaders)
+        cur = best[i]
         if w_in >= cur:
             loss += _best_weight(g, i, leaders, skip=n) - cur
-    return loss + _best_weight(g, n, leaders, skip=n)
+    return loss + best[n]
+
+
+def delta_u(g: CoordinationGraph, leaders, n) -> float:
+    """Objective change from flipping n's leader membership."""
+    leaders = set(leaders)
+    best = {m: _best_weight(g, m, leaders) for m in (n, *g.in_neighbors(n))}
+    return _gain(g, leaders, best, n)
 
 
 class _ClusterState:
@@ -125,7 +131,7 @@ class _ClusterState:
         self.leaders: set = set()
         self.best: dict = {n: 0.0 for n in g.nodes}
         self.objective = 0.0
-        self.delta: dict = {n: self._compute_delta(n) for n in g.nodes}
+        self.delta: dict = {n: _gain(g, self.leaders, self.best, n) for n in g.nodes}
         self.positive: set = {n for n, d in self.delta.items() if d > 0}
         self.key: dict = {n: (str(n), k) for k, n in enumerate(g.nodes)}
         self.heap: Optional[list] = None
@@ -135,26 +141,6 @@ class _ClusterState:
             heapq.heapify(self.heap)
         else:
             self.ranked = sorted(self.key[n] for n in self.positive)
-
-    def _compute_delta(self, n) -> float:
-        g, leaders, best = self.g, self.leaders, self.best
-        if n not in leaders:
-            gain = 0.0
-            for i, w_in in g.in_edges[n]:
-                if i in leaders:
-                    continue
-                cur = best[i]
-                if w_in > cur:
-                    gain += w_in - cur
-            return gain - best[n]
-        loss = 0.0
-        for i, w_in in g.in_edges[n]:
-            if i in leaders:
-                continue
-            cur = best[i]
-            if w_in >= cur:
-                loss += _best_weight(g, i, leaders, skip=n) - cur
-        return loss + best[n]
 
     def pop_best(self):
         """The positive-gain node of largest gain, ties to the smallest str(id)."""
@@ -190,7 +176,7 @@ class _ClusterState:
                     touched.add(m)
         self.objective += gain
         for m in touched:
-            d = self._compute_delta(m)
+            d = _gain(g, leaders, best, m)
             if d > 0:
                 if self.heap is not None and (d != self.delta[m] or m == n):
                     heapq.heappush(self.heap, (-d, *self.key[m]))  # n's own entry was popped

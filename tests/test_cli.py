@@ -24,7 +24,7 @@ from platoonplan.cli import (
 from platoonplan.evaluation import RunReport, platoon_size_histogram
 from platoonplan.planning import Assignment, validate
 from platoonplan.road_network import _dijkstra, save_network
-from platoonplan.scenario import ScenarioConfig, generate, grid_network
+from platoonplan.scenario import ScenarioConfig, ScenarioError, generate, grid_network
 
 from conftest import chain_network, reference_histogram, sampled_coincidence
 
@@ -372,6 +372,13 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
         pytest.param(
             None, ["montecarlo", "--sizes", "2", "--jobs", "-4"], id="montecarlo-negative-jobs"
         ),
+        # Top-level keys are checked as the fuel, solver and scenario blocks' keys are.
+        pytest.param(
+            {"sede": 3, "selction": "random", "scenario": {"rows": 3, "cols": 3}},
+            ["generate", "--size", "3"],
+            id="generate-unknown-top-level-keys",
+        ),
+        pytest.param({"exact-limit": 5}, ["plan"], id="plan-unknown-top-level-key"),
     ],
 )
 def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, config, argv):
@@ -561,8 +568,8 @@ def test_each_chosen_plan_is_derived_once(monkeypatch):
 
     monkeypatch.setattr(coordination_graph, "adapted_plan", counting_adapted_plan)
     run = RunConfig(model=FuelModel(), scenario=ScenarioConfig(n_assignments=50, seed=7))
-    net, assignments, routes = generate(run.scenario, run.model)
-    result = run_pipeline(net, assignments, run, routes=routes)
+    net, assignments, _ = generate(run.scenario, run.model)
+    result = run_pipeline(net, assignments, run)
     assert len(calls) == len(result.leader_set.follower_of) > 0
     assert sorted(calls) == sorted(result.leader_set.follower_of.items())
 
@@ -580,8 +587,8 @@ def test_each_plan_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(cli, "validate", counting_validate)
     run = RunConfig(model=FuelModel(), scenario=ScenarioConfig(n_assignments=50, seed=7))
-    net, assignments, routes = generate(run.scenario, run.model)
-    result = run_pipeline(net, assignments, run, routes=routes)
+    net, assignments, _ = generate(run.scenario, run.model)
+    result = run_pipeline(net, assignments, run)
     assert cli.validate_all(result, run.model) == []
     assert result.report.groups_fallback == 0
     follower_of = result.leader_set.follower_of
@@ -732,6 +739,29 @@ def test_a_group_whose_plans_fail_validate_keeps_its_stage3_plans(
     assert result.report.groups_fallback == 1
 
 
+@pytest.mark.parametrize(
+    "start, dest, message",
+    [
+        pytest.param(Position("nope", 0.0), None, "unknown edge 'nope'", id="unknown-start-edge"),
+        pytest.param(None, Position("n0_0>n0_1", 1500.0), "offset 1500.0 outside",
+                     id="offset-beyond-edge"),
+        pytest.param(None, Position("n0_0>n0_1", 100.0), "start and destination coincide",
+                     id="dest-at-start"),
+    ],
+)
+def test_run_pipeline_names_an_assignment_off_the_network(start, dest, message):
+    """A library caller gets the ScenarioError that plan reports as an input error."""
+    net = grid_network(3, 3, 1000.0)
+    here = Position("n0_0>n0_1", 100.0)
+    assignments = [
+        Assignment("ok", here, Position("n0_1>n0_2", 500.0), 0.0, 1e4),
+        Assignment("bad", start or here, dest or Position("n0_1>n1_1", 500.0), 0.0, 1e4),
+    ]
+    run = RunConfig(model=FuelModel(), scenario=ScenarioConfig())
+    with pytest.raises(ScenarioError, match=f"^assignment bad: .*{message}"):
+        run_pipeline(net, assignments, run)
+
+
 def test_grouped_routing_matches_per_assignment_routes():
     net = grid_network(4, 4, 1000.0)
     edges = sorted(net.edges)
@@ -859,8 +889,8 @@ def _audit_fleet(cfg):
     which on 15 of its followers flags two injected faults wherever the 1 s
     oracle does; the histogram sweep matches the per-truck piece scan."""
     model = FuelModel()
-    net, assignments, routes = generate(cfg, model)
-    result = run_pipeline(net, assignments, RunConfig(model=model, scenario=cfg), routes=routes)
+    net, assignments, _ = generate(cfg, model)
+    result = run_pipeline(net, assignments, RunConfig(model=model, scenario=cfg))
     assert result.report.groups_fallback == 0
     assert check_follower_coincidence(result, net) == []
     for plans in (result.stage3_plans, result.stage4_plans):
@@ -930,6 +960,37 @@ def test_montecarlo_rows_and_means(tmp_path):
     assert parsed[-1]["seed"] == "mean"
 
 
+def test_montecarlo_rows_equal_generate_then_plan_on_decimal_lengths(tmp_path):
+    """montecarlo routes each generated fleet by position, as plan does.
+
+    The generator's node-to-node route for one of these 20 trucks differs from
+    the route plan finds for its positions, since summed decimal lengths round;
+    the rows still equal the reports bit for bit.
+    """
+    rng = random.Random(5)
+    roads = [(eid, u, v) for eid, (u, v, _) in grid_network(8, 8, 1.0).edges.items()]
+    # grid_network lists each road's two directions one after the other.
+    lengths = [rng.choice([9999.9, 10000.1, 10000.0, 9999.7, 10000.3]) for _ in roads[::2]]
+    net = RoadNetwork({u for _, u, _ in roads}, [(*road, lengths[k // 2])
+                                                  for k, road in enumerate(roads)])
+    save_network(net, str(tmp_path / "network.json"))
+    cfg, network, assignments = _generate(
+        tmp_path, network_file=str(tmp_path / "network.json"), n_assignments=20, seed=0
+    )
+    _, fleet, node_routes = generate(load_config(cfg).scenario, FuelModel())
+    routes = route_assignments(net, fleet)
+    assert sum(routes[a.id] != node_routes[a.id] for a in fleet) == 1
+    assert main(["montecarlo", "--config", cfg, "--runs", "1", "--sizes", "20", "--seed", "0",
+                 "--out-dir", str(tmp_path / "mc")]) == 0
+    with open(tmp_path / "mc" / "montecarlo.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert main(["plan", "--network", str(network), "--assignments", str(assignments),
+                 "--seed", "0", "--out-dir", str(tmp_path / "plan")]) == 0
+    report = json.loads((tmp_path / "plan" / "report.json").read_text())
+    for key in ("saving_stage3", "saving_stage4", "saving_spontaneous"):
+        assert float(row[key]) == report[key], key
+
+
 def test_montecarlo_reads_the_config_once_per_size(tmp_path, monkeypatch, capsys):
     """Each size's checked RunConfig is reused by its runs, seeded as seed + 10000 * i + k."""
     from platoonplan import cli
@@ -967,10 +1028,10 @@ def test_failed_montecarlo_runs_leave_the_other_rows(
     and of its size's mean; a size with no run left gets no mean row."""
     from platoonplan import cli
 
-    def failing_pipeline(net, assignments, run, routes=None):
+    def failing_pipeline(net, assignments, run):
         if run.seed in failing:
             raise RuntimeError("injected failure")
-        return run_pipeline(net, assignments, run, routes=routes)
+        return run_pipeline(net, assignments, run)
 
     monkeypatch.setattr(cli, "run_pipeline", failing_pipeline)
     cfg = _write_scenario_config(

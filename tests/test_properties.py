@@ -246,9 +246,9 @@ def test_assemble_equals_the_per_equality_build_flat(model, fleet):
 
 
 def _pipeline(model, fleet):
-    assignments, routes = fleet
+    assignments, _ = fleet
     run = RunConfig(model=model, scenario=ScenarioConfig())
-    return run_pipeline(NET, list(assignments.values()), run, routes=routes)
+    return run_pipeline(NET, list(assignments.values()), run)
 
 
 @settings(max_examples=50, deadline=None)
