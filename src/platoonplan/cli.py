@@ -55,7 +55,7 @@ from .road_network import (
     positions_coincide,
     save_network,
 )
-from .scenario import ScenarioConfig, ScenarioError, require_int, require_real
+from .scenario import ScenarioConfig, ScenarioError, require_int, require_object, require_real
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -129,17 +129,18 @@ def load_config(path: Optional[str], **overrides) -> RunConfig:
 
 def _run_config(doc: dict, source: str) -> RunConfig:
     try:
+        doc = require_object("the config", doc)
         unknown = set(doc) - {"fuel", "scenario", "solver", "selection", "seed", "exact_limit"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        solver_block = doc.get("solver", {})
+        solver_block = require_object("solver", doc.get("solver", {}))
         unknown = set(solver_block) - set(SolverSettings.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
         defaults = SolverSettings()
         run = RunConfig(
-            model=FuelModel.from_config(doc.get("fuel", {})),
-            scenario=ScenarioConfig.from_json(doc.get("scenario", {})),
+            model=FuelModel.from_config(require_object("fuel", doc.get("fuel", {}))),
+            scenario=ScenarioConfig.from_json(require_object("scenario", doc.get("scenario", {}))),
             selection=doc.get("selection", "greedy"),
             seed=require_int("seed", doc.get("seed", 0)),
             exact_limit=require_int("exact_limit", doc.get("exact_limit", EXACT_LIMIT)),
@@ -225,7 +226,7 @@ def run_pipeline(net: RoadNetwork, assignments: list[Assignment], run: RunConfig
             else:
                 yield group
 
-    for group, start in start_points(groups(), run.model):
+    for group, start in start_points(groups(), run.model, run.solver):
         try:
             sol = solve(group, run.model, run.solver, start=start)
             plans = extract_plans(group, sol, run.model)
@@ -252,7 +253,7 @@ def run_pipeline(net: RoadNetwork, assignments: list[Assignment], run: RunConfig
             degeneracy_rounds=sol.degeneracy_rounds,
             solve_s=sol.solve_s,
         )
-    # start_points reads groups ahead, so a build failure is logged early.
+    # start_points reads groups ahead and gives starts out of order.
     group_logs.sort(key=lambda e: e["leader"])
 
     report = evaluation.make_report(

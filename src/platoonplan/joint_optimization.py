@@ -15,13 +15,15 @@ so the problem is convex with linear constraints. The synchronization
 equalities are eliminated: a platoon equality copies a leader segment's time,
 so it goes by index, and the merge equalities through the null space of what
 is left; a copied segment's speed window is its leader segment's and is
-stated once. A primal
-active-set Newton method with an empty initial working set starts from the
-pairwise plans, or from a max-margin LP point when only that is strictly
-interior (one LP serves a block of groups), and keeps every iterate feasible
-up to rounding by a ratio test. A flat group, whose feasible set has no
-interior, needs no special path: rows tight at the pairwise plans join the
-working set one at a time.
+stated once. A group
+whose pairwise plans meet the KKT conditions is optimal there, as the program
+is convex, and keeps them. Any other group runs a primal active-set Newton
+method with an empty initial working set, from the pairwise plans, or from a
+max-margin LP point when only that is strictly interior (one LP serves a
+block of groups that need one), and keeps every iterate feasible up to
+rounding by a ratio test. A flat group, whose feasible set has no interior,
+needs no special path: rows tight at the pairwise plans join the working set
+one at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .fuel_model import FuelModel
 from .planning import Assignment, VehiclePlan
 
 EVENT_TOL = 1e-9  # seconds; nearly simultaneous merge/split events collapse
-LP_BLOCK = 16  # groups per start LP; one LP for a whole fleet costs superlinearly more
+LP_BLOCK = 64  # groups that need a start per LP; one LP for a whole fleet costs more
 
 
 class InconsistentGroupError(ValueError):
@@ -347,34 +349,29 @@ def _strictly_interior(red: _Reduced, y: np.ndarray) -> bool:
 
 
 def _interior_points(reds: list) -> list:
-    """(y, LPs solved) per reduced system: the feasible start of the active set.
+    """(y, LPs solved) per reduced system whose y = 0 is not strictly interior.
 
-    y = 0, the pairwise plans, when strictly interior. The others share one
-    block-diagonal LP, each maximizing its minimum row-normalized slack in a
-    margin column of its own; its slice of the optimum is its start if strictly
-    interior, else y = 0, as the plans are exactly feasible and the LP optimum
-    only to tolerance. If the LP fails, each system is solved alone, and one
-    that fails alone gets an InfeasibleGroupError in place of its start.
+    The systems share one block-diagonal LP, each maximizing its minimum
+    row-normalized slack in a margin column of its own; its slice of the
+    optimum is its start if strictly interior, else y = 0, as the pairwise
+    plans are exactly feasible and the LP optimum only to tolerance. If the LP
+    fails, each system is solved alone, and one that fails alone gets an
+    InfeasibleGroupError in place of its start.
     """
-    out = [(np.zeros(red.dim), 0) for red in reds]
-    todo = [k for k, red in enumerate(reds) if not _strictly_interior(red, out[k][0])]
-    if not todo:
-        return out
-    blocks = [np.hstack([reds[k].Gy, np.linalg.norm(reds[k].Gy, axis=1)[:, None]]) for k in todo]
+    blocks = [np.hstack([red.Gy, np.linalg.norm(red.Gy, axis=1)[:, None]]) for red in reds]
     ends = np.cumsum([0] + [blk.shape[1] for blk in blocks])
     c, bounds = np.zeros(ends[-1]), np.full((ends[-1], 2), [-np.inf, np.inf])
     c[ends[1:] - 1], bounds[ends[1:] - 1, 1] = -1.0, 1e6
-    a_ub, b_ub = block_diag(blocks, format="csr"), np.concatenate([reds[k].hy for k in todo])
+    a_ub, b_ub = block_diag(blocks, format="csr"), np.concatenate([red.hy for red in reds])
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.success:
-        for k, x in zip(todo, np.split(res.x, ends[1:-1])):  # x[-1] is the margin
-            out[k] = (x[:-1] if _strictly_interior(reds[k], x[:-1]) else out[k][0], 1)
-    elif len(todo) == 1:
-        out[todo[0]] = InfeasibleGroupError(f"interior search LP failed: {res.message}")
-    else:
-        for k in todo:
-            out[k] = _interior_points([reds[k]])[0]
-    return out
+        return [
+            (x[:-1] if _strictly_interior(red, x[:-1]) else np.zeros(red.dim), 1)
+            for red, x in zip(reds, np.split(res.x, ends[1:-1]))  # x[-1] is the margin
+        ]
+    if len(reds) == 1:
+        return [InfeasibleGroupError(f"interior search LP failed: {res.message}")]
+    return [_interior_points([red])[0] for red in reds]
 
 
 def _active_set(prob, red, y, max_rounds: int = 200):
@@ -464,19 +461,19 @@ def _active_set(prob, red, y, max_rounds: int = 200):
     return y, rounds
 
 
-def _kkt_residual(prob, red, y) -> float:
+def _kkt_residual(prob, red, y=None) -> float:
     """Distance of -grad F from the cone of active constraint normals.
 
     Measured in the reduced space (equalities are quotiented out), relative
-    to the gradient scale; multipliers are constrained nonnegative.
+    to the gradient scale; multipliers are constrained nonnegative. y = None
+    is the pairwise plans, whose times and slacks are base and hy.
     """
     if red.dim == 0:
         return 0.0
-    x = red.x(y)
+    x, s = (red.base, red.hy) if y is None else (red.x(y), red.slack(y))
     gF = -prob.c2 / (x * x)
     g_y = red.Z.T @ gF
     scale = 1.0 + float(np.max(np.abs(gF)))
-    s = red.slack(y)
     act = np.where(s <= _ACT_TOL * (1.0 + np.abs(red.hy)))[0]
     if act.size == 0:
         return float(np.max(np.abs(g_y))) / scale
@@ -522,23 +519,45 @@ def _set_up(group: CoordinationGroup, model: FuelModel):
     return replace(prob, A=None, G=None), red
 
 
-def start_points(groups: Iterable[CoordinationGroup], model: FuelModel) -> Iterator[tuple]:
+def start_points(
+    groups: Iterable[CoordinationGroup], model: FuelModel,
+    settings: Optional[SolverSettings] = None,
+) -> Iterator[tuple]:
     """(group, start) per group; start is (problem, reduced system, y, LPs
-    solved) for solve, or the error its solve raises. The starts of each block
-    of LP_BLOCK groups come from one _interior_points call.
+    solved, KKT residual) for solve, or the error its solve raises.
+
+    The residual is the one at the pairwise plans, y = 0, when it is at most
+    max(settings.tol, 1e-10): the group is certified optimal there, as its
+    program is convex, and solve has nothing to do. Otherwise it is None. A
+    start is given as soon as it is known, except that the groups whose y = 0
+    is not strictly interior are held, LP_BLOCK at a time, for the start LP
+    they share; so the order is not that of groups.
     """
-    groups = iter(groups)
-    while block := list(itertools.islice(groups, LP_BLOCK)):
-        starts: list = []
-        for group in block:
-            try:
-                starts.append(_set_up(group, model))
-            except GROUP_ERRORS as exc:
-                starts.append(exc)
-        ready = [k for k, start in enumerate(starts) if isinstance(start, tuple)]
-        for k, point in zip(ready, _interior_points([starts[k][1] for k in ready])):
-            starts[k] = point if isinstance(point, Exception) else (*starts[k], *point)
-        yield from zip(block, starts)
+    tol = max((settings or SolverSettings()).tol, 1e-10)
+
+    def lp_starts(held):
+        for (group, prob, red), point in zip(held, _interior_points([h[2] for h in held])):
+            yield group, point if isinstance(point, Exception) else (prob, red, *point, None)
+
+    held: list = []  # (group, problem, reduced system) waiting for the start LP
+    for group in groups:
+        try:
+            prob, red = _set_up(group, model)
+        except GROUP_ERRORS as exc:
+            yield group, exc
+            continue
+        kkt = _kkt_residual(prob, red)
+        y = np.zeros(red.dim)
+        certified = kkt <= tol
+        if certified or _strictly_interior(red, y):
+            yield group, (prob, red, y, 0, kkt if certified else None)
+            continue
+        held.append((group, prob, red))
+        if len(held) == LP_BLOCK:
+            yield from lp_starts(held)
+            held = []
+    if held:
+        yield from lp_starts(held)
 
 
 def solve(
@@ -547,28 +566,33 @@ def solve(
 ) -> TimingSolution:
     """Minimize the group's fuel subject to speed, deadline and sync constraints.
 
-    start is the group's start from start_points, computed here when not given.
-    From it, _active_set runs at most settings.max_iter rounds; the returned
-    point is never worse than the pairwise plans. converged means its KKT
-    residual is at most max(settings.tol, 1e-10). lp_calls is 1 when the start
-    needed a max-margin LP, which may be shared with the other groups given to
-    start_points, else 0; degeneracy_rounds stays 0. solve_s is the time
-    spent in this call, so it leaves out a start computed beforehand.
+    start is the group's start from start_points, computed here with the same
+    settings when not given. A group certified optimal at its pairwise plans
+    returns them with the start's KKT residual, 0 rounds and 0 LPs. Otherwise
+    _active_set runs at most settings.max_iter rounds from the start; the
+    returned point is never worse than the pairwise plans. converged means
+    its KKT residual is at most max(settings.tol, 1e-10). lp_calls is 1 when
+    the start needed a max-margin LP, which may be shared with the other
+    groups given to start_points, else 0; degeneracy_rounds stays 0. solve_s
+    is the time spent in this call, so it leaves out a start computed
+    beforehand, the certificate included.
     """
     t0 = time.perf_counter()
     if settings is None:
         settings = SolverSettings()
     if start is None:
-        _, start = next(start_points([group], model))
+        _, start = next(start_points([group], model, settings))
     if isinstance(start, Exception):
         raise start
-    prob, red, y, lp_calls = start
-    y, rounds = _active_set(prob, red, y, settings.max_iter) if red.dim else (y, 0)
-    # The initial point is feasible by construction; never return worse.
-    if prob.objective(red.x(y)) > prob.objective(prob.x0):
-        y = np.zeros(red.dim)
+    prob, red, y, lp_calls, kkt = start
+    rounds = 0
+    if kkt is None:
+        y, rounds = _active_set(prob, red, y, settings.max_iter)
+        # The initial point is feasible by construction; never return worse.
+        if prob.objective(red.x(y)) > prob.objective(prob.x0):
+            y = np.zeros(red.dim)
+        kkt = _kkt_residual(prob, red, y)
     x_best = red.x(y)
-    kkt = _kkt_residual(prob, red, y)
 
     times = {
         member: tuple(float(t) for t in x_best[prob.var_slices[member]])

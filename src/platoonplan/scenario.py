@@ -37,6 +37,13 @@ def require_real(name: str, value):
     return value
 
 
+def require_object(name: str, value) -> dict:
+    """value if it is a JSON object; [1] and null are not."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be a JSON object, not {value!r}")
+    return value
+
+
 def require_id(name: str, value):
     """value if it is a JSON string or integer; true and ["x"] are not."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):

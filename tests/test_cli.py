@@ -346,6 +346,17 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
         assert f"{bad}:5: edge 'ba'" in events[0]["error"]
 
 
+# (test id, config file text that is JSON but not an object where one is
+# due, the block that the error must name)
+NOT_AN_OBJECT = [
+    ("config-is-a-list", '[1, "a"]', "the config"),
+    ("config-is-null", "null", "the config"),
+    ("fuel-block-is-a-list", '{"fuel": [1]}', "fuel"),
+    ("solver-block-is-a-string", '{"solver": "x"}', "solver"),
+    ("scenario-block-is-a-list", '{"scenario": [1]}', "scenario"),
+]
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [
@@ -379,10 +390,15 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
             id="generate-unknown-top-level-keys",
         ),
         pytest.param({"exact-limit": 5}, ["plan"], id="plan-unknown-top-level-key"),
+        *(pytest.param(text, ["generate"], id=case) for case, text, _ in NOT_AN_OBJECT),
     ],
 )
 def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, config, argv):
-    """Flags and PLATOON_* values get the checks of the config file, before any run."""
+    """Flags and PLATOON_* values get the checks of the config file, before any run.
+
+    A config given as a string is the file's text, and the error names the
+    block that is not a JSON object.
+    """
     argv = argv + ["--out-dir", str(tmp_path / "x")]
     if argv[0] == "montecarlo" and "--runs" not in argv:
         argv += ["--runs", "1"]
@@ -391,12 +407,18 @@ def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, con
             tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
         )
         argv += ["--network", str(network), "--assignments", str(assignments)]
-    if config is not None:
+    if isinstance(config, str):
+        (tmp_path / "bad.json").write_text(config)
+        argv += ["--config", str(tmp_path / "bad.json")]
+    elif config is not None:
         argv += ["--config", _write_config(tmp_path / "bad.json", config)]
     capsys.readouterr()
     assert main(argv) == 2
-    events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
-    assert events == ["input_error"]
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["input_error"]
+    if isinstance(config, str):
+        block = next(block for _, text, block in NOT_AN_OBJECT if text == config)
+        assert f"{block} must be a JSON object" in events[0]["error"]
     assert not (tmp_path / "x").exists()
 
 

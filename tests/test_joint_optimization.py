@@ -329,13 +329,13 @@ def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
     """Run the 800-truck fleet of this seed and deadline slack; every group's
     solution must be feasible to 1e-9, stationary, converged and certified
     optimal to a dual gap of 1e-9, from at most one LP; no group may fall
-    back to its stage-3 plans, and every plan must validate. Returns the
-    leader ids of the groups solved.
+    back to its stage-3 plans, and every plan must validate. Returns
+    {leader id: (group, solution)} of the groups solved.
     """
     from platoonplan import cli
     from platoonplan.scenario import ScenarioConfig, generate
 
-    checked = []
+    checked = {}
 
     def checked_solve(group, fuel, settings=None, start=None):
         sol = solve(group, fuel, settings, start=start)
@@ -344,7 +344,7 @@ def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
         assert sol.converged, group.leader_id
         assert dual_gap(group, fuel, sol.times) <= 1e-9, group.leader_id
         assert sol.lp_calls <= 1, group.leader_id
-        checked.append(group.leader_id)
+        checked[group.leader_id] = group, sol
         return sol
 
     monkeypatch.setattr(cli, "solve", checked_solve)
@@ -397,6 +397,68 @@ def test_solve_flat_groups_of_a_slack_fleet_from_the_pairwise_plans(model, monke
     """
     checked = _solve_fleet_checked(model, monkeypatch, seed=seed, deadline_slack_s=1800.0)
     assert len(checked) > 100
+
+
+@pytest.mark.slow
+def test_groups_optimal_at_their_pairwise_plans_get_no_lp_and_no_round(model, monkeypatch):
+    """On the 800-truck fleet of seed 205 with 1800 s of deadline slack, most
+    groups' pairwise plans already meet the KKT conditions, which for a convex
+    program certify them optimal. Such a group must return its pairwise times
+    bit for bit after 0 rounds and 0 LPs, with a dual gap of 1e-9; every other
+    group passes _solve_fleet_checked's checks from the active set.
+    """
+    from platoonplan.joint_optimization import _set_up
+
+    checked = _solve_fleet_checked(model, monkeypatch, seed=205, deadline_slack_s=1800.0)
+    certified = 0
+    for group, sol in checked.values():
+        if _kkt_residual(*_set_up(group, model)) > SolverSettings().tol:
+            assert sol.newton_steps >= 1, group.leader_id
+            continue
+        certified += 1
+        assert sol.newton_steps == 0 and sol.lp_calls == 0, group.leader_id
+        assert sol.times == group.initial_times, group.leader_id
+        assert dual_gap(group, model, sol.times) <= 1e-9, group.leader_id
+    assert certified >= 150
+
+
+def test_groups_that_need_a_start_share_one_lp_across_certified_groups(model, monkeypatch):
+    """Four solo groups whose deadline row is tight at the pairwise plans, so
+    that y = 0 is not strictly interior. The middle two drive constant speed,
+    which meets the KKT conditions: they are certified and get no LP. The
+    outer two change speed, so they need a start; with LP_BLOCK 2 they still
+    share one LP, as a block counts only groups that need one.
+    """
+    from platoonplan import joint_optimization
+
+    calls = []
+    linprog = joint_optimization.linprog
+
+    def counted_linprog(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(joint_optimization, "linprog", counted_linprog)
+    monkeypatch.setattr(joint_optimization, "LP_BLOCK", 2)
+
+    def group(*speeds):
+        w = 30_000.0
+        times = tuple(w / v for v in speeds)
+        solo = _solo_group(model, [w] * len(speeds), window=sum(times))
+        solo.initial_times["L"] = times
+        return solo
+
+    v = model.v_default
+    groups = [group(1.05 * v, v, 0.95 * v), group(v, v, v), group(v, v, v), group(0.95 * v, v, v)]
+    starts = list(start_points(groups, model))
+    assert len(calls) == 1
+    # A certified group's start is given at once; the other two wait for the LP.
+    assert [g for g, _ in starts] == [groups[k] for k in (1, 2, 0, 3)]
+    assert [start[3] for _, start in starts] == [0, 0, 1, 1]
+    sols = [solve(g, model, start=start) for g, start in starts]
+    assert [sol.newton_steps > 0 for sol in sols] == [False, False, True, True]
+    assert all(sol.converged for sol in sols)
+    assert sols[0].times == groups[1].initial_times
 
 
 def test_solve_flat_group_from_a_degenerate_vertex(model):
@@ -594,7 +656,7 @@ def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model
         f_pairwise = group_objective(group, model, group.initial_times)
         true_gap = (f_pairwise - sol.objective) / f_pairwise
         assert dual_gap(group, model, group.initial_times) >= true_gap - 1e-15, group.leader_id
-        prob, red, y0, _ = start
+        prob, red, y0, _, _ = start
         if not red.dim:
             continue
         y, rounds = _active_set(prob, red, y0)
@@ -621,7 +683,7 @@ def test_active_set_ends_optimal_on_every_group_of_a_slack_fleet(model):
     assert "a0647" in [group.leader_id for group in groups]
     for group, start in start_points(groups, model):
         assert not isinstance(start, Exception), group.leader_id
-        prob, red, y0, _ = start
+        prob, red, y0, _, _ = start
         if not red.dim:
             continue
         y, _ = _active_set(prob, red, y0)
