@@ -405,7 +405,7 @@ def _write_outputs(out_dir: str, result: PipelineResult, graph_csv: bool) -> Non
 def cmd_generate(args) -> int:
     seed = _env_int("SEED", args.seed, None)
     run = load_config(args.config, scenario={"seed": seed, "n_assignments": args.size})
-    net, assignments, _ = scenario.generate(run.scenario, run.model)
+    net, assignments = scenario.generate(run.scenario, run.model)
     os.makedirs(args.out_dir, exist_ok=True)
     save_network(net, os.path.join(args.out_dir, "network.json"))
     scenario.save_assignments(assignments, os.path.join(args.out_dir, "assignments.json"))
@@ -472,7 +472,7 @@ def _montecarlo_run(run: RunConfig) -> dict:
     size, seed = run.scenario.n_assignments, run.seed
     try:
         started = time.perf_counter()
-        net, assignments, _ = scenario.generate(run.scenario, run.model)
+        net, assignments = scenario.generate(run.scenario, run.model)
         result = run_pipeline(net, assignments, run)
         wallclock = time.perf_counter() - started
     except Exception as exc:  # recorded, aggregation continues

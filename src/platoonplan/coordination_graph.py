@@ -1,11 +1,12 @@
 """Weighted directed graph of positive pairwise platooning fuel savings.
 
 An edge (n, m) with weight w means truck n saves w kilograms by adapting
-its plan to m's default plan. A sound pruning pass keeps the candidate
-ordered pairs that could platoon; one array pass (`planning.pair_savings`)
-gives every kept pair's saving. `build` returns the graph with `plan_of`,
-which derives one edge's adapted plan when a later stage asks for it:
-stage 3 asks once per chosen follower.
+its plan to m's default plan. `build` flattens the fleet once into a
+`planning.Visits` table; a sound pruning pass over it keeps the ordered
+pairs, as rows of that table, that could platoon, and one array pass
+(`planning.pair_savings`) gives every kept pair's saving. `build` returns
+the graph with `plan_of`, which derives one edge's adapted plan when a later
+stage asks for it: stage 3 asks once per chosen follower.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from collections.abc import Callable
 import numpy as np
 
 from .fuel_model import FuelModel
-from .planning import Assignment, VehiclePlan, _ranges, adapted_plan, default_speed, pair_savings
-from .road_network import Route, common_subpaths, route_length
+from .planning import Assignment, VehiclePlan, Visits, _ranges, adapted_plan, pair_savings
+from .road_network import Route, common_subpaths
 
 WEIGHT_FLOOR = 1e-12  # savings at or below this are float dust, not edges
 # prune_pairs expands the leaders inside its visits' windows about this many
@@ -64,12 +65,9 @@ class CoordinationGraph:
         return len(self.weight)
 
 
-def prune_pairs(
-    assignments: dict[str, Assignment],
-    routes: dict[str, Route],
-    model: FuelModel,
-) -> list[tuple[str, str]]:
-    """Ordered pairs (follower, leader) that could conceivably platoon.
+def prune_pairs(fleet: Visits, model: FuelModel) -> np.ndarray:
+    """(follower, leader) truck rows of the pairs that could conceivably
+    platoon, an int64 array of shape (pairs, 2) in sorted order.
 
     A pair survives when both routes drive some edge end to end and the
     follower, leaving at its start time, can reach that edge's end at a
@@ -87,34 +85,19 @@ def prune_pairs(
     (a searchsorted). So sorted int64 (edge, rank) keys compare as (edge,
     time) do, and one searchsorted per bound finds the leaders inside a
     window as bisect_left and bisect_right would. The hits are expanded a
-    block of whole trucks at a time and deduplicated as int64 pair keys in
-    sorted-id order.
+    block of whole trucks at a time and deduplicated as int64 pair keys.
     """
-    speed = {
-        n: default_speed(model, route_length(routes[n]), a.t_deadline - a.t_start)
-        for n, a in assignments.items()
-    }
-    ids = sorted(assignments)
-    rs = [routes[n] for n in ids]
-    sizes = np.array([len(r.edges) for r in rs], dtype=np.int64)
-    codes: dict = {}
-    edge_code = np.array([codes.setdefault(e, len(codes)) for r in rs for e in r.edges], np.int64)
-    # Arc at each edge's end, prefix[i + 1] - start_offset as Route has it.
-    arc_end = np.array([x for r in rs for x in r.prefix[1:]]) - np.repeat(
-        np.array([r.start_offset for r in rs]), sizes
-    )
-    lo = np.cumsum(sizes) - sizes + np.array([r.shareable.start for r in rs], dtype=np.int64)
-    shared = np.array([len(r.shareable) for r in rs], dtype=np.int64)
-    truck, at = _ranges(lo, shared)
+    shared = fleet.hi - fleet.lo
+    truck, at = _ranges(fleet.lo, shared)
     if not truck.size:
-        return []
+        return np.empty((0, 2), np.int64)
 
-    t0, arc = np.array([assignments[n].t_start for n in ids])[truck], arc_end[at]
+    t0, arc = fleet.t_start[truck], fleet.arc_end[at]
     v_lo = model.v_min * (1.0 - 1e-9) - 1e-9
     v_hi = model.v_max * (1.0 + 1e-9) + 1e-9
-    passage = t0 + arc / np.array([speed[n] for n in ids])[truck]
+    passage = t0 + arc / fleet.v_default[truck]
     times, rank = np.unique(passage, return_inverse=True)
-    edge = edge_code[at] * times.size
+    edge = fleet.edge_code[at] * times.size
     key = edge + rank
     order = np.argsort(key)
     keys, leader = key[order], truck[order]
@@ -123,17 +106,16 @@ def prune_pairs(
 
     # Blocks of whole trucks' visits, about HIT_BLOCK hits each: their keys
     # ascend from block to block, so the pairs come out sorted and unique.
-    ends, last, names = np.cumsum(count), np.cumsum(shared), np.array(ids, dtype=object)
+    ends, last, n = np.cumsum(count), np.cumsum(shared), len(fleet.ids)
     pairs, b = [], 0
     while b < truck.size:
         stop = max(int(np.searchsorted(ends, ends[b] - count[b] + HIT_BLOCK, "right")), b + 1)
         stop = last[truck[stop - 1]]
         row, hit = _ranges(first[b:stop], count[b:stop])
         f, m = truck[b:stop][row], leader[hit]
-        k, j = np.divmod(np.unique(f[f != m] * len(ids) + m[f != m]), len(ids))
-        pairs += zip(names[k].tolist(), names[j].tolist())
+        pairs.append(np.unique(f[f != m] * n + m[f != m]))
         b = stop
-    return pairs
+    return np.stack(np.divmod(np.concatenate(pairs), n), axis=1)
 
 
 def build(
@@ -145,11 +127,12 @@ def build(
     """Coordination graph of the pruned pairs' positive savings, and
     plan_of(follower, leader), which derives one edge's adapted plan and
     raises KeyError for a pair that is not an edge."""
-    pairs = prune_pairs(assignments, routes, model)
-    savings = pair_savings(assignments, routes, default_plans, model, pairs)
-    graph = CoordinationGraph(
-        sorted(assignments), {pair: w for pair, w in savings.items() if w > WEIGHT_FLOOR}
-    )
+    fleet = Visits(assignments, routes, default_plans, model)
+    pairs = prune_pairs(fleet, model)
+    savings = pair_savings(fleet, model, pairs)
+    keep, ids = savings > WEIGHT_FLOOR, fleet.ids
+    edges = zip(pairs[keep].tolist(), savings[keep].tolist())
+    graph = CoordinationGraph(ids, {(ids[f], ids[m]): w for (f, m), w in edges})
 
     def plan_of(follower: str, leader: str) -> VehiclePlan:
         if (follower, leader) not in graph.weight:

@@ -7,8 +7,9 @@ behind a leader, finish) so that the two trajectories coincide on a shared
 stretch of road. Route geometry (arcs, shareable edges) comes from
 `road_network.Route`, plan geometry (distance driven at a time, time at a
 distance) from `VehiclePlan`, and the speed guard from `FuelModel.clamp_speed`.
-`pair_savings` is the array form of `adapted_plan`'s saving, for many pairs
-at once; `adapted_plan` stays its reference.
+`Visits` is a fleet's routes flattened into arrays, once per run, and
+`pair_savings` reads it: the array form of `adapted_plan`'s saving, for many
+pairs at once; `adapted_plan` stays its reference.
 """
 
 from __future__ import annotations
@@ -325,14 +326,37 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return owner, starts[owner] + (np.arange(owner.size) - first[owner])
 
 
-def pair_savings(
-    assignments: dict[str, Assignment],
-    routes: dict[str, Route],
-    default_plans: dict[str, VehiclePlan],
-    model: FuelModel,
-    pairs: list[tuple[str, str]],
-) -> dict[tuple[str, str], float]:
-    """adapted_plan(...)[1] of each (follower, leader) pair that has a plan.
+class Visits:
+    """A fleet's routes and default plans as arrays; truck row k is ids[k], in sorted order.
+
+    Edge rows hold the routes back to back: edge code, length, and the arc
+    at the edge's start and end as `Route.prefix` has them. Truck k's
+    shareable edges are rows lo[k]:hi[k]. Truck rows hold the start time,
+    deadline, default-plan speed and fuel, and route length.
+    """
+
+    def __init__(self, assignments: dict, routes: dict, default_plans: dict, model: FuelModel):
+        self.ids = sorted(assignments)
+        rs = [routes[n] for n in self.ids]
+        sizes = np.array([len(r.edges) for r in rs], dtype=np.int64)
+        codes: dict = {}
+        code = [codes.setdefault(e, len(codes)) for r in rs for e in r.edges]
+        self.edge_code, self.n_codes = np.array(code, np.int64), len(codes)
+        self.length = np.array([x for r in rs for x in r.lengths])
+        starts = np.repeat(np.array([r.start_offset for r in rs]), sizes)
+        self.arc_start = np.array([x for r in rs for x in r.prefix[:-1]]) - starts
+        self.arc_end = np.array([x for r in rs for x in r.prefix[1:]]) - starts
+        self.lo = np.cumsum(sizes) - sizes + np.array([r.shareable.start for r in rs], np.int64)
+        self.hi = self.lo + np.array([len(r.shareable) for r in rs], np.int64)
+        self.t_start = np.array([assignments[n].t_start for n in self.ids])
+        self.t_deadline = np.array([assignments[n].t_deadline for n in self.ids])
+        self.v_default = np.array([default_plans[n].speeds[0] for n in self.ids])
+        self.fuel_default = np.array([plan_fuel(model, default_plans[n]) for n in self.ids])
+        self.d_route = np.array([route_length(r) for r in rs])
+
+
+def pair_savings(fleet: Visits, model: FuelModel, pairs: np.ndarray) -> np.ndarray:
+    """adapted_plan(...)[1] of each (follower, leader) row of pairs, 0.0 without a plan.
 
     The array form of `adapted_plan` for default-plan followers, without
     building plans. Each row is one maximal shared run of a pair, found as
@@ -341,48 +365,27 @@ def pair_savings(
     takes its first row of largest ranking saving, and its saving is summed
     piece by piece as `plan_fuel` sums the adapted plan. Every float
     operation is the scalar one, in the same order, so the savings are
-    bit-identical. Pairs without a plan are absent.
+    bit-identical.
     """
-    if not pairs:
-        return {}
-    ids = list(assignments)
-    index = {aid: k for k, aid in enumerate(ids)}
-    rs = [routes[aid] for aid in ids]
-    sizes = np.array([len(r.edges) for r in rs])
-    off = np.cumsum(sizes) - sizes
-    codes: dict = {}
-    edge_code = np.array([codes.setdefault(e, len(codes)) for r in rs for e in r.edges])
-    lengths = np.array([x for r in rs for x in r.lengths])
-    starts = np.array([r.start_offset for r in rs])
-    arc = np.array([x for r in rs for x in r.prefix[:-1]]) - np.repeat(starts, sizes)
-    # Flat edge indices [lo, hi) of each route's shareable edges.
-    lo = off + np.array([r.shareable.start for r in rs])
-    hi = np.maximum(off + np.array([r.shareable.stop for r in rs]), lo)
-    t_start = np.array([assignments[aid].t_start for aid in ids])
-    t_deadline = np.array([assignments[aid].t_deadline for aid in ids])
-    v_default = np.array([default_plans[aid].speeds[0] for aid in ids])
-    t_default = np.array([default_plans[aid].times[0] for aid in ids])
-    fuel_default = np.array([plan_fuel(model, default_plans[aid]) for aid in ids])
-    d_route = np.array([route_length(r) for r in rs])
+    lo, hi, edge_code, n_codes = fleet.lo, fleet.hi, fleet.edge_code, fleet.n_codes
+    t_start, v_default, fuel_default = fleet.t_start, fleet.v_default, fleet.fuel_default
 
     # Sorted (truck, edge) keys of the shareable edges; equal keys keep
     # their edge order, so a route that drives an edge twice joins twice.
     owner, at = _ranges(lo, hi - lo)
-    key = owner * len(codes) + edge_code[at]
+    key = owner * n_codes + edge_code[at]
     order = np.argsort(key, kind="stable")
     keys, key_at = key[order], at[order]
 
     v_min, v_max = model.v_min, model.v_max
-    f_all = np.array([index[n] for n, _ in pairs], dtype=np.int64)
-    l_all = np.array([index[m] for _, m in pairs], dtype=np.int64)
-    savings: dict = {}
+    savings = np.zeros(len(pairs))
     with np.errstate(divide="ignore", invalid="ignore"):
         for b in range(0, len(pairs), PAIR_BLOCK):
-            f, l = f_all[b : b + PAIR_BLOCK], l_all[b : b + PAIR_BLOCK]
+            f, l = pairs[b : b + PAIR_BLOCK, 0], pairs[b : b + PAIR_BLOCK, 1]
             # Rows (pair, i, j): every follower edge i matched to every
             # position j of the same edge in the leader's shareable range.
             p, i = _ranges(lo[f], hi[f] - lo[f])
-            q = l[p] * len(codes) + edge_code[i]
+            q = l[p] * n_codes + edge_code[i]
             first = np.searchsorted(keys, q, "left")
             row, hit = _ranges(first, np.searchsorted(keys, q, "right") - first)
             p, i, j = p[row], i[row], key_at[hit]
@@ -392,7 +395,7 @@ def pair_savings(
             p, i, j = p[~inner], i[~inner], j[~inner]
             if not p.size:
                 continue
-            seg_len = lengths[i]
+            seg_len = fleet.length[i]
             run, step = np.arange(p.size), 1
             while run.size:
                 ik, jk = i[run] + step, j[run] + step
@@ -400,15 +403,15 @@ def pair_savings(
                 run, ik, jk = run[go], ik[go], jk[go]
                 go = edge_code[ik] == edge_code[jk]
                 run, ik = run[go], ik[go]
-                seg_len[run] += lengths[ik]
+                seg_len[run] += fleet.length[ik]
                 step += 1
 
             # _segment_candidate, with each early `return None` as a mask.
             fp, lp = f[p], l[p]
-            v_l, t0, t1 = v_default[lp], t_start[fp], t_deadline[fp]
-            d0 = arc[i]
-            d_tail = d_route[fp] - (d0 + seg_len)
-            alpha = t_default[lp] + arc[j] / v_l
+            v_l, t0, t1 = v_default[lp], t_start[fp], fleet.t_deadline[fp]
+            d0 = fleet.arc_start[i]
+            d_tail = fleet.d_route[fp] - (d0 + seg_len)
+            alpha = t_start[lp] + fleet.arc_start[j] / v_l
             dt0 = alpha - t0
             slope_max = v_max / v_l - 1.0
             up = slope_max > 0
@@ -455,8 +458,7 @@ def pair_savings(
             fuel = np.where(h3, fuel + model.solo_rate(w3) * (w3 * (t_arrival[h] - ts)), fuel)
             saving = fuel_default[fp[h]] - fuel
             keep = (saving > 0) & model.clamp_speeds(v_l)[1]
-            for k, s in zip((b + p[h][keep]).tolist(), saving[keep].tolist()):
-                savings[pairs[k]] = s
+            savings[b + p[h][keep]] = saving[keep]
     return savings
 
 

@@ -106,12 +106,13 @@ def grid_network(rows: int, cols: int, edge_len: float) -> RoadNetwork:
     return RoadNetwork(nodes, edges)
 
 
-def generate(cfg: ScenarioConfig, model: FuelModel) -> tuple[RoadNetwork, list[Assignment], dict]:
+def generate(cfg: ScenarioConfig, model: FuelModel) -> tuple[RoadNetwork, list[Assignment]]:
     """Sample assignments on the configured network.
 
-    Returns (network, assignments, routes) with one shortest route per
-    assignment; node pairs that coincide or are unreachable are resampled,
-    and sampling aborts after 100 * n fruitless draws.
+    Returns (network, assignments). Each assignment runs from a node to a
+    node, its deadline set by their shortest route's length; node pairs that
+    coincide or are unreachable are resampled, and sampling aborts after
+    100 * n fruitless draws.
     """
     if cfg.network_file is not None:
         net = load_network(cfg.network_file)
@@ -131,7 +132,6 @@ def generate(cfg: ScenarioConfig, model: FuelModel) -> tuple[RoadNetwork, list[A
 
     rng = random.Random(cfg.seed)
     assignments = []
-    routes = {}
     attempts = 0
     budget = max(1, 100 * cfg.n_assignments)
     while len(assignments) < cfg.n_assignments:
@@ -162,8 +162,7 @@ def generate(cfg: ScenarioConfig, model: FuelModel) -> tuple[RoadNetwork, list[A
                 t_deadline=t_deadline,
             )
         )
-        routes[aid] = route
-    return net, assignments, routes
+    return net, assignments
 
 
 def save_assignments(assignments: list[Assignment], path: str) -> None:
@@ -182,9 +181,18 @@ def save_assignments(assignments: list[Assignment], path: str) -> None:
         fh.write("\n")
 
 
+def _field(obj: dict, name: str, check):
+    """check(name, value) of the field at name's last dotted part, if obj has it."""
+    key = name.rpartition(".")[2]
+    if key not in obj:
+        raise ScenarioError(f"missing field {name}")
+    return check(name, obj[key])
+
+
 def _position(entry: dict, end: str) -> Position:
-    edge = require_id(f"{end}.edge", entry[end]["edge"])
-    return Position(edge, float(require_real(f"{end}.offset_m", entry[end]["offset_m"])))
+    pos = _field(entry, end, require_object)
+    return Position(_field(pos, f"{end}.edge", require_id),
+                    float(_field(pos, f"{end}.offset_m", require_real)))
 
 
 def load_assignments(path: str) -> list[Assignment]:
@@ -193,19 +201,20 @@ def load_assignments(path: str) -> list[Assignment]:
     if not isinstance(doc, list):
         raise ScenarioError(f"{path}: expected a JSON list of assignments")
     assignments = []
-    for entry in doc:
+    for k, entry in enumerate(doc):
         try:
+            entry = require_object("the entry", entry)
             assignments.append(
                 Assignment(
-                    id=str(require_id("id", entry["id"])),
+                    id=str(_field(entry, "id", require_id)),
                     start=_position(entry, "start"),
                     dest=_position(entry, "dest"),
-                    t_start=float(require_real("t_start_s", entry["t_start_s"])),
-                    t_deadline=float(require_real("t_deadline_s", entry["t_deadline_s"])),
+                    t_start=float(_field(entry, "t_start_s", require_real)),
+                    t_deadline=float(_field(entry, "t_deadline_s", require_real)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: malformed assignment entry {entry!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: assignment entry {k}: {exc}") from exc
     ids = [a.id for a in assignments]
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"{path}: duplicate assignment ids")

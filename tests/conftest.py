@@ -24,12 +24,13 @@ from platoonplan import (
     VehiclePlan,
     cluster,
     common_subpaths,
+    default_plan,
     make_route,
     positions_coincide,
     route_length,
     sample,
 )
-from platoonplan.coordination_graph import WEIGHT_FLOOR, CoordinationGraph
+from platoonplan.coordination_graph import WEIGHT_FLOOR, CoordinationGraph, prune_pairs
 from platoonplan.joint_optimization import (
     InconsistentGroupError,
     _active_set,
@@ -40,7 +41,7 @@ from platoonplan.joint_optimization import (
     _set_up,
 )
 from platoonplan.leader_selection import _best_weight, make_leader_set
-from platoonplan.planning import adapted_plan, default_speed, pair_savings
+from platoonplan.planning import Visits, adapted_plan, default_speed, pair_savings
 
 KMH = 1.0 / 3.6
 
@@ -123,7 +124,7 @@ def unpruned_build(assignments, routes, default_plans, model):
     plan_of lets adapted_plan find the shared segments itself."""
     ids = sorted(assignments)
     pairs = [(n, m) for n in ids for m in ids if n != m]
-    savings = pair_savings(assignments, routes, default_plans, model, pairs)
+    savings = savings_by_name(assignments, routes, default_plans, model, pairs)
     graph = CoordinationGraph(ids, {pair: w for pair, w in savings.items() if w > WEIGHT_FLOOR})
 
     def plan_of(follower, leader):
@@ -134,6 +135,21 @@ def unpruned_build(assignments, routes, default_plans, model):
         )[0]
 
     return graph, plan_of
+
+
+def prune_by_name(assignments, routes, model):
+    """prune_pairs on the fleet's table, as sorted (follower, leader) names."""
+    plans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
+    fleet = Visits(assignments, routes, plans, model)
+    return [(fleet.ids[f], fleet.ids[m]) for f, m in prune_pairs(fleet, model).tolist()]
+
+
+def savings_by_name(assignments, routes, default_plans, model, pairs):
+    """{(follower, leader): pair_savings' saving} over named pairs, 0.0 without a plan."""
+    fleet = Visits(assignments, routes, default_plans, model)
+    row = {aid: k for k, aid in enumerate(fleet.ids)}
+    rows = np.array([(row[n], row[m]) for n, m in pairs], np.int64).reshape(-1, 2)
+    return dict(zip(pairs, pair_savings(fleet, model, rows).tolist()))
 
 
 def bisect_prune_pairs(assignments, routes, model):

@@ -166,7 +166,7 @@ def test_criterion_4_joint_optimization_dominance():
             rows=10, cols=10, edge_len_m=8000.0, n_assignments=50,
             seed=9000 + seed, start_window_s=7200.0,
         )
-        net, assignments, _ = generate(cfg, MODEL)
+        net, assignments = generate(cfg, MODEL)
         run = RunConfig(model=MODEL, scenario=cfg)
         result = run_pipeline(net, assignments, run)
         rep = result.report
@@ -253,7 +253,7 @@ def test_criterion_6_trend_reproduction():
                 rows=20, cols=20, edge_len_m=10_000.0, n_assignments=size,
                 seed=40_000 + 10_000 * size_idx + r, start_window_s=7200.0,
             )
-            net, assignments, _ = generate(cfg, MODEL)
+            net, assignments = generate(cfg, MODEL)
             run = RunConfig(model=MODEL, scenario=cfg)
             result = run_pipeline(net, assignments, run)
             savings.append(result.report.saving_stage4)
@@ -308,7 +308,7 @@ def test_criterion_8_plan_soundness():
             rows=12, cols=12, edge_len_m=9000.0, n_assignments=size,
             seed=seed, start_window_s=3600.0,
         )
-        net, assignments, _ = generate(cfg, MODEL)
+        net, assignments = generate(cfg, MODEL)
         run = RunConfig(model=MODEL, scenario=cfg)
         result = run_pipeline(net, assignments, run)
         problems = validate_all(result, MODEL) + [

@@ -23,7 +23,7 @@ from platoonplan.cli import (
 )
 from platoonplan.evaluation import RunReport, platoon_size_histogram
 from platoonplan.planning import Assignment, validate
-from platoonplan.road_network import _dijkstra, save_network
+from platoonplan.road_network import _dijkstra, save_network, shortest_node_route
 from platoonplan.scenario import ScenarioConfig, ScenarioError, generate, grid_network
 
 from conftest import chain_network, reference_histogram, sampled_coincidence
@@ -164,39 +164,65 @@ def test_missing_file_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda e: e["start"].update(edge="nowhere"),
-        lambda e: e["dest"].update(offset_m=1500.0),
-        lambda e: e.update(dest=dict(e["start"])),
-        lambda e: e.update(t_start_s="soon"),
-        lambda e: e.update(t_start_s=50.0, t_deadline_s=50.0),
-        lambda e: e.update(t_deadline_s=math.inf),
-        lambda e: e.update(t_start_s=-math.inf),
+        pytest.param(lambda e: e["start"].update(edge="nowhere"), None, id="unknown-edge"),
+        pytest.param(lambda e: e["dest"].update(offset_m=1500.0), None, id="offset-beyond-edge"),
+        pytest.param(lambda e: e.update(dest=dict(e["start"])), None, id="dest-at-start"),
+        pytest.param(lambda e: e.update(t_start_s="soon"), None, id="non-numeric-start"),
+        pytest.param(
+            lambda e: e.update(t_start_s=50.0, t_deadline_s=50.0), None, id="deadline-at-start"
+        ),
+        pytest.param(lambda e: e.update(t_deadline_s=math.inf), None, id="infinite-deadline"),
+        pytest.param(lambda e: e.update(t_start_s=-math.inf), None, id="minus-infinite-start"),
         # A JSON true or a numeric string is not a number, and an id is a string or an int.
-        lambda e: e.update(t_start_s=str(e["t_start_s"])),
-        lambda e: e["start"].update(offset_m=True),
-        lambda e: e["start"].update(edge=[e["start"]["edge"]]),
-        lambda e: e.update(id=True),
-        lambda e: e.update(id=[e["id"]]),
+        pytest.param(
+            lambda e: e.update(t_start_s=str(e["t_start_s"])), None, id="numeric-string-start"
+        ),
+        pytest.param(lambda e: e["start"].update(offset_m=True), None, id="bool-offset"),
+        pytest.param(
+            lambda e: e["start"].update(edge=[e["start"]["edge"]]), None, id="list-edge-id"
+        ),
+        pytest.param(lambda e: e.update(id=True), None, id="bool-id"),
+        pytest.param(lambda e: e.update(id=[e["id"]]), None, id="list-id"),
+        # An edit that returns an entry replaces the first one.
+        pytest.param(
+            lambda e: [1],
+            "assignment entry 0: the entry must be a JSON object, not [1]",
+            id="entry-not-an-object",
+        ),
+        pytest.param(
+            lambda e: {k: v for k, v in e.items() if k != "dest"},
+            "assignment entry 0: missing field dest",
+            id="missing-dest",
+        ),
+        pytest.param(
+            lambda e: {**e, "dest": {"edge": e["dest"]["edge"]}},
+            "assignment entry 0: missing field dest.offset_m",
+            id="missing-offset",
+        ),
+        pytest.param(
+            lambda e: {**e, "start": "x"},
+            "assignment entry 0: start must be a JSON object, not 'x'",
+            id="start-not-an-object",
+        ),
     ],
-    ids=["unknown-edge", "offset-beyond-edge", "dest-at-start", "non-numeric-start",
-         "deadline-at-start", "infinite-deadline", "minus-infinite-start",
-         "numeric-string-start", "bool-offset", "list-edge-id", "bool-id", "list-id"],
 )
-def test_bad_assignment_exits_2(tmp_path, capsys, edit):
+def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
     cfg, network, assignments = _generate(
         tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
     )
     doc = json.loads(assignments.read_text())
-    edit(doc[0])
+    doc[0] = edit(doc[0]) or doc[0]
     assignments.write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["plan", "--network", str(network), "--assignments", str(assignments),
                "--config", cfg, "--out-dir", str(tmp_path / "x")])
     assert rc == 2
-    events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
-    assert events == ["input_error"]
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["input_error"]
+    if message is not None:
+        assert events[0]["error"] == f"{assignments}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -590,7 +616,7 @@ def test_each_chosen_plan_is_derived_once(monkeypatch):
 
     monkeypatch.setattr(coordination_graph, "adapted_plan", counting_adapted_plan)
     run = RunConfig(model=FuelModel(), scenario=ScenarioConfig(n_assignments=50, seed=7))
-    net, assignments, _ = generate(run.scenario, run.model)
+    net, assignments = generate(run.scenario, run.model)
     result = run_pipeline(net, assignments, run)
     assert len(calls) == len(result.leader_set.follower_of) > 0
     assert sorted(calls) == sorted(result.leader_set.follower_of.items())
@@ -609,7 +635,7 @@ def test_each_plan_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(cli, "validate", counting_validate)
     run = RunConfig(model=FuelModel(), scenario=ScenarioConfig(n_assignments=50, seed=7))
-    net, assignments, _ = generate(run.scenario, run.model)
+    net, assignments = generate(run.scenario, run.model)
     result = run_pipeline(net, assignments, run)
     assert cli.validate_all(result, run.model) == []
     assert result.report.groups_fallback == 0
@@ -911,7 +937,7 @@ def _audit_fleet(cfg):
     which on 15 of its followers flags two injected faults wherever the 1 s
     oracle does; the histogram sweep matches the per-truck piece scan."""
     model = FuelModel()
-    net, assignments, _ = generate(cfg, model)
+    net, assignments = generate(cfg, model)
     result = run_pipeline(net, assignments, RunConfig(model=model, scenario=cfg))
     assert result.report.groups_fallback == 0
     assert check_follower_coincidence(result, net) == []
@@ -999,8 +1025,12 @@ def test_montecarlo_rows_equal_generate_then_plan_on_decimal_lengths(tmp_path):
     cfg, network, assignments = _generate(
         tmp_path, network_file=str(tmp_path / "network.json"), n_assignments=20, seed=0
     )
-    _, fleet, node_routes = generate(load_config(cfg).scenario, FuelModel())
+    _, fleet = generate(load_config(cfg).scenario, FuelModel())
     routes = route_assignments(net, fleet)
+    node_routes = {
+        a.id: shortest_node_route(net, net.edge_tail(a.start.edge), net.edge_head(a.dest.edge))
+        for a in fleet
+    }
     assert sum(routes[a.id] != node_routes[a.id] for a in fleet) == 1
     assert main(["montecarlo", "--config", cfg, "--runs", "1", "--sizes", "20", "--seed", "0",
                  "--out-dir", str(tmp_path / "mc")]) == 0

@@ -1,16 +1,24 @@
 """Coordination graph: edge semantics, pruning soundness, edge plans."""
 
 import math
+import random
 
 import pytest
 
 from platoonplan import Assignment, Position, build, default_plan, make_route, prune_pairs
+from platoonplan.cli import route_assignments
 from platoonplan.coordination_graph import CoordinationGraph, load_graph_csv, save_graph_csv
-from platoonplan.planning import default_speed
+from platoonplan.planning import Visits, default_speed
 from platoonplan.road_network import route_length
 from platoonplan.scenario import ScenarioConfig, generate
 
-from conftest import _reference_prune_pairs, bisect_prune_pairs, chain_network, unpruned_build
+from conftest import (
+    _reference_prune_pairs,
+    bisect_prune_pairs,
+    chain_network,
+    prune_by_name,
+    unpruned_build,
+)
 
 
 def _defaults(model, assignments, routes):
@@ -56,7 +64,7 @@ def test_one_directional_edge_when_leader_finishes_first(model):
     graph, _ = build(assignments, routes, _defaults(model, assignments, routes), model)
     # b arrives at 2250 s, long before a departs at 5000 s: no pairing at all.
     assert graph.num_edges() == 0
-    pairs = prune_pairs(assignments, routes, model)
+    pairs = prune_by_name(assignments, routes, model)
     assert ("a", "b") not in pairs and ("b", "a") not in pairs
 
 
@@ -134,7 +142,8 @@ def test_prune_is_sound_against_unpruned_build(model):
             rows=5, cols=5, edge_len_m=7000.0, n_assignments=n, seed=seed,
             start_window_s=1200.0, node_weights=weights,
         )
-        net, assignments, routes = generate(cfg, model)
+        net, assignments = generate(cfg, model)
+        routes = route_assignments(net, assignments)
         amap = {a.id: a for a in assignments}
         dplans = {a.id: default_plan(a, routes[a.id], model) for a in assignments}
         pruned, plan_p = build(amap, routes, dplans, model)
@@ -148,11 +157,50 @@ def test_prune_is_sound_against_unpruned_build(model):
 def test_prune_matches_reference_on_seeded_grids(model, n, slack_s):
     """The per-edge index keeps exactly the pairs of the pairwise segment-end test."""
     cfg = ScenarioConfig(n_assignments=n, seed=n + int(slack_s), deadline_slack_s=slack_s)
-    _, assignments, routes = generate(cfg, model)
+    net, assignments = generate(cfg, model)
+    routes = route_assignments(net, assignments)
     amap = {a.id: a for a in assignments}
-    pairs = prune_pairs(amap, routes, model)
+    pairs = prune_by_name(amap, routes, model)
     assert pairs == _reference_prune_pairs(amap, routes, model)
     assert pairs == sorted(set(pairs))
+
+
+def _seeded_fleet(model, n, seed):
+    net, assignments = generate(ScenarioConfig(n_assignments=n, seed=seed), model)
+    return assignments, route_assignments(net, assignments)
+
+
+def test_build_makes_one_fleet_table(model, monkeypatch):
+    """The routes are flattened once per build, for prune_pairs and pair_savings both."""
+    assignments, routes = _seeded_fleet(model, 200, 5)
+    amap = {a.id: a for a in assignments}
+    made, init = [], Visits.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Visits, "__init__", counting_init)
+    graph, _ = build(amap, routes, _defaults(model, amap, routes), model)
+    assert graph.num_edges() > 0
+    assert len(made) == 1
+
+
+def test_fleet_in_shuffled_order_builds_the_identical_graph(model):
+    """The table sorts the ids, so weights, their insertion order and every
+    adjacency list do not depend on the order the fleet is given in."""
+    assignments, routes = _seeded_fleet(model, 200, 6)
+    shuffled = list(assignments)
+    random.Random(1).shuffle(shuffled)
+    graphs = []
+    for fleet in (assignments, shuffled):
+        amap = {a.id: a for a in fleet}
+        graphs.append(build(amap, routes, _defaults(model, amap, routes), model)[0])
+    given, permuted = graphs
+    assert given.num_edges() > 0
+    assert list(given.weight.items()) == list(permuted.weight.items())
+    assert given.nodes == permuted.nodes
+    assert given.out_edges == permuted.out_edges and given.in_edges == permuted.in_edges
 
 
 def _passage(model, a, route):
@@ -195,14 +243,14 @@ def test_prune_keeps_leaders_exactly_on_the_window_bounds(model):
     ]
     assignments = {a.id: a for a in [follower, *leaders]}
     routes = {aid: route for aid in assignments}
-    pairs = prune_pairs(assignments, routes, model)
+    pairs = prune_by_name(assignments, routes, model)
     assert ("f", "m_early") in pairs and ("f", "m_late") in pairs
     assert ("f", "x_early") not in pairs and ("f", "x_late") not in pairs
     assert pairs == bisect_prune_pairs(assignments, routes, model)
 
 
 def test_prune_without_shareable_edges_is_empty(model):
-    assert prune_pairs({}, {}, model) == []
+    assert prune_pairs(Visits({}, {}, {}, model), model).shape == (0, 2)
     net = chain_network([10_000.0, 10_000.0])
     # Each trip starts and ends inside an edge, so no edge is driven end to end.
     inside = make_route(net, ["e0"], 1000.0, 9000.0)
@@ -213,7 +261,7 @@ def test_prune_without_shareable_edges_is_empty(model):
         for aid, r in (("a", inside), ("b", inside), ("c", partial))
     }
     routes = {"a": inside, "b": inside, "c": partial}
-    assert prune_pairs(assignments, routes, model) == []
+    assert prune_by_name(assignments, routes, model) == []
 
 
 def test_graph_csv_roundtrip(model, worked_pair, tmp_path):

@@ -350,7 +350,7 @@ def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
     monkeypatch.setattr(cli, "solve", checked_solve)
     cfg = ScenarioConfig(n_assignments=800, seed=seed, deadline_slack_s=deadline_slack_s)
     run = cli.RunConfig(model=model, scenario=cfg)
-    net, assignments, _ = generate(run.scenario, model)
+    net, assignments = generate(run.scenario, model)
     result = cli.run_pipeline(net, assignments, run)
     # A group whose solve raised would keep its stage-3 plans and still validate.
     assert result.report.groups_fallback == 0
@@ -737,7 +737,7 @@ def _seeded_fleet_groups(model, n=50, seed=7, deadline_slack_s=0.0):
 
     cfg = ScenarioConfig(n_assignments=n, seed=seed, deadline_slack_s=deadline_slack_s)
     run = cli.RunConfig(model=model, scenario=cfg)
-    net, assignments, _ = generate(run.scenario, model)
+    net, assignments = generate(run.scenario, model)
     result = cli.run_pipeline(net, assignments, run)
     followers_of = {}
     for f, leader in sorted(result.leader_set.follower_of.items()):

@@ -17,11 +17,12 @@ from platoonplan import (
     sample,
     validate,
 )
-from platoonplan.planning import VehiclePlan, pair_savings
+from platoonplan.cli import route_assignments
+from platoonplan.planning import VehiclePlan
 from platoonplan.road_network import RoadNetwork, common_subpaths, make_route
 from platoonplan.scenario import ScenarioConfig, generate
 
-from conftest import chain_network, quadrature_fuel
+from conftest import chain_network, quadrature_fuel, savings_by_name
 
 V80 = 80.0 / 3.6
 
@@ -352,7 +353,8 @@ def _random_pairs(model, seed, n=30, rows=6, cols=6, edge_len=8000.0):
         rows=rows, cols=cols, edge_len_m=edge_len, n_assignments=n, seed=seed,
         start_window_s=900.0, node_weights=weights,
     )
-    net, assignments, routes = generate(cfg, model)
+    net, assignments = generate(cfg, model)
+    routes = route_assignments(net, assignments)
     plans = {a.id: default_plan(a, routes[a.id], model) for a in assignments}
     return net, assignments, routes, plans
 
@@ -425,14 +427,14 @@ def test_pair_savings_on_a_route_that_drives_an_edge_twice(model):
             # The loop reaches ab a second time here; first-visit merges come earlier.
             t_again = loop.arc_at_edge_start(4) / dplans["loop"].speeds[0]
             pairs = [("loop", "short"), ("short", "loop")]
-            savings = pair_savings(assignments, routes, dplans, model, pairs)
+            savings = savings_by_name(assignments, routes, dplans, model, pairs)
             for f, leader in pairs:
                 result = adapted_plan(
                     assignments[f], routes[f], leader, dplans[leader], model,
                     follower_default=dplans[f],
                 )
                 if result is None:
-                    assert (f, leader) not in savings
+                    assert savings[(f, leader)] == 0.0
                     continue
                 assert repr(savings[(f, leader)]) == repr(result[1])
                 if result[0].platoon_interval()[0] >= t_again - 1e-6:

@@ -24,7 +24,6 @@ from platoonplan import (  # noqa: E402
     cluster,
     default_plan,
     extract_plans,
-    prune_pairs,
     reduce_set_cover,
     solve,
     validate,
@@ -36,7 +35,6 @@ from platoonplan.coordination_graph import (  # noqa: E402
     save_graph_csv,
 )
 from platoonplan.joint_optimization import _assemble  # noqa: E402
-from platoonplan.planning import pair_savings  # noqa: E402
 from platoonplan.road_network import (  # noqa: E402
     route_length,
     shortest_node_route,
@@ -52,9 +50,11 @@ from conftest import (  # noqa: E402
     check_copies_exact,
     check_set_up_matches_reference,
     dual_gap,
+    prune_by_name,
     reference_extract_plans,
     reference_node_route,
     reference_route,
+    savings_by_name,
     stage4_infeasibility,
     unpruned_build,
 )
@@ -108,7 +108,7 @@ def test_pruned_build_equals_unpruned_build(model, fleet):
     assert pruned.weight == full.weight
     assert all(plan_p(*e) == plan_f(*e) for e in full.weight)
     assert set(_reference_prune_pairs(assignments, routes, model)) <= set(
-        prune_pairs(assignments, routes, model)
+        prune_by_name(assignments, routes, model)
     )
 
 
@@ -116,30 +116,31 @@ def test_pruned_build_equals_unpruned_build(model, fleet):
 @given(fleets())
 def test_prune_pairs_equal_the_bisect_index(model, fleet):
     assignments, routes = fleet
-    assert prune_pairs(assignments, routes, model) == bisect_prune_pairs(assignments, routes, model)
+    pruned = prune_by_name(assignments, routes, model)
+    assert pruned == bisect_prune_pairs(assignments, routes, model)
 
 
 @settings(max_examples=100, deadline=None)
 @given(fleets(flat=True))
 def test_prune_pairs_equal_the_bisect_index_flat(model, fleet):
     assignments, routes = fleet
-    assert prune_pairs(assignments, routes, model) == bisect_prune_pairs(assignments, routes, model)
+    pruned = prune_by_name(assignments, routes, model)
+    assert pruned == bisect_prune_pairs(assignments, routes, model)
 
 
 def _check_pair_savings(model, fleet):
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
     pairs = list(itertools.permutations(sorted(assignments), 2))
-    savings = pair_savings(assignments, routes, dplans, model, pairs)
+    savings = savings_by_name(assignments, routes, dplans, model, pairs)
     for f, leader in pairs:
         result = adapted_plan(
             assignments[f], routes[f], leader, dplans[leader], model, follower_default=dplans[f]
         )
         if result is None:
-            assert (f, leader) not in savings
+            assert savings[(f, leader)] == 0.0
         else:
             assert repr(savings[(f, leader)]) == repr(result[1])
-    assert set(savings) <= set(pairs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from platoonplan import default_plan, grid_network, route_length, shortest_node_route
+from platoonplan.cli import route_assignments
 from platoonplan.scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -18,8 +19,8 @@ from conftest import reference_node_route
 
 def test_generation_is_deterministic(model, tmp_path):
     cfg = ScenarioConfig(rows=4, cols=4, edge_len_m=5000.0, n_assignments=12, seed=77)
-    _, first, _ = generate(cfg, model)
-    _, second, _ = generate(cfg, model)
+    _, first = generate(cfg, model)
+    _, second = generate(cfg, model)
     assert first == second
     p1, p2 = tmp_path / "a1.json", tmp_path / "a2.json"
     save_assignments(first, str(p1))
@@ -31,8 +32,8 @@ def test_generation_is_deterministic(model, tmp_path):
 def test_generation_changes_with_seed(model):
     cfg1 = ScenarioConfig(rows=4, cols=4, edge_len_m=5000.0, n_assignments=12, seed=1)
     cfg2 = ScenarioConfig(rows=4, cols=4, edge_len_m=5000.0, n_assignments=12, seed=2)
-    _, a1, _ = generate(cfg1, model)
-    _, a2, _ = generate(cfg2, model)
+    _, a1 = generate(cfg1, model)
+    _, a2 = generate(cfg2, model)
     assert a1 != a2
 
 
@@ -41,7 +42,8 @@ def test_weights_pin_endpoints_to_two_nodes(model):
     cfg = ScenarioConfig(
         rows=3, cols=3, edge_len_m=2000.0, n_assignments=10, seed=5, node_weights=weights
     )
-    net, assignments, routes = generate(cfg, model)
+    net, assignments = generate(cfg, model)
+    routes = route_assignments(net, assignments)
     for a in assignments:
         r = routes[a.id]
         endpoints = {net.edge_tail(r.edges[0]), net.edge_head(r.edges[-1])}
@@ -50,7 +52,8 @@ def test_weights_pin_endpoints_to_two_nodes(model):
 
 def test_deadline_follows_default_speed(model):
     cfg = ScenarioConfig(rows=5, cols=5, edge_len_m=10_000.0, n_assignments=20, seed=3)
-    _, assignments, routes = generate(cfg, model)
+    net, assignments = generate(cfg, model)
+    routes = route_assignments(net, assignments)
     for a in assignments:
         d = route_length(routes[a.id])
         assert a.t_deadline - a.t_start == pytest.approx(d / model.v_default, abs=1e-9)
@@ -66,7 +69,8 @@ def test_deadline_slack_knob(model):
     cfg = ScenarioConfig(
         rows=4, cols=4, edge_len_m=5000.0, n_assignments=5, seed=9, deadline_slack_s=300.0
     )
-    _, assignments, routes = generate(cfg, model)
+    net, assignments = generate(cfg, model)
+    routes = route_assignments(net, assignments)
     for a in assignments:
         d = route_length(routes[a.id])
         assert a.t_deadline - a.t_start == pytest.approx(d / model.v_default + 300.0, abs=1e-9)
@@ -104,7 +108,7 @@ def test_invalid_configs_rejected():
 def test_start_times_within_window(model):
     cfg = ScenarioConfig(rows=4, cols=4, edge_len_m=5000.0, n_assignments=40, seed=2,
                          start_window_s=7200.0)
-    _, assignments, _ = generate(cfg, model)
+    _, assignments = generate(cfg, model)
     assert all(0.0 <= a.t_start <= 7200.0 for a in assignments)
     assert max(a.t_start for a in assignments) > 3600.0  # spread over the window
 
@@ -117,11 +121,13 @@ def test_unreachable_weights_error(model):
 
 @pytest.mark.slow
 def test_generated_routes_equal_the_heap_dijkstra_on_criterion_6_seeds(model):
-    """The criterion-6 fleets route exactly as the heap Dijkstra routes them."""
+    """The criterion-6 fleets are routed exactly as the heap Dijkstra routes
+    their end nodes."""
     for size_idx, size in enumerate([50, 200, 800]):
         for r in range(30):
             cfg = ScenarioConfig(n_assignments=size, seed=40_000 + 10_000 * size_idx + r)
-            net, assignments, routes = generate(cfg, model)
+            net, assignments = generate(cfg, model)
+            routes = route_assignments(net, assignments)
             # Sorted by start node, so the oracle's one-tree cache serves each group.
             ends = sorted(
                 (net.edge_tail(a.start.edge), net.edge_head(a.dest.edge), a.id)
