@@ -535,9 +535,12 @@ def cmd_montecarlo(args) -> int:
 def cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        hist = doc.pop("histogram", {})
-        histogram = {int(k): float(require_real(f"histogram[{k}]", v)) for k, v in hist.items()}
+            doc = require_object("the report", json.load(fh))
+        histogram = {}
+        for k, v in require_object("histogram", doc.pop("histogram", {})).items():
+            if not k.removeprefix("-").isdecimal():
+                raise ValueError(f"histogram size {k!r} is not an integer")
+            histogram[int(k)] = float(require_real(f"histogram[{k}]", v))
         for key, value in doc.items():
             (require_int if key in REPORT_COUNTS else require_real)(key, value)
         rep = evaluation.RunReport(histogram=histogram, **doc)
@@ -619,7 +622,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NetworkFormatError, ScenarioError, SizeLimitError, FileNotFoundError) as exc:
+    except (NetworkFormatError, ScenarioError, SizeLimitError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         _log("input_error", error=str(exc))
         return EXIT_INPUT
     except (InfeasibleDeadlineError, ValueError) as exc:

@@ -167,6 +167,8 @@ def load_graph_csv(path: str) -> CoordinationGraph:
         if reader.fieldnames != ["src", "dst", "saving_kg"]:
             raise ValueError(f"{path}: expected header src,dst,saving_kg")
         for row in reader:
+            if row["saving_kg"] is None:  # the row ends before the last column
+                raise ValueError(f"{path}:{reader.line_num}: expected src,dst,saving_kg")
             n, m = row["src"], row["dst"]
             nodes.update((n, m))
             weights[(n, m)] = float(row["saving_kg"])

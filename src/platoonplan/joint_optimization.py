@@ -96,13 +96,6 @@ class TimingSolution:
     solve_s: float = 0.0
 
 
-def _snap(value: float, grid: list[float]) -> float:
-    for g in grid:
-        if abs(value - g) <= EVENT_TOL:
-            return g
-    return value
-
-
 def build_group(
     leader: Assignment,
     leader_plan: VehiclePlan,
@@ -110,9 +103,10 @@ def build_group(
 ) -> CoordinationGroup:
     """Partition the leader's timeline at every merge/split event.
 
-    Event times of all followers are merged into one sorted grid (nearly
-    simultaneous events are deduplicated); the leader's constant default
-    speed converts time gaps into segment distances.
+    Each follower's merge time, then its split time, is snapped to the first
+    event within EVENT_TOL, or becomes a new event; the leader's constant
+    default speed converts the gaps between the sorted events into segment
+    distances.
     """
     if len(leader_plan.speeds) != 1:
         raise InconsistentGroupError("leader must run a constant-speed default plan")
@@ -120,7 +114,7 @@ def build_group(
     t0, t_arr = leader_plan.times[0], leader_plan.times[-1]
 
     events: list[float] = [t0, t_arr]
-    intervals = {}
+    windows = []  # each follower's snapped (merge, split) times
     for a, plan in followers:
         if plan.platoon_leader_id != leader.id:
             raise InconsistentGroupError(
@@ -129,8 +123,7 @@ def build_group(
         window = plan.platoon_interval()
         if window is None:
             raise InconsistentGroupError(f"follower {a.id} plan has no platoon episode")
-        t_merge, t_split = (_snap(t, events) for t in window)
-        if t_merge < t0 - EVENT_TOL or t_split > t_arr + EVENT_TOL:
+        if window[0] < t0 - EVENT_TOL or window[1] > t_arr + EVENT_TOL:
             raise InconsistentGroupError(
                 f"follower {a.id} platoons outside the leader's journey"
             )
@@ -139,48 +132,40 @@ def build_group(
             raise InconsistentGroupError(
                 f"follower {a.id} platoon speed differs from the leader's"
             )
-        for t in (t_merge, t_split):
-            if all(abs(t - e) > EVENT_TOL for e in events):
+        snapped = []
+        for t in window:
+            t = next((e for e in events if abs(t - e) <= EVENT_TOL), t)
+            if t not in events:
                 events.append(t)
-        intervals[a.id] = (_snap(t_merge, events), _snap(t_split, events))
+            snapped.append(t)
+        windows.append(snapped)
     events.sort()
 
-    leader_w = tuple((events[i + 1] - events[i]) * v_leader for i in range(len(events) - 1))
+    leader_t = tuple(b - a for a, b in zip(events, events[1:]))
+    leader_w = tuple(t * v_leader for t in leader_t)
     distances = {leader.id: leader_w}
-    platoon_flags = {leader.id: tuple(0 for _ in leader_w)}
-    initial_times = {leader.id: tuple(events[i + 1] - events[i] for i in range(len(events) - 1))}
+    platoon_flags = {leader.id: (0,) * len(leader_w)}
+    initial_times = {leader.id: leader_t}
     t_start = {leader.id: leader.t_start}
     t_deadline = {leader.id: leader.t_deadline}
     routes = {leader.id: leader_plan.route}
     merge_index = {}
     split_index = {}
 
-    for a, plan in followers:
-        t_merge, t_split = intervals[a.id]
+    for (a, plan), (t_merge, t_split) in zip(followers, windows):
         i_m = events.index(t_merge)
         i_sp = events.index(t_split) - 1
         if i_sp < i_m:
             raise InconsistentGroupError(f"follower {a.id} has an empty platoon window")
-        w: list[float] = []
-        p: list[int] = []
-        tt: list[float] = []
-        if plan.follower_flags[0] == 0:
-            w.append(plan.speeds[0] * (t_merge - a.t_start))
-            p.append(0)
-            tt.append(t_merge - a.t_start)
-        w.extend(leader_w[i_m : i_sp + 1])
-        p.extend(1 for _ in range(i_m, i_sp + 1))
-        tt.extend(initial_times[leader.id][i_m : i_sp + 1])
-        if plan.follower_flags[-1] == 0:
-            dur = plan.times[-1] - t_split
-            w.append(plan.speeds[-1] * dur)
-            p.append(0)
-            tt.append(dur)
+        head = (t_merge - a.t_start,) if plan.follower_flags[0] == 0 else ()
+        tail = (plan.times[-1] - t_split,) if plan.follower_flags[-1] == 0 else ()
+        w = (*(plan.speeds[0] * t for t in head), *leader_w[i_m : i_sp + 1],
+             *(plan.speeds[-1] * t for t in tail))
         if any(x <= 0 for x in w):
             raise InconsistentGroupError(f"follower {a.id} produced a nonpositive segment")
-        distances[a.id] = tuple(w)
-        platoon_flags[a.id] = tuple(p)
-        initial_times[a.id] = tuple(tt)
+        distances[a.id] = w
+        platoon_flags[a.id] = (0,) * len(head) + (1,) * (i_sp + 1 - i_m) + (0,) * len(tail)
+        initial_times[a.id] = head + leader_t[i_m : i_sp + 1] + tail
         t_start[a.id] = a.t_start
         t_deadline[a.id] = a.t_deadline
         routes[a.id] = plan.route
@@ -618,20 +603,17 @@ def extract_plans(
     truck's start time; merge/split locations are untouched because the
     distance partition is fixed.
     """
-    members = group.members()
-    w, t = (np.fromiter(itertools.chain.from_iterable(per_member[m] for m in members), float)
-            for per_member in (group.distances, sol.times))
-    v = w / t
-    # Snap rounding dust; a real violation is left for validate().
-    snapped, ok = model.clamp_speeds(v)
-    speeds = iter(np.where(ok, snapped, v).tolist())
     plans = {}
-    for member in members:
-        times_rel = sol.times[member]
+    for member in group.members():
+        speeds = []
+        for w, t in zip(group.distances[member], sol.times[member]):
+            v = float(w / t)
+            snapped = model.clamp_speed(v)  # snaps rounding dust; validate() reports the rest
+            speeds.append(v if snapped is None else snapped)
         plans[member] = VehiclePlan(
             route=group.routes[member],
-            speeds=tuple(itertools.islice(speeds, len(times_rel))),
-            times=tuple(itertools.accumulate(times_rel, initial=group.t_start[member])),
+            speeds=tuple(speeds),
+            times=tuple(itertools.accumulate(sol.times[member], initial=group.t_start[member])),
             follower_flags=group.platoon_flags[member],
             platoon_leader_id=None if member == group.leader_id else group.leader_id,
         )

@@ -368,6 +368,9 @@ def load_network(path: str) -> RoadNetwork:
 
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise fail("expected an object with 'nodes' and 'edges' arrays")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise fail(f"'{key}' must be an array, not {doc[key]!r}")
     nodes = []
     for entry in doc["nodes"]:
         if not isinstance(entry, dict) or "id" not in entry:

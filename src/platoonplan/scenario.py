@@ -68,6 +68,10 @@ class ScenarioConfig:
             require_int(name, getattr(self, name))
         for name in ("edge_len_m", "start_window_s", "deadline_slack_s"):
             require_real(name, getattr(self, name))
+        if self.network_file is not None and not isinstance(self.network_file, str):
+            raise ScenarioError(f"network_file must be a string or null, not {self.network_file!r}")
+        if self.node_weights is not None:
+            require_object("node_weights", self.node_weights)
         for node, w in (self.node_weights or {}).items():
             if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
                 raise ScenarioError(f"node weight of {node} must be finite and >= 0, not {w!r}")
@@ -197,7 +201,10 @@ def _position(entry: dict, end: str) -> Position:
 
 def load_assignments(path: str) -> list[Assignment]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, list):
         raise ScenarioError(f"{path}: expected a JSON list of assignments")
     assignments = []

@@ -22,6 +22,7 @@ from platoonplan import (
     RoadNetwork,
     Route,
     VehiclePlan,
+    build_group,
     cluster,
     common_subpaths,
     default_plan,
@@ -32,6 +33,8 @@ from platoonplan import (
 )
 from platoonplan.coordination_graph import WEIGHT_FLOOR, CoordinationGraph, prune_pairs
 from platoonplan.joint_optimization import (
+    EVENT_TOL,
+    CoordinationGroup,
     InconsistentGroupError,
     _active_set,
     _assemble,
@@ -277,6 +280,110 @@ def check_cluster_matches_reference(g, runs):
         assert result.leaders == expected.leaders
         assert result.follower_of == expected.follower_of
         assert repr(result.objective) == repr(expected.objective)
+
+
+def _reference_snap(value, grid):
+    for g in grid:
+        if abs(value - g) <= EVENT_TOL:
+            return g
+    return value
+
+
+def reference_build_group(leader, leader_plan, followers):
+    """Oracle for joint_optimization.build_group: its earlier two-pass form,
+    which snaps each follower's window against the events before it, appends
+    the times more than EVENT_TOL from every event, then snaps the window
+    again before the segments are built."""
+    if len(leader_plan.speeds) != 1:
+        raise InconsistentGroupError("leader must run a constant-speed default plan")
+    v_leader = leader_plan.speeds[0]
+    t0, t_arr = leader_plan.times[0], leader_plan.times[-1]
+
+    events = [t0, t_arr]
+    intervals = {}
+    for a, plan in followers:
+        if plan.platoon_leader_id != leader.id:
+            raise InconsistentGroupError(
+                f"follower {a.id} is adapted to {plan.platoon_leader_id!r}, not {leader.id!r}"
+            )
+        window = plan.platoon_interval()
+        if window is None:
+            raise InconsistentGroupError(f"follower {a.id} plan has no platoon episode")
+        t_merge, t_split = (_reference_snap(t, events) for t in window)
+        if t_merge < t0 - EVENT_TOL or t_split > t_arr + EVENT_TOL:
+            raise InconsistentGroupError(
+                f"follower {a.id} platoons outside the leader's journey"
+            )
+        k = plan.follower_flags.index(1)
+        if abs(plan.speeds[k] - v_leader) > 1e-6 * v_leader:
+            raise InconsistentGroupError(
+                f"follower {a.id} platoon speed differs from the leader's"
+            )
+        for t in (t_merge, t_split):
+            if all(abs(t - e) > EVENT_TOL for e in events):
+                events.append(t)
+        intervals[a.id] = (_reference_snap(t_merge, events), _reference_snap(t_split, events))
+    events.sort()
+
+    leader_w = tuple((events[i + 1] - events[i]) * v_leader for i in range(len(events) - 1))
+    distances = {leader.id: leader_w}
+    platoon_flags = {leader.id: tuple(0 for _ in leader_w)}
+    initial_times = {leader.id: tuple(events[i + 1] - events[i] for i in range(len(events) - 1))}
+    t_start = {leader.id: leader.t_start}
+    t_deadline = {leader.id: leader.t_deadline}
+    routes = {leader.id: leader_plan.route}
+    merge_index = {}
+    split_index = {}
+
+    for a, plan in followers:
+        t_merge, t_split = intervals[a.id]
+        i_m = events.index(t_merge)
+        i_sp = events.index(t_split) - 1
+        if i_sp < i_m:
+            raise InconsistentGroupError(f"follower {a.id} has an empty platoon window")
+        w, p, tt = [], [], []
+        if plan.follower_flags[0] == 0:
+            w.append(plan.speeds[0] * (t_merge - a.t_start))
+            p.append(0)
+            tt.append(t_merge - a.t_start)
+        w.extend(leader_w[i_m : i_sp + 1])
+        p.extend(1 for _ in range(i_m, i_sp + 1))
+        tt.extend(initial_times[leader.id][i_m : i_sp + 1])
+        if plan.follower_flags[-1] == 0:
+            dur = plan.times[-1] - t_split
+            w.append(plan.speeds[-1] * dur)
+            p.append(0)
+            tt.append(dur)
+        if any(x <= 0 for x in w):
+            raise InconsistentGroupError(f"follower {a.id} produced a nonpositive segment")
+        distances[a.id] = tuple(w)
+        platoon_flags[a.id] = tuple(p)
+        initial_times[a.id] = tuple(tt)
+        t_start[a.id] = a.t_start
+        t_deadline[a.id] = a.t_deadline
+        routes[a.id] = plan.route
+        merge_index[a.id] = i_m
+        split_index[a.id] = i_sp
+
+    return CoordinationGroup(
+        leader_id=leader.id,
+        follower_ids=tuple(a.id for a, _ in followers),
+        distances=distances,
+        platoon_flags=platoon_flags,
+        initial_times=initial_times,
+        t_start=t_start,
+        t_deadline=t_deadline,
+        merge_index=merge_index,
+        split_index=split_index,
+        routes=routes,
+    )
+
+
+def checked_build_group(leader, leader_plan, followers):
+    """build_group's group, after checking that it equals the oracle's."""
+    group = build_group(leader, leader_plan, followers)
+    assert group == reference_build_group(leader, leader_plan, followers), leader.id
+    return group
 
 
 def stage4_infeasibility(group, sol, model):

@@ -52,6 +52,19 @@ ABSORBED_NETWORK = """{"nodes": [{"id": "X"}, {"id": "A"}, {"id": "B"}, {"id": "
 """
 
 
+# Per test_bad_input_exits_2_with_input_error case id, the text its error must hold.
+BAD_INPUT_ERRORS = {
+    "network-absorbed-length": "{path}:5: edge 'ba'",
+    "network-nodes-not-an-array": "{path}: 'nodes' must be an array, not 5",
+    "network-edges-not-an-array": "{path}: 'edges' must be an array, not 5",
+    "assignments-undecodable": "{path}:1: invalid JSON: Expecting value",
+    "graph-row-lacks-a-column": "{path}:3: expected src,dst,saving_kg",
+    "report-a-list": "the report must be a JSON object, not [1]",
+    "report-histogram-a-list": "histogram must be a JSON object, not [1]",
+    "report-histogram-size-x": "histogram size 'x' is not an integer",
+}
+
+
 def _montecarlo_runs(cfg, size, seeds):
     base = load_config(cfg, scenario={"n_assignments": size})
     return [dataclasses.replace(base, seed=s, scenario=dataclasses.replace(base.scenario, seed=s))
@@ -156,11 +169,24 @@ def test_malformed_network_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_missing_file_exits_2(tmp_path):
-    rc = main(["plan", "--network", str(tmp_path / "nope.json"),
-               "--assignments", str(tmp_path / "nada.json"),
-               "--out-dir", str(tmp_path / "x")])
-    assert rc == 2
+def test_missing_file_exits_2(tmp_path, capsys):
+    """A path that is missing, a directory where a file is due or a file
+    where a directory is due gets one input_error that names it, and no
+    traceback."""
+    _, network, assignments = _generate(
+        tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+    )
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("x")
+    for flag, name in [("--network", "nope.json"), ("--assignments", "nada.json"),
+                       ("--network", "adir"), ("--assignments", "adir"), ("--out-dir", "afile")]:
+        paths = {"--network": str(network), "--assignments": str(assignments),
+                 "--out-dir": str(tmp_path / "x"), flag: str(tmp_path / name)}
+        capsys.readouterr()
+        assert main(["plan", *(part for item in paths.items() for part in item)]) == 2, flag
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["event"] for e in events] == ["input_error"], (flag, name)
+        assert str(tmp_path / name) in events[0]["error"], (flag, name)
 
 
 @pytest.mark.parametrize(
@@ -270,6 +296,10 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
         pytest.param("graph", "src,dst,saving_kg\n1,2,x\n", id="graph-saving-not-a-number"),
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,inf\n", id="graph-infinite-saving"),
+        pytest.param("graph", "src,dst,saving_kg\n1,2,3.0\na,b\n", id="graph-row-lacks-a-column"),
+        pytest.param("report", [1], id="report-a-list"),
+        pytest.param("report", {**REPORT, "histogram": [1]}, id="report-histogram-a-list"),
+        pytest.param("report", {**REPORT, "histogram": {"x": 5.0}}, id="report-histogram-size-x"),
         pytest.param("report", {"n_assignments": 3}, id="report-missing-fields"),
         pytest.param("report", {**REPORT, "saving_stage3": "x"}, id="report-text-saving"),
         pytest.param("report", {**REPORT, "n_leaders": True}, id="report-bool-count"),
@@ -286,6 +316,8 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
             "report", {**REPORT, "histogram": {"1": -5.0}}, id="report-negative-histogram-meters"
         ),
         pytest.param("network", {"nodes": [{"id": [1]}], "edges": []}, id="network-list-node-id"),
+        pytest.param("network", {"nodes": 5, "edges": []}, id="network-nodes-not-an-array"),
+        pytest.param("network", {"nodes": [], "edges": 5}, id="network-edges-not-an-array"),
         # Routing from A ties (10, 1) against (10, "B").
         pytest.param(
             "network",
@@ -338,9 +370,12 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
             },
             id="network-no-route",
         ),
+        pytest.param("assignments", "[", id="assignments-undecodable"),
     ],
 )
-def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
+def test_bad_input_exits_2_with_input_error(tmp_path, capsys, request, kind, content):
+    """Where BAD_INPUT_ERRORS holds the case's id, the error says that text,
+    with {path} the bad file."""
     bad = tmp_path / "bad"
     bad.write_text(content if isinstance(content, str) else json.dumps(content))
     if kind == "config":
@@ -351,6 +386,12 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
                 "--config", str(bad), "--out-dir", str(tmp_path / "x")]
     elif kind == "montecarlo":
         argv = ["montecarlo", "--config", str(bad), "--runs", "1", "--sizes", "2",
+                "--out-dir", str(tmp_path / "x")]
+    elif kind == "assignments":
+        _, network, _ = _generate(
+            tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=3, seed=1
+        )
+        argv = ["plan", "--network", str(network), "--assignments", str(bad),
                 "--out-dir", str(tmp_path / "x")]
     elif kind == "network":
         assignments = tmp_path / "assignments.json"
@@ -368,8 +409,9 @@ def test_bad_input_exits_2_with_input_error(tmp_path, capsys, kind, content):
     assert main(argv) == 2
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [e["event"] for e in events] == ["input_error"]
-    if content is ABSORBED_NETWORK:
-        assert f"{bad}:5: edge 'ba'" in events[0]["error"]
+    message = BAD_INPUT_ERRORS.get(request.node.callspec.id)
+    if message is not None:
+        assert message.format(path=bad) in events[0]["error"]
 
 
 # (test id, config file text that is JSON but not an object where one is
@@ -380,6 +422,15 @@ NOT_AN_OBJECT = [
     ("fuel-block-is-a-list", '{"fuel": [1]}', "fuel"),
     ("solver-block-is-a-string", '{"solver": "x"}', "solver"),
     ("scenario-block-is-a-list", '{"scenario": [1]}', "scenario"),
+]
+
+# (test id, config file text whose scenario key has the wrong JSON type, the
+# error it must give)
+MISTYPED_SCENARIO_KEYS = [
+    ("network-file-not-a-string", '{"scenario": {"network_file": 5}}',
+     "network_file must be a string or null, not 5"),
+    ("node-weights-a-list", '{"scenario": {"node_weights": [1, 2]}}',
+     "node_weights must be a JSON object, not [1, 2]"),
 ]
 
 
@@ -417,13 +468,14 @@ NOT_AN_OBJECT = [
         ),
         pytest.param({"exact-limit": 5}, ["plan"], id="plan-unknown-top-level-key"),
         *(pytest.param(text, ["generate"], id=case) for case, text, _ in NOT_AN_OBJECT),
+        *(pytest.param(text, ["generate"], id=case) for case, text, _ in MISTYPED_SCENARIO_KEYS),
     ],
 )
 def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, config, argv):
     """Flags and PLATOON_* values get the checks of the config file, before any run.
 
     A config given as a string is the file's text, and the error names the
-    block that is not a JSON object.
+    block that is not a JSON object or the scenario key of the wrong type.
     """
     argv = argv + ["--out-dir", str(tmp_path / "x")]
     if argv[0] == "montecarlo" and "--runs" not in argv:
@@ -443,8 +495,9 @@ def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, con
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [e["event"] for e in events] == ["input_error"]
     if isinstance(config, str):
-        block = next(block for _, text, block in NOT_AN_OBJECT if text == config)
-        assert f"{block} must be a JSON object" in events[0]["error"]
+        expected = {text: f"{block} must be a JSON object" for _, text, block in NOT_AN_OBJECT}
+        expected.update((text, message) for _, text, message in MISTYPED_SCENARIO_KEYS)
+        assert expected[config] in events[0]["error"]
     assert not (tmp_path / "x").exists()
 
 

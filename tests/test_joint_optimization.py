@@ -35,6 +35,7 @@ from conftest import (
     check_assemble_matches_reference,
     check_copies_exact,
     check_set_up_matches_reference,
+    checked_build_group,
     dual_gap,
     reference_active_set,
     reference_extract_plans,
@@ -632,10 +633,11 @@ def test_a_blocking_row_joins_only_outside_the_span_of_the_working_rows(eps, ref
 @pytest.mark.slow
 @pytest.mark.parametrize("slack", [0.0, 1800.0])
 def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model, slack):
-    """On the 800-truck fleet of seed 101 and its 1800 s slack twin, _assemble
-    equals the per-equality build bit for bit, and from every group's start
-    _active_set takes as many rounds as the least-squares reference, reaches
-    its objective to 1e-12 relative, satisfies G x <= h to 1e-9 and is
+    """On the 800-truck fleet of seed 101 and its 1800 s slack twin,
+    build_group equals the two-pass reference and _assemble the per-equality
+    build, bit for bit; from every group's start _active_set takes as many
+    rounds as the least-squares reference, reaches its objective to 1e-12
+    relative, satisfies G x <= h to 1e-9 and is
     stationary to 1e-8. _set_up's reduction passes
     check_set_up_matches_reference; the solution is certified optimal to a
     dual gap of 1e-9, its plans equal the scalar loop's, its followers copy
@@ -731,7 +733,8 @@ def test_a_failed_block_lp_stays_with_its_group():
 
 
 def _seeded_fleet_groups(model, n=50, seed=7, deadline_slack_s=0.0):
-    """The coordination groups of a generated fleet, as stage 4 builds them."""
+    """The coordination groups of a generated fleet, as stage 4 builds them;
+    each equals the one the two-pass reference_build_group builds."""
     from platoonplan import cli
     from platoonplan.scenario import ScenarioConfig, generate
 
@@ -743,7 +746,7 @@ def _seeded_fleet_groups(model, n=50, seed=7, deadline_slack_s=0.0):
     for f, leader in sorted(result.leader_set.follower_of.items()):
         followers_of.setdefault(leader, []).append(f)
     return [
-        build_group(
+        checked_build_group(
             result.assignments[leader],
             result.default_plans[leader],
             [(result.assignments[f], result.stage3_plans[f]) for f in fs],

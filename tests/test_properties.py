@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from platoonplan import (  # noqa: E402
     Assignment,
@@ -49,6 +49,7 @@ from conftest import (  # noqa: E402
     check_cluster_matches_reference,
     check_copies_exact,
     check_set_up_matches_reference,
+    checked_build_group,
     dual_gap,
     prune_by_name,
     reference_extract_plans,
@@ -177,8 +178,9 @@ def test_graph_csv_round_trips_bit_for_bit(model, fleet):
     assert all(type(w) is float for w in graph.weight.values())
 
 
-def _fleet_groups(model, fleet):
-    """The fleet's coordination groups under greedy leader selection."""
+def _fleet_groups(model, fleet, build_group=build_group):
+    """The fleet's coordination groups under greedy leader selection, each
+    built by build_group."""
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
     graph, plan_of = build(assignments, routes, dplans, model)
@@ -244,6 +246,30 @@ def test_assemble_equals_the_per_equality_build(model, fleet):
 def test_assemble_equals_the_per_equality_build_flat(model, fleet):
     for group in _fleet_groups(model, fleet):
         check_assemble_matches_reference(group, model)
+
+
+def _twin_trucks():
+    """Two trucks on one trip: the follower splits at the leader's
+    destination, which its plan reaches a rounding error off the leader's
+    arrival, so the split is snapped onto the arrival."""
+    frm, to = Position("n0_0>n0_1", 0.0), Position("n0_0>n1_0", 0.0)
+    route = shortest_route(NET, frm, to)
+    t_deadline = route_length(route) / 22.0
+    return ({aid: Assignment(aid, frm, to, 0.0, t_deadline) for aid in ("t0", "t1")},
+            {aid: route for aid in ("t0", "t1")})
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+@example(_twin_trucks())
+def test_build_group_equals_the_two_pass_build(model, fleet):
+    _fleet_groups(model, fleet, checked_build_group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(flat=True))
+def test_build_group_equals_the_two_pass_build_flat(model, fleet):
+    _fleet_groups(model, fleet, checked_build_group)
 
 
 def _pipeline(model, fleet):
