@@ -483,8 +483,9 @@ def _montecarlo_run(run: RunConfig) -> dict:
 
 def run_montecarlo(runs: list[RunConfig], jobs: int) -> list[dict]:
     """Plan each run's generated fleet, in order, on up to jobs processes."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(runs))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_montecarlo_run, runs))
     else:
         results = [_montecarlo_run(run) for run in runs]
@@ -515,14 +516,17 @@ def cmd_montecarlo(args) -> int:
         raise ScenarioError(f"invalid --sizes {args.sizes!r}: {exc}") from exc
     if len(set(sizes)) < len(sizes):
         raise ScenarioError(f"invalid --sizes {args.sizes!r}: a size is repeated")
-    seed, jobs = _env_int("SEED", args.seed, 0), _env_int("JOBS", args.jobs, 1)
+    seed, jobs = _env_int("SEED", args.seed, None), _env_int("JOBS", args.jobs, 1)
     if args.runs < 1 or jobs < 1:
         raise ScenarioError(f"--runs and --jobs must be at least 1, not {args.runs}, {jobs}")
     # A bad config, selection or size is an input error, not a failed row per run.
     runs = []
     for size_idx, size in enumerate(sizes):
-        base = load_config(args.config, selection=args.selection, scenario={"n_assignments": size})
-        for s in range(seed + 10_000 * size_idx, seed + 10_000 * size_idx + args.runs):
+        base = load_config(
+            args.config, selection=args.selection, seed=seed, scenario={"n_assignments": size}
+        )
+        first = base.seed + 10_000 * size_idx
+        for s in range(first, first + args.runs):
             runs.append(replace(base, seed=s, scenario=replace(base.scenario, seed=s)))
     rows = run_montecarlo(runs, jobs)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -604,7 +608,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--sizes", default="50,200,800")
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument(
-        "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", "greedy")
+        "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", None)
     )
     p_mc.add_argument("--jobs", type=int, default=None)
     p_mc.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))

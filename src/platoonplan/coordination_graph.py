@@ -167,9 +167,13 @@ def load_graph_csv(path: str) -> CoordinationGraph:
         if reader.fieldnames != ["src", "dst", "saving_kg"]:
             raise ValueError(f"{path}: expected header src,dst,saving_kg")
         for row in reader:
-            if row["saving_kg"] is None:  # the row ends before the last column
+            # A short row fills the missing cells with None; a long one files
+            # its extra cells under the key None.
+            if row["saving_kg"] is None or None in row:
                 raise ValueError(f"{path}:{reader.line_num}: expected src,dst,saving_kg")
             n, m = row["src"], row["dst"]
+            if (n, m) in weights:
+                raise ValueError(f"{path}:{reader.line_num}: repeated pair ({n!r}, {m!r})")
             nodes.update((n, m))
             weights[(n, m)] = float(row["saving_kg"])
     return CoordinationGraph(sorted(nodes), weights)

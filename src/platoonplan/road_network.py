@@ -256,37 +256,29 @@ def shortest_node_route(net: RoadNetwork, u, v) -> Optional[Route]:
     edges = _node_path_edges(net, u, v)
     if edges is None:
         return None
-    return make_route(net, edges, 0.0, net.edge_length(edges[-1]))
+    lengths = tuple(map(net.edge_length, edges))
+    return Route(tuple(edges), lengths, 0.0, lengths[-1])
 
 
 def shortest_route(net: RoadNetwork, frm: Position, to: Position) -> Optional[Route]:
     """Minimum-length route from one position to another, or None.
 
     The vehicle is already on frm.edge and can only move forward along it,
-    so every returned route starts with frm.edge and ends with to.edge.
+    so every returned route starts with frm.edge and ends with to.edge. A
+    destination ahead on frm.edge is reached along it; other routes loop.
     """
     net.check_position(frm)
     net.check_position(to)
-
-    best: Optional[Route] = None
-    if frm.edge == to.edge and frm.offset <= to.offset:
-        if to.offset > frm.offset:
-            best = Route((frm.edge,), (net.edge_length(frm.edge),), frm.offset, to.offset)
-        else:
-            raise ValueError("start and destination positions coincide")
-
-    exit_node = net.edge_head(frm.edge)
-    entry_node = net.edge_tail(to.edge)
-    middle = _node_path_edges(net, exit_node, entry_node)
-    if middle is not None:
-        edges = (frm.edge, *middle, to.edge)
-        lengths = tuple(net.edge_length(e) for e in edges)
-        candidate = Route(edges, lengths, frm.offset, to.offset)
-        if route_length(candidate) > 0 and (
-            best is None or route_length(candidate) < route_length(best)
-        ):
-            best = candidate
-    return best
+    if frm.edge == to.edge and frm.offset < to.offset:
+        return Route((frm.edge,), (net.edge_length(frm.edge),), frm.offset, to.offset)
+    if frm == to:
+        raise ValueError("start and destination positions coincide")
+    middle = _node_path_edges(net, net.edge_head(frm.edge), net.edge_tail(to.edge))
+    if middle is None:
+        return None
+    edges = (frm.edge, *middle, to.edge)
+    route = Route(edges, tuple(map(net.edge_length, edges)), frm.offset, to.offset)
+    return route if route_length(route) > 0 else None
 
 
 def common_subpaths(a: Route, b: Route) -> list[SharedSegment]:

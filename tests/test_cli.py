@@ -59,6 +59,8 @@ BAD_INPUT_ERRORS = {
     "network-edges-not-an-array": "{path}: 'edges' must be an array, not 5",
     "assignments-undecodable": "{path}:1: invalid JSON: Expecting value",
     "graph-row-lacks-a-column": "{path}:3: expected src,dst,saving_kg",
+    "graph-row-extra-cell": "{path}:2: expected src,dst,saving_kg",
+    "graph-repeated-pair": "{path}:3: repeated pair ('a', 'b')",
     "report-a-list": "the report must be a JSON object, not [1]",
     "report-histogram-a-list": "histogram must be a JSON object, not [1]",
     "report-histogram-size-x": "histogram size 'x' is not an integer",
@@ -297,6 +299,8 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
         pytest.param("graph", "src,dst,saving_kg\n1,1,2.0\n", id="graph-self-loop"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,inf\n", id="graph-infinite-saving"),
         pytest.param("graph", "src,dst,saving_kg\n1,2,3.0\na,b\n", id="graph-row-lacks-a-column"),
+        pytest.param("graph", "src,dst,saving_kg\na,b,1.0,extra\n", id="graph-row-extra-cell"),
+        pytest.param("graph", "src,dst,saving_kg\na,b,1.0\na,b,2.0\n", id="graph-repeated-pair"),
         pytest.param("report", [1], id="report-a-list"),
         pytest.param("report", {**REPORT, "histogram": [1]}, id="report-histogram-a-list"),
         pytest.param("report", {**REPORT, "histogram": {"x": 5.0}}, id="report-histogram-size-x"),
@@ -1117,6 +1121,64 @@ def test_montecarlo_reads_the_config_once_per_size(tmp_path, monkeypatch, capsys
     logged = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     runs = [(e["size"], e["seed"]) for e in logged if e["event"] == "montecarlo_run"]
     assert runs == [(6, 5), (6, 6), (6, 7), (8, 10_005), (8, 10_006), (8, 10_007)]
+
+
+@pytest.mark.parametrize(
+    "flags, env, expected",
+    [
+        pytest.param([], {}, [("random", 5), ("random", 6)], id="file"),
+        pytest.param(["--selection", "greedy", "--seed", "9"], {}, [("greedy", 9), ("greedy", 10)],
+                     id="flags-over-file"),
+        pytest.param([], {"PLATOON_SEED": "20", "PLATOON_SELECTION": "greedy"},
+                     [("greedy", 20), ("greedy", 21)], id="env-over-file"),
+    ],
+)
+def test_montecarlo_settings_come_from_flag_env_then_file(tmp_path, monkeypatch, flags, env,
+                                                          expected):
+    """A flag beats PLATOON_*, which beats the config file's selection and seed."""
+    from platoonplan import cli
+
+    recorded = []
+    monkeypatch.setattr(cli, "run_montecarlo", lambda runs, jobs: recorded.extend(runs) or [])
+    for name in ("PLATOON_SEED", "PLATOON_SELECTION"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = _write_config(tmp_path / "config.json", {"selection": "random", "seed": 5})
+    main(["montecarlo", "--config", cfg, "--runs", "2", "--sizes", "20", *flags,
+          "--out-dir", str(tmp_path / "mc")])
+    assert [(r.selection, r.seed) for r in recorded] == expected
+    assert [r.scenario.seed for r in recorded] == [seed for _, seed in expected]
+
+
+def test_montecarlo_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
+    """A pool starts all its workers at once: one run is planned in this
+    process, and two runs get two workers however large jobs is."""
+    from platoonplan import cli
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = _write_scenario_config(
+        tmp_path / "config.json", rows=4, cols=4, edge_len_m=5000.0, start_window_s=600.0
+    )
+    assert [r["seed"] for r in run_montecarlo(_montecarlo_runs(cfg, 6, [1]), jobs=64)] == [1]
+    assert pools == []
+    assert [r["seed"] for r in run_montecarlo(_montecarlo_runs(cfg, 6, [1, 2]), jobs=64)] == [1, 2]
+    assert pools == [2]
 
 
 @pytest.mark.parametrize(

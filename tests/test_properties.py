@@ -397,7 +397,9 @@ def _outcome(route_fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
 def test_routes_equal_the_heap_dijkstra(graph):
-    """Same routes as the heap loop, ties included; a network that mixes 1e16
+    """Same routes as the heap loop, ties included, for every pair of offsets
+    (0, half, end): a backward pair on one edge loops round, and an edge's end
+    to the next edge's start covers no distance. A network that mixes 1e16
     with a length rounding could absorb is rejected, and no other is."""
     nodes, edges = graph
     lengths = {length for *_, length in edges}
@@ -409,7 +411,7 @@ def test_routes_equal_the_heap_dijkstra(graph):
     for u, v in itertools.permutations(sorted(net.nodes), 2):
         assert shortest_node_route(net, u, v) == reference_node_route(net, u, v)
     for e, f in itertools.product(sorted(net.edges), repeat=2):
-        for frm, to in itertools.product((0.0, 0.5), (0.5, 1.0)):
+        for frm, to in itertools.product((0.0, 0.5, 1.0), repeat=2):
             frm = Position(e, frm * net.edge_length(e))
             to = Position(f, to * net.edge_length(f))
             assert _outcome(shortest_route, net, frm, to) == _outcome(reference_route, net, frm, to)
