@@ -19,7 +19,6 @@ from .road_network import (
     SharedSegment,
     common_subpaths,
     load_network,
-    make_route,
     positions_coincide,
     route_length,
     shortest_node_route,

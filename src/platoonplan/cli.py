@@ -44,6 +44,7 @@ from .planning import (
     Assignment,
     InfeasibleDeadlineError,
     VehiclePlan,
+    Visits,
     default_plan,
     sample,
     validate,
@@ -66,6 +67,12 @@ MONTECARLO_COLUMNS = ("size", "seed", "saving_stage3", "saving_stage4", "saving_
                       "upper_bound_rel", "groups_fallback", "wallclock_s")
 # report.json fields that are counts; every other field but the histogram is a real.
 REPORT_COUNTS = ("n_assignments", "n_leaders", "n_followers", "groups_fallback")
+# route_assignments holds the distance rows of this many bytes of exit nodes
+# at a time (8 per node and source): every exit node of a 20x20 grid in one
+# csgraph call, but never a row per node of a large network. Rows become
+# Python lists one at a time: on an 800-truck grid fleet tracemalloc puts
+# routing's peak at 1.7 MiB so, and at 5.1 MiB with all rows converted at once.
+TREE_BLOCK_BYTES = 2**21
 
 
 def _log(event: str, **fields) -> None:
@@ -190,7 +197,8 @@ def run_pipeline(net: RoadNetwork, assignments: list[Assignment], run: RunConfig
     if infeasible:
         raise InfeasibleDeadlineError("; ".join(infeasible))
 
-    graph, plan_of = build(amap, routes, default_plans, run.model)
+    fleet = Visits(amap, routes, default_plans, run.model)
+    graph, plan_of = build(fleet, run.model)
 
     if run.exact_selection:
         leader_set = exact(graph, limit=run.exact_limit)
@@ -257,8 +265,7 @@ def run_pipeline(net: RoadNetwork, assignments: list[Assignment], run: RunConfig
     group_logs.sort(key=lambda e: e["leader"])
 
     report = evaluation.make_report(
-        amap,
-        default_plans,
+        fleet,
         stage3_plans,
         stage4_plans,
         run.model,
@@ -282,9 +289,10 @@ def route_assignments(net: RoadNetwork, assignments: list[Assignment]) -> dict:
     """Shortest route per assignment id, in assignment order.
 
     Assignments are routed grouped by the node where their start edge ends,
-    so each such node's shortest-path tree is built once. A start or
-    destination off the network, or a start at the destination, is a
-    ScenarioError naming the assignment.
+    so each such node's distances are computed once, in blocks of
+    TREE_BLOCK_BYTES of exit nodes per csgraph call. A start or destination
+    off the network, or a start at the destination, is a ScenarioError
+    naming the assignment.
     """
     by_exit: dict = {}
     for a in assignments:
@@ -296,11 +304,14 @@ def route_assignments(net: RoadNetwork, assignments: list[Assignment]) -> dict:
         if a.start == a.dest:
             raise ScenarioError(f"assignment {a.id}: start and destination coincide")
         by_exit.setdefault(net.edge_head(a.start.edge), []).append(a)
-    found = {
-        a.id: road_network.shortest_route(net, a.start, a.dest)
-        for group in by_exit.values()
-        for a in group
-    }
+    exits, found = list(by_exit), {}
+    per_call = max(1, TREE_BLOCK_BYTES // (8 * max(len(net.node_order), 1)))
+    for b in range(0, len(exits), per_call):
+        block = exits[b : b + per_call]
+        for node, row in zip(block, road_network.distance_rows(net, block)):
+            dist = row.tolist()
+            for a in by_exit[node]:
+                found[a.id] = road_network.shortest_route(net, a.start, a.dest, dist)
     for a in assignments:
         if found[a.id] is None:
             raise ScenarioError(f"assignment {a.id}: no route exists")

@@ -1,9 +1,9 @@
 """Weighted directed graph of positive pairwise platooning fuel savings.
 
 An edge (n, m) with weight w means truck n saves w kilograms by adapting
-its plan to m's default plan. `build` flattens the fleet once into a
-`planning.Visits` table; a sound pruning pass over it keeps the ordered
-pairs, as rows of that table, that could platoon, and one array pass
+its plan to m's default plan. `build` reads the run's `planning.Visits`
+table, the fleet flattened once; a sound pruning pass over it keeps the
+ordered pairs, as rows of that table, that could platoon, and one array pass
 (`planning.pair_savings`) gives every kept pair's saving. `build` returns
 the graph with `plan_of`, which derives one edge's adapted plan when a later
 stage asks for it: stage 3 asks once per chosen follower.
@@ -18,8 +18,8 @@ from collections.abc import Callable
 import numpy as np
 
 from .fuel_model import FuelModel
-from .planning import Assignment, VehiclePlan, Visits, _ranges, adapted_plan, pair_savings
-from .road_network import Route, common_subpaths
+from .planning import VehiclePlan, Visits, _ranges, adapted_plan, pair_savings
+from .road_network import common_subpaths
 
 WEIGHT_FLOOR = 1e-12  # savings at or below this are float dust, not edges
 # prune_pairs expands the leaders inside its visits' windows about this many
@@ -119,15 +119,11 @@ def prune_pairs(fleet: Visits, model: FuelModel) -> np.ndarray:
 
 
 def build(
-    assignments: dict[str, Assignment],
-    routes: dict[str, Route],
-    default_plans: dict[str, VehiclePlan],
-    model: FuelModel,
+    fleet: Visits, model: FuelModel
 ) -> tuple[CoordinationGraph, Callable[[str, str], VehiclePlan]]:
-    """Coordination graph of the pruned pairs' positive savings, and
-    plan_of(follower, leader), which derives one edge's adapted plan and
-    raises KeyError for a pair that is not an edge."""
-    fleet = Visits(assignments, routes, default_plans, model)
+    """Coordination graph of the pruned pairs' positive savings over the
+    fleet table, and plan_of(follower, leader), which derives one edge's
+    adapted plan and raises KeyError for a pair that is not an edge."""
     pairs = prune_pairs(fleet, model)
     savings = pair_savings(fleet, model, pairs)
     keep, ids = savings > WEIGHT_FLOOR, fleet.ids
@@ -137,8 +133,9 @@ def build(
     def plan_of(follower: str, leader: str) -> VehiclePlan:
         if (follower, leader) not in graph.weight:
             raise KeyError((follower, leader))
+        routes, default_plans = fleet.routes, fleet.default_plans
         plan, _ = adapted_plan(
-            assignments[follower],
+            fleet.assignments[follower],
             routes[follower],
             leader,
             default_plans[leader],

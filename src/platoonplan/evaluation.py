@@ -11,45 +11,47 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .fuel_model import FuelModel, plan_fuel
+from .planning import Visits
 
 CHAIN_GAP_S = 60.0  # consecutive arrivals within this gap platoon spontaneously
 
 
-def spontaneous_baseline(default_plans: dict, model: FuelModel) -> float:
+def spontaneous_baseline(fleet: Visits, model: FuelModel) -> float:
     """Fuel saved (kg) by per-edge platoons of trucks arriving within 60 s chains.
 
-    A constant-speed plan reaches edge i of its route at its start time plus
-    the route's arc to that edge over the plan speed; partially driven
-    first/last edges count with the meters actually driven. Arrival times
-    per edge are sorted; maximal chains with consecutive gaps of at most one
-    minute form platoons driving at their default speeds. The earliest truck
-    of each chain leads (no saving), the rest pay follower rates over their
-    driven meters. Trajectories are not altered.
+    Read from the fleet table's edge rows. A constant-speed default plan
+    reaches an edge at its start time plus the route's arc to the edge over
+    the plan speed; partially driven first/last edges count with the meters
+    actually driven, and an edge with none is skipped. The visits are
+    sorted by (edge, time, truck row, meters, speed); maximal chains with
+    consecutive gaps of at most one minute form platoons driving at their
+    default speeds. The earliest truck of each chain leads (no saving), the
+    rest pay follower rates over their driven meters. The terms are summed
+    with math.fsum, so the total does not depend on the assignment order.
+    Trajectories are not altered.
     """
-    by_edge: dict = {}
-    for truck, plan in default_plans.items():
-        v = plan.speeds[0]
-        r = plan.route
-        for i, eid in enumerate(r.edges):
-            driven = r.lengths[i]
-            if i == 0:
-                driven -= r.start_offset
-            if i == len(r.edges) - 1:
-                driven -= r.lengths[i] - r.dest_offset
-            if driven > 0:
-                t = plan.times[0] + max(r.arc_at_edge_start(i), 0.0) / v
-                by_edge.setdefault(eid, []).append((t, truck, driven, v))
-    saving = 0.0
-    for visits in by_edge.values():
-        visits.sort()
-        # A visit within a minute of the previous one follows in its chain.
-        for (t_prev, *_), (t, _, driven, v) in zip(visits, visits[1:]):
-            if t - t_prev <= CHAIN_GAP_S:
-                saving += (model.solo_rate(v) - model.follower_rate(v)) * driven
-    return saving
+    last = np.cumsum(fleet.rows) - 1
+    first = last - fleet.rows + 1
+    driven = fleet.length.copy()
+    driven[first] -= fleet.start_offset
+    driven[last] -= fleet.length[last] - fleet.dest_offset
+    truck = np.repeat(np.arange(len(fleet.ids)), fleet.rows)
+    v = fleet.v_default[truck]
+    t = fleet.t_start[truck] + np.maximum(fleet.arc_start, 0.0) / v
+    visits = np.flatnonzero(driven > 0)
+    keys = (v[visits], driven[visits], truck[visits], t[visits], fleet.edge_code[visits])
+    visits = visits[np.lexsort(keys)]
+    edge, t = fleet.edge_code[visits], t[visits]
+    # A visit within a minute of the previous one on its edge follows in its chain.
+    link = visits[1:][(edge[1:] == edge[:-1]) & (t[1:] - t[:-1] <= CHAIN_GAP_S)]
+    v = v[link]
+    return math.fsum(((model.solo_rate(v) - model.follower_rate(v)) * driven[link]).tolist())
 
 
 def platoon_size_histogram(plans: dict) -> dict:
@@ -118,8 +120,7 @@ def relative_saving(fuel: float, default_fuel: float) -> float:
 
 
 def make_report(
-    assignments: dict,
-    default_plans: dict,
+    fleet: Visits,
     stage3_plans: dict,
     stage4_plans: dict,
     model: FuelModel,
@@ -127,22 +128,27 @@ def make_report(
     n_leaders: int,
     groups_fallback: int = 0,
 ) -> RunReport:
-    """Assemble the per-run metrics from the stage outputs."""
-    default_fuel = sum(plan_fuel(model, p) for p in default_plans.values())
+    """Assemble the per-run metrics from the fleet table and the stage outputs.
+
+    The spontaneous figures are the table's default fuel and baseline, both
+    summed with math.fsum, so they do not depend on the assignment order.
+    """
+    default_fuel = sum(plan_fuel(model, p) for p in fleet.default_plans.values())
     stage3_fuel = sum(plan_fuel(model, p) for p in stage3_plans.values())
     stage4_fuel = sum(plan_fuel(model, p) for p in stage4_plans.values())
-    spont_saving = spontaneous_baseline(default_plans, model)
+    fleet_fuel = math.fsum(fleet.fuel_default.tolist())
+    spont_fuel = fleet_fuel - spontaneous_baseline(fleet, model)
     n_followers = sum(1 for p in stage4_plans.values() if p.platoon_leader_id is not None)
     return RunReport(
-        n_assignments=len(assignments),
+        n_assignments=len(fleet.ids),
         default_fuel_kg=default_fuel,
         stage3_fuel_kg=stage3_fuel,
         stage4_fuel_kg=stage4_fuel,
-        spontaneous_fuel_kg=default_fuel - spont_saving,
+        spontaneous_fuel_kg=spont_fuel,
         upper_bound_kg=upper_bound_kg,
         saving_stage3=relative_saving(stage3_fuel, default_fuel),
         saving_stage4=relative_saving(stage4_fuel, default_fuel),
-        saving_spontaneous=relative_saving(default_fuel - spont_saving, default_fuel),
+        saving_spontaneous=relative_saving(spont_fuel, fleet_fuel),
         upper_bound_rel=(upper_bound_kg / default_fuel) if default_fuel > 0 else 0.0,
         n_leaders=n_leaders,
         n_followers=n_followers,

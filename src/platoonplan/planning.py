@@ -8,8 +8,9 @@ stretch of road. Route geometry (arcs, shareable edges) comes from
 `road_network.Route`, plan geometry (distance driven at a time, time at a
 distance) from `VehiclePlan`, and the speed guard from `FuelModel.clamp_speed`.
 `Visits` is a fleet's routes flattened into arrays, once per run, and
-`pair_savings` reads it: the array form of `adapted_plan`'s saving, for many
-pairs at once; `adapted_plan` stays its reference.
+`pair_savings` and the report's spontaneous baseline read it; `pair_savings`
+is the array form of `adapted_plan`'s saving, for many pairs at once, and
+`adapted_plan` stays its reference.
 """
 
 from __future__ import annotations
@@ -330,20 +331,25 @@ class Visits:
     """A fleet's routes and default plans as arrays; truck row k is ids[k], in sorted order.
 
     Edge rows hold the routes back to back: edge code, length, and the arc
-    at the edge's start and end as `Route.prefix` has them. Truck k's
-    shareable edges are rows lo[k]:hi[k]. Truck rows hold the start time,
-    deadline, default-plan speed and fuel, and route length.
+    at the edge's start and end as `Route.prefix` has them. Truck k owns
+    rows[k] edge rows, and its shareable edges are rows lo[k]:hi[k]. Truck
+    rows hold the route's start and destination offsets, the start time,
+    deadline, default-plan speed and fuel, and route length. The table
+    keeps the three dicts it was built from.
     """
 
     def __init__(self, assignments: dict, routes: dict, default_plans: dict, model: FuelModel):
+        self.assignments, self.routes, self.default_plans = assignments, routes, default_plans
         self.ids = sorted(assignments)
         rs = [routes[n] for n in self.ids]
-        sizes = np.array([len(r.edges) for r in rs], dtype=np.int64)
+        self.rows = sizes = np.array([len(r.edges) for r in rs], dtype=np.int64)
         codes: dict = {}
         code = [codes.setdefault(e, len(codes)) for r in rs for e in r.edges]
         self.edge_code, self.n_codes = np.array(code, np.int64), len(codes)
         self.length = np.array([x for r in rs for x in r.lengths])
-        starts = np.repeat(np.array([r.start_offset for r in rs]), sizes)
+        self.start_offset = np.array([r.start_offset for r in rs])
+        self.dest_offset = np.array([r.dest_offset for r in rs])
+        starts = np.repeat(self.start_offset, sizes)
         self.arc_start = np.array([x for r in rs for x in r.prefix[:-1]]) - starts
         self.arc_end = np.array([x for r in rs for x in r.prefix[1:]]) - starts
         self.lo = np.cumsum(sizes) - sizes + np.array([r.shareable.start for r in rs], np.int64)

@@ -10,8 +10,10 @@ A route owns its geometry: the arc (distance from the route start) at which
 each edge begins, the distance covered, and the range of edges it drives
 end to end. Other modules ask the route instead of re-summing lengths.
 
-Shortest paths take one scipy csgraph Dijkstra call per source, which gives
-the distances only. Each path is rebuilt backwards from them by the tie rule
+Shortest paths take one scipy csgraph Dijkstra call per batch of sources,
+which gives the distances only: a lone route asks for a batch of one, and
+`cli.route_assignments` for a block of its exit nodes, passing each route
+its source's row. Each path is rebuilt backwards from them by the tie rule
 of a heap Dijkstra that pops the smallest (distance, node) and records a
 predecessor only on a strict improvement: a node's predecessor is the first
 node to settle whose relaxation reaches the node's final distance. Among
@@ -182,47 +184,24 @@ class Route:
         return range(lo, hi)
 
 
-def make_route(net: RoadNetwork, edges, start_offset: float, dest_offset: float) -> Route:
-    """Validate connectivity and offsets, then build a Route."""
-    edges = tuple(edges)
-    if not edges:
-        raise ValueError("route needs at least one edge")
-    for e in edges:
-        if e not in net.edges:
-            raise ValueError(f"route references unknown edge {e!r}")
-    for a, b in zip(edges, edges[1:]):
-        if net.edge_head(a) != net.edge_tail(b):
-            raise ValueError(f"edges {a!r} -> {b!r} are not connected")
-    lengths = tuple(net.edge_length(e) for e in edges)
-    if not (0.0 <= start_offset <= lengths[0]):
-        raise ValueError("start_offset outside first edge")
-    if not (0.0 <= dest_offset <= lengths[-1]):
-        raise ValueError("dest_offset outside last edge")
-    r = Route(edges, lengths, float(start_offset), float(dest_offset))
-    if route_length(r) <= 0:
-        raise ValueError("route covers no distance")
-    return r
-
-
 def route_length(r: Route) -> float:
     """Distance covered by the route (arrival-condition bookkeeping)."""
     return r.prefix[-2] + r.dest_offset - r.start_offset
 
 
-@functools.lru_cache(maxsize=1)
-def _dijkstra(net: RoadNetwork, source) -> list:
-    """Distance from a source node to each node in `net.node_order`; inf if unreachable.
+def distance_rows(net: RoadNetwork, sources) -> np.ndarray:
+    """Row k: distance from sources[k] to each node in `net.node_order`; inf if unreachable.
 
-    The last tree is kept, so consecutive queries from one source (routes
-    grouped by exit node) cost one search. Networks hash by identity, so a
-    tree never serves another network object; callers must not mutate the
-    returned list.
+    One csgraph call for the batch; each row is bit-identical to that of a
+    call for its source alone.
     """
-    return dijkstra(net.csr, indices=net.index[source]).tolist()
+    return dijkstra(net.csr, indices=[net.index[s] for s in sources])
 
 
-def _node_path_edges(net: RoadNetwork, source, target) -> Optional[list]:
+def _node_path_edges(net: RoadNetwork, source, target, dist=None) -> Optional[list]:
     """Edge ids of the shortest path from source to target, or None if unreachable.
+
+    dist is source's `distance_rows` row as a list; without it, one is computed.
 
     The path is rebuilt backwards from the distances by the rule a heap
     Dijkstra implements: a node's predecessor is the first node to settle
@@ -232,7 +211,8 @@ def _node_path_edges(net: RoadNetwork, source, target) -> Optional[list]:
     compared in `net.node_order`, and every such u has dist[u] < dist[v]
     since no length is absorbed by rounding, so the walk stays finite.
     """
-    dist = _dijkstra(net, source)
+    if dist is None:
+        dist = distance_rows(net, [source])[0].tolist()
     v = net.index.get(target)
     if v is None or dist[v] == math.inf:
         return None
@@ -260,12 +240,13 @@ def shortest_node_route(net: RoadNetwork, u, v) -> Optional[Route]:
     return Route(tuple(edges), lengths, 0.0, lengths[-1])
 
 
-def shortest_route(net: RoadNetwork, frm: Position, to: Position) -> Optional[Route]:
+def shortest_route(net: RoadNetwork, frm: Position, to: Position, dist=None) -> Optional[Route]:
     """Minimum-length route from one position to another, or None.
 
     The vehicle is already on frm.edge and can only move forward along it,
     so every returned route starts with frm.edge and ends with to.edge. A
     destination ahead on frm.edge is reached along it; other routes loop.
+    dist is the `distance_rows` row, as a list, of the node frm.edge ends at.
     """
     net.check_position(frm)
     net.check_position(to)
@@ -273,7 +254,7 @@ def shortest_route(net: RoadNetwork, frm: Position, to: Position) -> Optional[Ro
         return Route((frm.edge,), (net.edge_length(frm.edge),), frm.offset, to.offset)
     if frm == to:
         raise ValueError("start and destination positions coincide")
-    middle = _node_path_edges(net, net.edge_head(frm.edge), net.edge_tail(to.edge))
+    middle = _node_path_edges(net, net.edge_head(frm.edge), net.edge_tail(to.edge), dist)
     if middle is None:
         return None
     edges = (frm.edge, *middle, to.edge)

@@ -26,12 +26,12 @@ from platoonplan import (
     cluster,
     common_subpaths,
     default_plan,
-    make_route,
     positions_coincide,
     route_length,
     sample,
 )
 from platoonplan.coordination_graph import WEIGHT_FLOOR, CoordinationGraph, prune_pairs
+from platoonplan.evaluation import CHAIN_GAP_S
 from platoonplan.joint_optimization import (
     EVENT_TOL,
     CoordinationGroup,
@@ -47,6 +47,28 @@ from platoonplan.leader_selection import _best_weight, make_leader_set
 from platoonplan.planning import Visits, adapted_plan, default_speed, pair_savings
 
 KMH = 1.0 / 3.6
+
+
+def make_route(net: RoadNetwork, edges, start_offset: float, dest_offset: float) -> Route:
+    """Validate connectivity and offsets, then build a Route."""
+    edges = tuple(edges)
+    if not edges:
+        raise ValueError("route needs at least one edge")
+    for e in edges:
+        if e not in net.edges:
+            raise ValueError(f"route references unknown edge {e!r}")
+    for a, b in zip(edges, edges[1:]):
+        if net.edge_head(a) != net.edge_tail(b):
+            raise ValueError(f"edges {a!r} -> {b!r} are not connected")
+    lengths = tuple(net.edge_length(e) for e in edges)
+    if not (0.0 <= start_offset <= lengths[0]):
+        raise ValueError("start_offset outside first edge")
+    if not (0.0 <= dest_offset <= lengths[-1]):
+        raise ValueError("dest_offset outside last edge")
+    r = Route(edges, lengths, float(start_offset), float(dest_offset))
+    if route_length(r) <= 0:
+        raise ValueError("route covers no distance")
+    return r
 
 
 @pytest.fixture(scope="session")
@@ -689,6 +711,50 @@ def sampled_coincidence(result, net):
                 break
             t += 1.0
     return problems
+
+
+def reference_spontaneous_baseline(default_plans, model):
+    """Oracle for evaluation.spontaneous_baseline: the per-plan scalar scan it replaced.
+
+    Each plan's visits are collected per edge; the visits of an edge are
+    sorted by (time, truck, meters, speed), and every visit within a minute
+    of the previous one adds its follower saving, in that order.
+    """
+    by_edge: dict = {}
+    for truck, plan in default_plans.items():
+        v = plan.speeds[0]
+        r = plan.route
+        for i, eid in enumerate(r.edges):
+            driven = r.lengths[i]
+            if i == 0:
+                driven -= r.start_offset
+            if i == len(r.edges) - 1:
+                driven -= r.lengths[i] - r.dest_offset
+            if driven > 0:
+                t = plan.times[0] + max(r.arc_at_edge_start(i), 0.0) / v
+                by_edge.setdefault(eid, []).append((t, truck, driven, v))
+    saving = 0.0
+    for visits in by_edge.values():
+        visits.sort()
+        for (t_prev, *_), (t, _, driven, v) in zip(visits, visits[1:]):
+            if t - t_prev <= CHAIN_GAP_S:
+                saving += (model.solo_rate(v) - model.follower_rate(v)) * driven
+    return saving
+
+
+def plans_table(plans, model):
+    """The fleet table of hand-built default plans, each truck's trip read off its plan."""
+    assignments = {
+        n: Assignment(
+            n,
+            Position(p.route.edges[0], p.route.start_offset),
+            Position(p.route.edges[-1], p.route.dest_offset),
+            p.times[0],
+            p.times[-1],
+        )
+        for n, p in plans.items()
+    }
+    return Visits(assignments, {n: p.route for n, p in plans.items()}, plans, model)
 
 
 def reference_histogram(plans):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from platoonplan import FuelModel, Position, RoadNetwork, VehiclePlan, make_route, shortest_route
+from platoonplan import FuelModel, Position, RoadNetwork, VehiclePlan, cli, shortest_route
 from platoonplan.cli import (
     MONTECARLO_COLUMNS,
     RunConfig,
@@ -23,10 +23,16 @@ from platoonplan.cli import (
 )
 from platoonplan.evaluation import RunReport, platoon_size_histogram
 from platoonplan.planning import Assignment, validate
-from platoonplan.road_network import _dijkstra, save_network, shortest_node_route
+from platoonplan.road_network import save_network, shortest_node_route
 from platoonplan.scenario import ScenarioConfig, ScenarioError, generate, grid_network
 
-from conftest import chain_network, reference_histogram, sampled_coincidence
+from conftest import (
+    chain_network,
+    make_route,
+    reference_histogram,
+    reference_route,
+    sampled_coincidence,
+)
 
 
 # A well-typed report.json document; test_report_fields_of_the_right_types_load runs it.
@@ -867,7 +873,7 @@ def test_run_pipeline_names_an_assignment_off_the_network(start, dest, message):
         run_pipeline(net, assignments, run)
 
 
-def test_grouped_routing_matches_per_assignment_routes():
+def _routing_fleet():
     net = grid_network(4, 4, 1000.0)
     edges = sorted(net.edges)
     rng = random.Random(7)
@@ -880,12 +886,37 @@ def test_grouped_routing_matches_per_assignment_routes():
         to = Position(rng.choice(edges), rng.choice([600.0, 1000.0]))
         if frm.edge != to.edge:
             assignments.append(Assignment(f"a{len(assignments)}", frm, to, 0.0, 1e4))
+    return net, assignments
+
+
+def test_grouped_routing_matches_per_assignment_routes():
+    net, assignments = _routing_fleet()
     routes = route_assignments(net, assignments)
     assert list(routes) == [a.id for a in assignments]
-    assert routes["same"].edges == (edges[0],)
+    assert routes["same"].edges == (sorted(net.edges)[0],)
     for a in assignments:
-        _dijkstra.cache_clear()
+        # A lone call computes its own distance row.
         assert routes[a.id] == shortest_route(net, a.start, a.dest)
+        assert routes[a.id] == reference_route(net, a.start, a.dest)
+
+
+def test_routing_one_source_per_csgraph_call_matches_the_reference(monkeypatch):
+    """With the block bound below one distance row, every exit node gets its
+    own call, and the routes are still the heap Dijkstra's."""
+    net, assignments = _routing_fleet()
+    monkeypatch.setattr(cli, "TREE_BLOCK_BYTES", 1)
+    calls, distance_rows = [], cli.road_network.distance_rows
+
+    def counting_rows(net, sources):
+        calls.append(len(sources))
+        return distance_rows(net, sources)
+
+    monkeypatch.setattr(cli.road_network, "distance_rows", counting_rows)
+    routes = route_assignments(net, assignments)
+    exits = {net.edge_head(a.start.edge) for a in assignments}
+    assert calls == [1] * len(exits)
+    for a in assignments:
+        assert routes[a.id] == reference_route(net, a.start, a.dest)
 
 
 def test_coincidence_check_tolerates_one_ulp_before_leader_start():

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from platoonplan import Assignment, Position, build, default_plan, make_route, prune_pairs
-from platoonplan.cli import route_assignments
+from platoonplan import Assignment, Position, build, default_plan, prune_pairs
+from platoonplan.cli import RunConfig, route_assignments, run_pipeline
 from platoonplan.coordination_graph import CoordinationGraph, load_graph_csv, save_graph_csv
 from platoonplan.planning import Visits, default_speed
 from platoonplan.road_network import route_length
@@ -16,6 +16,7 @@ from conftest import (
     _reference_prune_pairs,
     bisect_prune_pairs,
     chain_network,
+    make_route,
     prune_by_name,
     unpruned_build,
 )
@@ -23,6 +24,11 @@ from conftest import (
 
 def _defaults(model, assignments, routes):
     return {a.id: default_plan(a, routes[a.id], model) for a in assignments.values()}
+
+
+def _build(model, assignments, routes):
+    """build on the fleet table of the fleet's default plans."""
+    return build(Visits(assignments, routes, _defaults(model, assignments, routes), model), model)
 
 
 def test_disjoint_routes_give_empty_graph(model):
@@ -35,7 +41,7 @@ def test_disjoint_routes_give_empty_graph(model):
         "b": Assignment("b", Position("e3", 0.0), Position("e5", 10_000.0), 0.0, window),
     }
     routes = {"a": r1, "b": r2}
-    graph, plan_of = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, plan_of = _build(model, assignments, routes)
     assert graph.num_edges() == 0
     for pair in (("a", "b"), ("b", "a")):
         with pytest.raises(KeyError):
@@ -46,7 +52,7 @@ def test_worked_pair_produces_edge_with_known_weight(model, worked_pair):
     _, leader, leader_route, follower, follower_route = worked_pair
     assignments = {leader.id: leader, follower.id: follower}
     routes = {leader.id: leader_route, follower.id: follower_route}
-    graph, plan_of = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, plan_of = _build(model, assignments, routes)
     assert ("follower", "leader") in graph.weight
     assert graph.weight[("follower", "leader")] == pytest.approx(2.98, abs=0.01)
     assert plan_of("follower", "leader").platoon_leader_id == "leader"
@@ -61,7 +67,7 @@ def test_one_directional_edge_when_leader_finishes_first(model):
     b = Assignment("b", Position("e0", 0.0), Position("e4", 10_000.0), 0.0, window)
     assignments = {"a": a, "b": b}
     routes = {"a": route, "b": route}
-    graph, _ = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, _ = _build(model, assignments, routes)
     # b arrives at 2250 s, long before a departs at 5000 s: no pairing at all.
     assert graph.num_edges() == 0
     pairs = prune_by_name(assignments, routes, model)
@@ -84,7 +90,7 @@ def test_exactly_one_edge_when_reverse_is_infeasible(model):
     )
     assignments = {"a": a, "b": b}
     routes = {"a": route, "b": route}
-    graph, plan_of = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, plan_of = _build(model, assignments, routes)
     assert set(graph.weight) == {("b", "a")}
     plan = plan_of("b", "a")
     assert plan.follower_flags == (0, 1)
@@ -102,7 +108,7 @@ def test_identical_assignments_form_complete_digraph(model):
         for i in range(4)
     }
     routes = {aid: route for aid in assignments}
-    graph, _ = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, _ = _build(model, assignments, routes)
     assert graph.num_edges() == 4 * 3
     weights = set(round(w, 12) for w in graph.weight.values())
     assert len(weights) == 1  # all equal by symmetry
@@ -121,7 +127,7 @@ def test_adjacency_consistent_with_edge_map(model, worked_pair):
     _, leader, leader_route, follower, follower_route = worked_pair
     assignments = {leader.id: leader, follower.id: follower}
     routes = {leader.id: leader_route, follower.id: follower_route}
-    graph, _ = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, _ = _build(model, assignments, routes)
     for (n, m), w in graph.weight.items():
         assert (m, w) in graph.out_edges[n]
         assert (n, w) in graph.in_edges[m]
@@ -146,7 +152,7 @@ def test_prune_is_sound_against_unpruned_build(model):
         routes = route_assignments(net, assignments)
         amap = {a.id: a for a in assignments}
         dplans = {a.id: default_plan(a, routes[a.id], model) for a in assignments}
-        pruned, plan_p = build(amap, routes, dplans, model)
+        pruned, plan_p = build(Visits(amap, routes, dplans, model), model)
         full, plan_f = unpruned_build(amap, routes, dplans, model)
         assert pruned.weight == full.weight
         assert all(plan_p(*e) == plan_f(*e) for e in full.weight)
@@ -171,9 +177,8 @@ def _seeded_fleet(model, n, seed):
 
 
 def test_build_makes_one_fleet_table(model, monkeypatch):
-    """The routes are flattened once per build, for prune_pairs and pair_savings both."""
-    assignments, routes = _seeded_fleet(model, 200, 5)
-    amap = {a.id: a for a in assignments}
+    """A run flattens the routes once, for prune_pairs, pair_savings and the report."""
+    net, assignments = generate(ScenarioConfig(n_assignments=200, seed=5), model)
     made, init = [], Visits.__init__
 
     def counting_init(self, *args):
@@ -181,8 +186,8 @@ def test_build_makes_one_fleet_table(model, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Visits, "__init__", counting_init)
-    graph, _ = build(amap, routes, _defaults(model, amap, routes), model)
-    assert graph.num_edges() > 0
+    result = run_pipeline(net, assignments, RunConfig(model=model, scenario=ScenarioConfig()))
+    assert result.graph.num_edges() > 0
     assert len(made) == 1
 
 
@@ -195,7 +200,7 @@ def test_fleet_in_shuffled_order_builds_the_identical_graph(model):
     graphs = []
     for fleet in (assignments, shuffled):
         amap = {a.id: a for a in fleet}
-        graphs.append(build(amap, routes, _defaults(model, amap, routes), model)[0])
+        graphs.append(_build(model, amap, routes)[0])
     given, permuted = graphs
     assert given.num_edges() > 0
     assert list(given.weight.items()) == list(permuted.weight.items())
@@ -268,7 +273,7 @@ def test_graph_csv_roundtrip(model, worked_pair, tmp_path):
     _, leader, leader_route, follower, follower_route = worked_pair
     assignments = {leader.id: leader, follower.id: follower}
     routes = {leader.id: leader_route, follower.id: follower_route}
-    graph, _ = build(assignments, routes, _defaults(model, assignments, routes), model)
+    graph, _ = _build(model, assignments, routes)
     path = tmp_path / "graph.csv"
     save_graph_csv(graph, str(path))
     loaded = load_graph_csv(str(path))

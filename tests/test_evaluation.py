@@ -7,16 +7,23 @@ from platoonplan import (
     Position,
     adapted_plan,
     default_plan,
-    make_route,
     plan_fuel,
     route_length,
     spontaneous_baseline,
     platoon_size_histogram,
 )
+from platoonplan.cli import route_assignments
 from platoonplan.evaluation import make_report, relative_saving
-from platoonplan.planning import VehiclePlan
+from platoonplan.planning import VehiclePlan, Visits
+from platoonplan.scenario import ScenarioConfig, generate
 
-from conftest import chain_network, reference_histogram
+from conftest import (
+    chain_network,
+    make_route,
+    plans_table,
+    reference_histogram,
+    reference_spontaneous_baseline,
+)
 
 V80 = 80.0 / 3.6
 
@@ -28,6 +35,14 @@ def _plan_on_edge(net, truck, t_start, v, edge="e0"):
                        follower_flags=(0,))
 
 
+def _baseline(plans, model):
+    """spontaneous_baseline on the plans' fleet table; the scalar oracle agrees."""
+    saving = spontaneous_baseline(plans_table(plans, model), model)
+    expected = reference_spontaneous_baseline(plans, model)
+    assert saving == pytest.approx(expected, rel=1e-12, abs=0.0)
+    return saving
+
+
 def test_spontaneous_baseline_chain_grouping(model):
     net = chain_network([10_000.0])
     plans = {
@@ -36,14 +51,14 @@ def test_spontaneous_baseline_chain_grouping(model):
         "c": _plan_on_edge(net, "c", 100.0, V80),
     }
     # Gaps 30 s and 70 s: {a, b} platoon, c stays alone.
-    saving = spontaneous_baseline(plans, model)
+    saving = _baseline(plans, model)
     expected = (model.solo_rate(V80) - model.follower_rate(V80)) * 10_000.0
     assert saving == pytest.approx(expected, rel=1e-12)
 
 
 def test_spontaneous_baseline_single_truck(model):
     net = chain_network([10_000.0])
-    assert spontaneous_baseline({"a": _plan_on_edge(net, "a", 0.0, V80)}, model) == 0.0
+    assert _baseline({"a": _plan_on_edge(net, "a", 0.0, V80)}, model) == 0.0
 
 
 def test_spontaneous_baseline_transitive_chain(model):
@@ -54,7 +69,7 @@ def test_spontaneous_baseline_transitive_chain(model):
         "c": _plan_on_edge(net, "c", 100.0, V80),
     }
     # Consecutive gaps of 50 s chain all three: two followers.
-    saving = spontaneous_baseline(plans, model)
+    saving = _baseline(plans, model)
     expected = 2 * (model.solo_rate(V80) - model.follower_rate(V80)) * 10_000.0
     assert saving == pytest.approx(expected, rel=1e-12)
 
@@ -67,9 +82,29 @@ def test_spontaneous_baseline_uses_arrival_per_edge(model):
                        times=(0.0, 10_000.0 / model.v_min), follower_flags=(0,))
     fast_late = _plan_on_edge(net, "b", 385.0, model.v_max, edge="e1")
     # slow enters e1 at 5000/19.44 = 257 s; b enters e1 at 385 s: gap > 60 s.
-    assert spontaneous_baseline({"a": slow, "b": fast_late}, model) == 0.0
+    assert _baseline({"a": slow, "b": fast_late}, model) == 0.0
     fast_close = _plan_on_edge(net, "b", 300.0, model.v_max, edge="e1")
-    assert spontaneous_baseline({"a": slow, "b": fast_close}, model) > 0.0
+    assert _baseline({"a": slow, "b": fast_close}, model) > 0.0
+
+
+@pytest.mark.parametrize(
+    "n, seed, slack",
+    [
+        (200, 5, 0.0),
+        pytest.param(800, 100, 0.0, marks=pytest.mark.slow),
+        pytest.param(800, 101, 1800.0, marks=pytest.mark.slow),
+    ],
+)
+def test_spontaneous_baseline_matches_the_scalar_scan_on_seeded_fleets(model, n, seed, slack):
+    cfg = ScenarioConfig(n_assignments=n, seed=seed, deadline_slack_s=slack)
+    net, assignments = generate(cfg, model)
+    routes = route_assignments(net, assignments)
+    amap = {a.id: a for a in assignments}
+    plans = {aid: default_plan(a, routes[aid], model) for aid, a in amap.items()}
+    saving = spontaneous_baseline(Visits(amap, routes, plans, model), model)
+    assert saving > 0.0
+    expected = reference_spontaneous_baseline(plans, model)
+    assert saving == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_histogram_one_pair(model, worked_pair):
@@ -173,8 +208,8 @@ def test_report_all_isolated(model):
                     9000.0 + 20_000.0 / model.v_default)
     plans = {"a": default_plan(a1, r1, model), "b": default_plan(a2, r2, model)}
     report = make_report(
-        {"a": a1, "b": a2}, plans, dict(plans), dict(plans), model,
-        upper_bound_kg=0.0, n_leaders=0,
+        Visits({"a": a1, "b": a2}, {"a": r1, "b": r2}, plans, model), dict(plans), dict(plans),
+        model, upper_bound_kg=0.0, n_leaders=0,
     )
     assert report.saving_stage3 == 0.0
     assert report.saving_stage4 == 0.0
@@ -190,10 +225,13 @@ def test_report_worked_pair_stage3_saving(model, worked_pair):
     plan, saving = adapted_plan(follower, follower_route, leader.id, leader_plan, model)
     defaults = {"leader": leader_plan, "follower": follower_default}
     stage3 = {"leader": leader_plan, "follower": plan}
-    report = make_report(
-        {"leader": leader, "follower": follower}, defaults, stage3, stage3, model,
-        upper_bound_kg=saving, n_leaders=1,
+    fleet = Visits(
+        {"leader": leader, "follower": follower},
+        {"leader": leader_route, "follower": follower_route},
+        defaults,
+        model,
     )
+    report = make_report(fleet, stage3, stage3, model, upper_bound_kg=saving, n_leaders=1)
     default_fuel = sum(plan_fuel(model, p) for p in defaults.values())
     assert report.saving_stage3 == pytest.approx(saving / default_fuel, rel=1e-9)
     assert report.saving_stage4 >= report.saving_stage3 - 1e-12

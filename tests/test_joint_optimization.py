@@ -15,7 +15,6 @@ from platoonplan import (
     default_plan,
     extract_plans,
     group_objective,
-    make_route,
     plan_fuel,
     solve,
     validate,
@@ -37,6 +36,7 @@ from conftest import (
     check_set_up_matches_reference,
     checked_build_group,
     dual_gap,
+    make_route,
     reference_active_set,
     reference_extract_plans,
     stage4_infeasibility,

@@ -19,10 +19,10 @@ from platoonplan import (
 )
 from platoonplan.cli import route_assignments
 from platoonplan.planning import VehiclePlan
-from platoonplan.road_network import RoadNetwork, common_subpaths, make_route
+from platoonplan.road_network import RoadNetwork, common_subpaths
 from platoonplan.scenario import ScenarioConfig, generate
 
-from conftest import chain_network, quadrature_fuel, savings_by_name
+from conftest import chain_network, make_route, quadrature_fuel, savings_by_name
 
 V80 = 80.0 / 3.6
 
@@ -47,7 +47,7 @@ def _assignment_on_chain(net, distance, t_start, t_deadline):
         route_edges.append(f"e{i}")
         total += net.edge_length(f"e{i}")
         i += 1
-    from platoonplan import make_route
+    from conftest import make_route
 
     r = make_route(net, route_edges, 0.0, net.edge_length(route_edges[-1]))
     a = Assignment(
@@ -135,7 +135,7 @@ def test_adapted_plan_worked_example(model, worked_pair):
 
 def test_adapted_plan_no_overlap_returns_none(model):
     net = chain_network([10_000.0] * 6)
-    from platoonplan import make_route
+    from conftest import make_route
 
     r1 = make_route(net, ["e0", "e1", "e2"], 0.0, 10_000.0)
     r2 = make_route(net, ["e3", "e4", "e5"], 0.0, 10_000.0)
@@ -174,7 +174,7 @@ def test_adapted_plan_leader_unchanged(model, worked_pair):
 def test_adapted_plan_merge_is_earliest_feasible(model):
     """Any earlier merge arc violates a speed bound or causality (fine grid)."""
     net = chain_network([10_000.0] * 12)
-    from platoonplan import make_route
+    from conftest import make_route
 
     leader_route = make_route(net, [f"e{i}" for i in range(12)], 0.0, 10_000.0)
     leader = Assignment(
@@ -222,7 +222,7 @@ def test_sample_examples(model):
 
 
 def test_sample_right_open_piece_convention(model):
-    from platoonplan import make_route
+    from conftest import make_route
 
     net = chain_network([10_000.0])
     plan = VehiclePlan(
@@ -283,7 +283,7 @@ def test_validate_catches_violations(model):
     assert any("deadline" in p or "increasing" in p for p in validate(late, a, model))
 
     # Routes that do not run from the assignment's start to its destination.
-    from platoonplan import make_route
+    from conftest import make_route
 
     starts_late = default_plan(a, make_route(net, ["e0"], 500.0, 10_000.0), model)
     assert any("route starts" in p for p in validate(starts_late, a, model))
@@ -298,7 +298,8 @@ def test_validate_catches_violations(model):
 
 def test_adapted_plan_picks_best_of_two_shared_segments(model):
     """Routes sharing two disjoint stretches platoon once, on the better one."""
-    from platoonplan import RoadNetwork, make_route
+    from platoonplan import RoadNetwork
+    from conftest import make_route
 
     # Leader: A -> B -> C -> D -> E -> F (every edge 20 km).
     # Follower: A -> B -> C -> (detour via X) -> D -> E -> F, so the shared

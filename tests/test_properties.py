@@ -26,6 +26,7 @@ from platoonplan import (  # noqa: E402
     extract_plans,
     reduce_set_cover,
     solve,
+    spontaneous_baseline,
     validate,
 )
 from platoonplan.cli import RunConfig, check_follower_coincidence, run_pipeline  # noqa: E402
@@ -35,6 +36,7 @@ from platoonplan.coordination_graph import (  # noqa: E402
     save_graph_csv,
 )
 from platoonplan.joint_optimization import _assemble  # noqa: E402
+from platoonplan.planning import Visits  # noqa: E402
 from platoonplan.road_network import (  # noqa: E402
     route_length,
     shortest_node_route,
@@ -55,6 +57,7 @@ from conftest import (  # noqa: E402
     reference_extract_plans,
     reference_node_route,
     reference_route,
+    reference_spontaneous_baseline,
     savings_by_name,
     stage4_infeasibility,
     unpruned_build,
@@ -104,7 +107,7 @@ def fleets(draw, flat=False):
 def test_pruned_build_equals_unpruned_build(model, fleet):
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
-    pruned, plan_p = build(assignments, routes, dplans, model)
+    pruned, plan_p = build(Visits(assignments, routes, dplans, model), model)
     full, plan_f = unpruned_build(assignments, routes, dplans, model)
     assert pruned.weight == full.weight
     assert all(plan_p(*e) == plan_f(*e) for e in full.weight)
@@ -164,7 +167,7 @@ def test_graph_csv_round_trips_bit_for_bit(model, fleet):
     """Every saving in the file is a plain float repr and reads back exactly."""
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
-    graph, _ = build(assignments, routes, dplans, model)
+    graph, _ = build(Visits(assignments, routes, dplans, model), model)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "graph.csv")
         save_graph_csv(graph, path)
@@ -183,7 +186,7 @@ def _fleet_groups(model, fleet, build_group=build_group):
     built by build_group."""
     assignments, routes = fleet
     dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
-    graph, plan_of = build(assignments, routes, dplans, model)
+    graph, plan_of = build(Visits(assignments, routes, dplans, model), model)
     followers_of: dict = {}
     for follower, leader in cluster(graph).follower_of.items():
         followers_of.setdefault(leader, []).append(follower)
@@ -284,6 +287,39 @@ def test_stage_fuel_falls_from_default_to_stage3_to_stage4(model, fleet):
     report = _pipeline(model, fleet).report
     assert report.stage3_fuel_kg <= report.default_fuel_kg * (1.0 + 1e-12)
     assert report.stage4_fuel_kg <= report.stage3_fuel_kg * (1.0 + 1e-12)
+
+
+def _check_spontaneous_baseline(model, fleet):
+    assignments, routes = fleet
+    dplans = {aid: default_plan(a, routes[aid], model) for aid, a in assignments.items()}
+    saving = spontaneous_baseline(Visits(assignments, routes, dplans, model), model)
+    expected = reference_spontaneous_baseline(dplans, model)
+    assert saving == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets())
+def test_spontaneous_baseline_equals_the_scalar_scan(model, fleet):
+    _check_spontaneous_baseline(model, fleet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(flat=True))
+def test_spontaneous_baseline_equals_the_scalar_scan_flat(model, fleet):
+    _check_spontaneous_baseline(model, fleet)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fleets(), st.data())
+def test_shuffled_assignments_give_bit_identical_spontaneous_fuel(model, fleet, data):
+    """The spontaneous figures are correctly rounded sums over the fleet
+    table, so the order of the assignment list cannot reach their bits."""
+    given = list(fleet[0].values())
+    shuffled = data.draw(st.permutations(given))
+    run = RunConfig(model=model, scenario=ScenarioConfig())
+    first, second = (run_pipeline(NET, trucks, run).report for trucks in (given, shuffled))
+    assert repr(first.spontaneous_fuel_kg) == repr(second.spontaneous_fuel_kg)
+    assert repr(first.saving_spontaneous) == repr(second.saving_spontaneous)
 
 
 def _check_block_starts(model, fleet):

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from platoonplan import (
     NetworkFormatError,
@@ -15,15 +16,15 @@ from platoonplan import (
     VehiclePlan,
     common_subpaths,
     load_network,
-    make_route,
     positions_coincide,
     route_length,
     sample,
     shortest_node_route,
     shortest_route,
 )
+from platoonplan.road_network import distance_rows
 
-from conftest import chain_network
+from conftest import chain_network, make_route
 
 
 def _enumerate_routes(net, frm, to):
@@ -389,6 +390,22 @@ def test_route_cache_never_crosses_networks_with_shared_node_names():
     for _ in range(2):
         assert shortest_route(short, frm, to).edges == ("in", "ab", "out")
         assert shortest_route(detour, frm, to).edges == ("in", "ac", "cb", "out")
+
+
+def test_batched_distance_rows_equal_lone_rows():
+    """One csgraph call for a batch of sources gives each source's lone row bit for bit."""
+    rng = random.Random(3)
+    pairs = {(rng.randrange(30), rng.randrange(30)) for _ in range(120)}
+    net = RoadNetwork(
+        range(30),
+        [(f"e{k}", u, v, rng.uniform(1.0, 1000.0)) for k, (u, v) in enumerate(pairs) if u != v],
+    )
+    sources = rng.sample(range(30), 12)
+    batch = distance_rows(net, sources)
+    assert batch.shape == (12, 30)
+    for source, row in zip(sources, batch):
+        assert row.tolist() == distance_rows(net, [source])[0].tolist()
+        assert row.tolist() == dijkstra(net.csr, indices=net.index[source]).tolist()
 
 
 def test_route_ties_break_to_the_first_settled_node():

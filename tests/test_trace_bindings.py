@@ -9,6 +9,7 @@ or stops calling a traced function fails here rather than in the benchmark.
 import os
 
 from platoonplan import FuelModel, build, cli, default_plan, load_network
+from platoonplan.planning import Visits
 from platoonplan.scenario import load_assignments
 
 from conftest import bisect_prune_pairs
@@ -42,7 +43,7 @@ def test_every_traced_binding_is_called(tmp_path, monkeypatch):
     routes = cli.route_assignments(net, assignments)
     amap, model = {a.id: a for a in assignments}, FuelModel()
     plans = {aid: default_plan(a, routes[aid], model) for aid, a in amap.items()}
-    graph, _ = build(amap, routes, plans, model)
+    graph, _ = build(Visits(amap, routes, plans, model), model)
     pairs = bisect_prune_pairs(amap, routes, model)
     assert tr.counts["coordination_graph.pairs_kept"] == len(pairs)
     assert tr.counts["coordination_graph.edges"] == graph.num_edges() > 0
