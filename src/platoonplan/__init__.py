@@ -27,14 +27,9 @@ from .road_network import (
 from .coordination_graph import CoordinationGraph, build, prune_pairs
 from .leader_selection import (
     LeaderSet,
-    SetCoverInstance,
     SizeLimitError,
     cluster,
-    delta_u,
     exact,
-    min_set_cover_size,
-    objective_value,
-    reduce_set_cover,
     upper_bound,
 )
 from .joint_optimization import (
@@ -45,7 +40,6 @@ from .joint_optimization import (
     TimingSolution,
     build_group,
     extract_plans,
-    group_objective,
     solve,
 )
 from .evaluation import (

@@ -63,6 +63,8 @@ def platoon_size_histogram(plans: dict) -> dict:
     the leader's meters to bucket c + 1, since followers ride at the leader's
     speed. Stretches of 1e-9 s or less are skipped. Bucket 1 is every meter
     driven minus the platooned meters, left out below 1e-12 of the total.
+    Buckets and totals are math.fsum sums, so the histogram does not depend
+    on the assignment order or the Python version.
     """
     windows_of: dict = {}
     for plan in plans.values():
@@ -71,8 +73,7 @@ def platoon_size_histogram(plans: dict) -> dict:
             if window is not None:
                 windows_of.setdefault(plan.platoon_leader_id, []).append(window)
 
-    histogram: dict = {}
-    platooned = 0.0
+    meters_of: dict = {}
     for leader, windows in windows_of.items():
         leader_plan = plans[leader]
         cuts = sorted({t for window in windows for t in window})
@@ -81,10 +82,10 @@ def platoon_size_histogram(plans: dict) -> dict:
             if t1 - t0 <= 1e-9 or not on_board:
                 continue
             meters = (on_board + 1) * (leader_plan.arc_at(t1) - leader_plan.arc_at(t0))
-            histogram[on_board + 1] = histogram.get(on_board + 1, 0.0) + meters
-            platooned += meters
-    total = sum(plan.arcs[-1] for plan in plans.values())
-    solo = total - platooned
+            meters_of.setdefault(on_board + 1, []).append(meters)
+    histogram = {size: math.fsum(meters) for size, meters in meters_of.items()}
+    total = math.fsum(plan.arcs[-1] for plan in plans.values())
+    solo = total - math.fsum(histogram.values())
     if solo > 1e-12 * total:  # a fully platooned fleet leaves only rounding here
         histogram[1] = solo
     return histogram
@@ -130,14 +131,13 @@ def make_report(
 ) -> RunReport:
     """Assemble the per-run metrics from the fleet table and the stage outputs.
 
-    The spontaneous figures are the table's default fuel and baseline, both
-    summed with math.fsum, so they do not depend on the assignment order.
+    Default fuel is the table's `fuel_default`. Every figure is a correctly
+    rounded math.fsum, independent of assignment order and Python version.
     """
-    default_fuel = sum(plan_fuel(model, p) for p in fleet.default_plans.values())
-    stage3_fuel = sum(plan_fuel(model, p) for p in stage3_plans.values())
-    stage4_fuel = sum(plan_fuel(model, p) for p in stage4_plans.values())
-    fleet_fuel = math.fsum(fleet.fuel_default.tolist())
-    spont_fuel = fleet_fuel - spontaneous_baseline(fleet, model)
+    default_fuel = math.fsum(fleet.fuel_default.tolist())
+    stage3_fuel = math.fsum(plan_fuel(model, p) for p in stage3_plans.values())
+    stage4_fuel = math.fsum(plan_fuel(model, p) for p in stage4_plans.values())
+    spont_fuel = default_fuel - spontaneous_baseline(fleet, model)
     n_followers = sum(1 for p in stage4_plans.values() if p.platoon_leader_id is not None)
     return RunReport(
         n_assignments=len(fleet.ids),
@@ -148,7 +148,7 @@ def make_report(
         upper_bound_kg=upper_bound_kg,
         saving_stage3=relative_saving(stage3_fuel, default_fuel),
         saving_stage4=relative_saving(stage4_fuel, default_fuel),
-        saving_spontaneous=relative_saving(spont_fuel, fleet_fuel),
+        saving_spontaneous=relative_saving(spont_fuel, default_fuel),
         upper_bound_rel=(upper_bound_kg / default_fuel) if default_fuel > 0 else 0.0,
         n_leaders=n_leaders,
         n_followers=n_followers,

@@ -186,17 +186,6 @@ def build_group(
     )
 
 
-def group_objective(group: CoordinationGroup, model: FuelModel, times: dict) -> float:
-    """Fuel in kg of the group under the given traversal times."""
-    total = 0.0
-    for member in group.members():
-        for w, p, t in zip(group.distances[member], group.platoon_flags[member], times[member]):
-            v = w / t
-            rate = model.follower_rate(v) if p else model.solo_rate(v)
-            total += rate * w
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Matrix assembly
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ following its best leader:
 
     F(L) = sum over n not in L of max(W(n, m) for m in out(n) & L, default 0)
 
-Maximizing F is NP-hard (minimum set cover embeds into it, see
-`reduce_set_cover`), so the workhorse is an iterative flip heuristic that
-adds or removes whichever node currently improves F.
+Maximizing F is NP-hard (minimum set cover embeds into it), so the
+workhorse is an iterative flip heuristic that adds or removes whichever
+node currently improves F.
 """
 
 from __future__ import annotations
@@ -33,22 +33,6 @@ class LeaderSet:
     leaders: frozenset
     follower_of: dict = field(compare=False)
     objective: float = 0.0
-
-
-@dataclass(frozen=True)
-class SetCoverInstance:
-    universe: frozenset
-    family: tuple
-
-    def __post_init__(self) -> None:
-        union = frozenset().union(*self.family) if self.family else frozenset()
-        if union != self.universe:
-            raise ValueError("family does not cover the universe")
-
-
-def objective_value(g: CoordinationGraph, leaders) -> float:
-    """Direct evaluation of F(L)."""
-    return make_leader_set(g, leaders).objective
 
 
 def make_leader_set(g: CoordinationGraph, leaders) -> LeaderSet:
@@ -100,13 +84,6 @@ def _gain(g: CoordinationGraph, leaders, best, n) -> float:
         if w_in >= cur:
             loss += _best_weight(g, i, leaders, skip=n) - cur
     return loss + best[n]
-
-
-def delta_u(g: CoordinationGraph, leaders, n) -> float:
-    """Objective change from flipping n's leader membership."""
-    leaders = set(leaders)
-    best = {m: _best_weight(g, m, leaders) for m in (n, *g.in_neighbors(n))}
-    return _gain(g, leaders, best, n)
 
 
 class _ClusterState:
@@ -266,39 +243,3 @@ def upper_bound(g: CoordinationGraph) -> float:
         if edges:
             total += edges[0][1]
     return total
-
-
-def reduce_set_cover(inst: SetCoverInstance):
-    """Embed a set-cover instance into a coordination graph.
-
-    One node per universe element, one per family subset, plus a sink node.
-    Element nodes point at every subset covering them with weight 1; every
-    subset node points at the sink with weight 0.5. The optimal objective of
-    the graph equals |U| + 0.5 * (|F| - k*) where k* is the minimum cover
-    size, which is how hardness transfers.
-
-    Returns (graph, node_maps) with node_maps = {"elements", "subsets", "sink"}.
-    """
-    element_node = {u: f"u:{u}" for u in sorted(inst.universe, key=str)}
-    subset_node = {i: f"s:{i}" for i in range(len(inst.family))}
-    sink = "sink"
-    nodes = list(element_node.values()) + list(subset_node.values()) + [sink]
-    weights = {}
-    for i, subset in enumerate(inst.family):
-        for u in subset:
-            weights[(element_node[u], subset_node[i])] = 1.0
-        weights[(subset_node[i], sink)] = 0.5
-    graph = CoordinationGraph(nodes, weights)
-    return graph, {"elements": element_node, "subsets": subset_node, "sink": sink}
-
-
-def min_set_cover_size(inst: SetCoverInstance) -> int:
-    """Brute-force minimum number of subsets covering the universe."""
-    if not inst.universe:
-        return 0
-    for k in range(1, len(inst.family) + 1):
-        for combo in itertools.combinations(range(len(inst.family)), k):
-            covered = frozenset().union(*(inst.family[i] for i in combo))
-            if covered == inst.universe:
-                return k
-    raise ValueError("family does not cover the universe")

@@ -8,7 +8,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ from platoonplan.joint_optimization import (
     _reduce,
     _set_up,
 )
-from platoonplan.leader_selection import _best_weight, make_leader_set
+from platoonplan.leader_selection import _best_weight, _gain, make_leader_set
 from platoonplan.planning import Visits, adapted_plan, default_speed, pair_savings
 
 KMH = 1.0 / 3.6
@@ -213,6 +213,65 @@ def bisect_prune_pairs(assignments, routes, model):
     return sorted(kept)
 
 
+def objective_value(g: CoordinationGraph, leaders) -> float:
+    """Direct evaluation of F(L)."""
+    return make_leader_set(g, leaders).objective
+
+
+def delta_u(g: CoordinationGraph, leaders, n) -> float:
+    """Objective change from flipping n's leader membership, by the heuristic's own gain."""
+    leaders = set(leaders)
+    best = {m: _best_weight(g, m, leaders) for m in (n, *g.in_neighbors(n))}
+    return _gain(g, leaders, best, n)
+
+
+@dataclass(frozen=True)
+class SetCoverInstance:
+    universe: frozenset
+    family: tuple
+
+    def __post_init__(self) -> None:
+        union = frozenset().union(*self.family) if self.family else frozenset()
+        if union != self.universe:
+            raise ValueError("family does not cover the universe")
+
+
+def reduce_set_cover(inst: SetCoverInstance):
+    """Embed a set-cover instance into a coordination graph.
+
+    One node per universe element, one per family subset, plus a sink node.
+    Element nodes point at every subset covering them with weight 1; every
+    subset node points at the sink with weight 0.5. The optimal objective of
+    the graph equals |U| + 0.5 * (|F| - k*) where k* is the minimum cover
+    size, which is how hardness transfers.
+
+    Returns (graph, node_maps) with node_maps = {"elements", "subsets", "sink"}.
+    """
+    element_node = {u: f"u:{u}" for u in sorted(inst.universe, key=str)}
+    subset_node = {i: f"s:{i}" for i in range(len(inst.family))}
+    sink = "sink"
+    nodes = list(element_node.values()) + list(subset_node.values()) + [sink]
+    weights = {}
+    for i, subset in enumerate(inst.family):
+        for u in subset:
+            weights[(element_node[u], subset_node[i])] = 1.0
+        weights[(subset_node[i], sink)] = 0.5
+    graph = CoordinationGraph(nodes, weights)
+    return graph, {"elements": element_node, "subsets": subset_node, "sink": sink}
+
+
+def min_set_cover_size(inst: SetCoverInstance) -> int:
+    """Brute-force minimum number of subsets covering the universe."""
+    if not inst.universe:
+        return 0
+    for k in range(1, len(inst.family) + 1):
+        for combo in itertools.combinations(range(len(inst.family)), k):
+            covered = frozenset().union(*(inst.family[i] for i in combo))
+            if covered == inst.universe:
+                return k
+    raise ValueError("family does not cover the universe")
+
+
 class _ReferenceClusterState:
     """The flip heuristic's bookkeeping as cluster had it before its narrow
     recompute: every flip recomputes the gains of the flipped node's whole
@@ -302,6 +361,17 @@ def check_cluster_matches_reference(g, runs):
         assert result.leaders == expected.leaders
         assert result.follower_of == expected.follower_of
         assert repr(result.objective) == repr(expected.objective)
+
+
+def group_objective(group: CoordinationGroup, model: FuelModel, times: dict) -> float:
+    """Fuel in kg of the group under the given traversal times."""
+    total = 0.0
+    for member in group.members():
+        for w, p, t in zip(group.distances[member], group.platoon_flags[member], times[member]):
+            v = w / t
+            rate = model.follower_rate(v) if p else model.solo_rate(v)
+            total += rate * w
+    return total
 
 
 def _reference_snap(value, grid):

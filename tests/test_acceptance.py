@@ -31,13 +31,9 @@ from scipy.optimize import linprog
 
 from platoonplan import (
     FuelModel,
-    SetCoverInstance,
     build_group,
     cluster,
-    delta_u,
     exact,
-    min_set_cover_size,
-    reduce_set_cover,
     solve,
     upper_bound,
 )
@@ -49,9 +45,16 @@ from platoonplan.cli import (
 )
 from platoonplan.coordination_graph import CoordinationGraph
 from platoonplan.joint_optimization import CoordinationGroup, _assemble, _reduce
-from platoonplan.leader_selection import objective_value
 from platoonplan.planning import validate
 from platoonplan.scenario import ScenarioConfig, generate
+
+from conftest import (
+    SetCoverInstance,
+    delta_u,
+    min_set_cover_size,
+    objective_value,
+    reduce_set_cover,
+)
 
 MODEL = FuelModel()
 

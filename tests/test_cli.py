@@ -165,6 +165,37 @@ def test_plan_zero_assignments(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["saving_stage4"] == 0.0
     assert json.loads((out / "plans.json").read_text()) == []
+    # Every field but the counts and the histogram is a real, also for no trucks.
+    reals = {k: v for k, v in report.items() if k not in (*cli.REPORT_COUNTS, "histogram")}
+    assert reals and all(type(v) is float for v in reals.values()), reals
+
+
+@pytest.mark.parametrize("slack", [0.0, 1800.0])
+@pytest.mark.parametrize("seed", [100, 101])
+def test_shuffled_assignment_file_gives_byte_identical_outputs(tmp_path, seed, slack):
+    """Every report figure is a correctly rounded sum: reordering the
+    assignment file changes no byte of any output."""
+    cfg, network, assignments = _generate(
+        tmp_path, rows=20, cols=20, edge_len_m=10000.0, n_assignments=200, seed=seed,
+        deadline_slack_s=slack,
+    )
+    doc = json.loads(assignments.read_text())
+    random.Random(1).shuffle(doc)
+    shuffled = tmp_path / "shuffled.json"
+    shuffled.write_text(json.dumps(doc))
+    outputs = []
+    for name, path in (("given", assignments), ("shuffled", shuffled)):
+        out = tmp_path / name
+        rc = main(
+            ["plan", "--network", str(network), "--assignments", str(path),
+             "--config", cfg, "--out-dir", str(out), "--graph-csv"]
+        )
+        assert rc == 0
+        outputs.append(
+            {f: (out / f).read_bytes()
+             for f in ("plans.json", "leaders.json", "report.json", "graph.csv")}
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_network_exits_2(tmp_path):

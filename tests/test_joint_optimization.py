@@ -14,7 +14,6 @@ from platoonplan import (
     build_group,
     default_plan,
     extract_plans,
-    group_objective,
     plan_fuel,
     solve,
     validate,
@@ -36,6 +35,7 @@ from conftest import (
     check_set_up_matches_reference,
     checked_build_group,
     dual_gap,
+    group_objective,
     make_route,
     reference_active_set,
     reference_extract_plans,

@@ -6,20 +6,17 @@ import time
 
 import pytest
 
-from platoonplan import (
+from platoonplan import SizeLimitError, cluster, exact, upper_bound
+from platoonplan.coordination_graph import CoordinationGraph
+
+from conftest import (
     SetCoverInstance,
-    SizeLimitError,
-    cluster,
+    check_cluster_matches_reference,
     delta_u,
-    exact,
     min_set_cover_size,
     objective_value,
     reduce_set_cover,
-    upper_bound,
 )
-from platoonplan.coordination_graph import CoordinationGraph
-
-from conftest import check_cluster_matches_reference
 
 
 def _graph(edges):

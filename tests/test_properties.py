@@ -2,6 +2,8 @@
 
 import csv
 import itertools
+import json
+import math
 import os
 import tempfile
 from types import SimpleNamespace
@@ -17,14 +19,14 @@ from platoonplan import (  # noqa: E402
     NetworkFormatError,
     Position,
     RoadNetwork,
-    SetCoverInstance,
     adapted_plan,
     build,
     build_group,
+    cli,
     cluster,
     default_plan,
     extract_plans,
-    reduce_set_cover,
+    plan_fuel,
     solve,
     spontaneous_baseline,
     validate,
@@ -45,6 +47,7 @@ from platoonplan.road_network import (  # noqa: E402
 from platoonplan.scenario import ScenarioConfig, grid_network  # noqa: E402
 
 from conftest import (  # noqa: E402
+    SetCoverInstance,
     _reference_prune_pairs,
     bisect_prune_pairs,
     check_assemble_matches_reference,
@@ -54,6 +57,7 @@ from conftest import (  # noqa: E402
     checked_build_group,
     dual_gap,
     prune_by_name,
+    reduce_set_cover,
     reference_extract_plans,
     reference_node_route,
     reference_route,
@@ -309,17 +313,37 @@ def test_spontaneous_baseline_equals_the_scalar_scan_flat(model, fleet):
     _check_spontaneous_baseline(model, fleet)
 
 
+def _check_report_sums(model, result):
+    """The report's fuel totals are exactly the math.fsum of the fleet table's
+    default fuel and of each stage's plan_fuel."""
+    routes = {n: p.route for n, p in result.default_plans.items()}
+    fleet = Visits(result.assignments, routes, result.default_plans, model)
+    report = result.report
+    assert report.default_fuel_kg == math.fsum(fleet.fuel_default.tolist())
+    for total, plans in ((report.stage3_fuel_kg, result.stage3_plans),
+                         (report.stage4_fuel_kg, result.stage4_plans)):
+        assert total == math.fsum(plan_fuel(model, p) for p in plans.values())
+
+
 @settings(max_examples=50, deadline=None)
 @given(fleets(), st.data())
 def test_shuffled_assignments_give_bit_identical_spontaneous_fuel(model, fleet, data):
-    """The spontaneous figures are correctly rounded sums over the fleet
-    table, so the order of the assignment list cannot reach their bits."""
+    """Every report figure is a correctly rounded sum, so the order of the
+    assignment list reaches no byte of the plans, leaders or report."""
     given = list(fleet[0].values())
     shuffled = data.draw(st.permutations(given))
     run = RunConfig(model=model, scenario=ScenarioConfig())
-    first, second = (run_pipeline(NET, trucks, run).report for trucks in (given, shuffled))
-    assert repr(first.spontaneous_fuel_kg) == repr(second.spontaneous_fuel_kg)
-    assert repr(first.saving_spontaneous) == repr(second.saving_spontaneous)
+    documents = []
+    for trucks in (given, shuffled):
+        result = run_pipeline(NET, trucks, run)
+        _check_report_sums(model, result)
+        plans = [cli._plan_to_doc(n, p) for n, p in sorted(result.stage4_plans.items())]
+        documents.append((
+            json.dumps(plans, sort_keys=True),
+            json.dumps(cli._leaders_doc(result.leader_set), sort_keys=True),
+            result.report.to_json(),
+        ))
+    assert documents[0] == documents[1]
 
 
 def _check_block_starts(model, fleet):
