@@ -26,6 +26,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import evaluation, road_network, scenario
@@ -370,45 +371,66 @@ def validate_all(result: PipelineResult, model: FuelModel) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _plan_to_doc(truck: str, plan: VehiclePlan) -> dict:
-    return {
-        "id": truck,
-        "route": {
-            "edges": list(plan.route.edges),
-            "start_offset_m": plan.route.start_offset,
-            "dest_offset_m": plan.route.dest_offset,
-        },
-        "speeds_ms": list(plan.speeds),
-        "breakpoints_s": list(plan.times),
-        "follower_flags": list(plan.follower_flags),
-        "leader_id": plan.platoon_leader_id,
-    }
+def _indented(tokens, pad: str, brackets: str = "[]") -> str:
+    """Encoded items laid out at indentation pad as json.dump(indent=2) lays
+    out a list (or, with brackets "{}", an object's "key": value items)."""
+    body = f",\n{pad}  ".join(tokens)
+    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
 
 
-def _leaders_doc(leader_set) -> dict:
-    return {
-        "leaders": sorted(leader_set.leaders),
-        "follower_of": dict(sorted(leader_set.follower_of.items())),
-        "objective_kg": leader_set.objective,
-    }
+def _id_tokens(ids) -> list:
+    """JSON tokens of ids: strings, or the other scalars a network file may name edges by."""
+    try:
+        return list(map(_quote, ids))
+    except TypeError:
+        return list(map(json.dumps, ids))
 
 
-def _write_json(path: str, doc) -> None:
+def _plan_json(truck: str, plan: VehiclePlan) -> str:
+    route, leader = plan.route, plan.platoon_leader_id
+    return (
+        f'{{\n    "breakpoints_s": {_indented(map(float.__repr__, plan.times), "    ")},'
+        f'\n    "follower_flags": {_indented(map(int.__repr__, plan.follower_flags), "    ")},'
+        f'\n    "id": {_quote(truck)},'
+        f'\n    "leader_id": {"null" if leader is None else _quote(leader)},'
+        f'\n    "route": {{\n      "dest_offset_m": {float.__repr__(route.dest_offset)},'
+        f'\n      "edges": {_indented(_id_tokens(route.edges), "      ")},'
+        f'\n      "start_offset_m": {float.__repr__(route.start_offset)}\n    }},'
+        f'\n    "speeds_ms": {_indented(map(float.__repr__, plan.speeds), "    ")}\n  }}'
+    )
+
+
+def _leaders_json(leader_set) -> str:
+    pairs = (f"{_quote(f)}: {_quote(m)}" for f, m in sorted(leader_set.follower_of.items()))
+    return _indented(
+        (
+            f'"follower_of": {_indented(pairs, "  ", "{}")}',
+            f'"leaders": {_indented(map(_quote, sorted(leader_set.leaders)), "  ")}',
+            f'"objective_kg": {float.__repr__(leader_set.objective)}',
+        ),
+        "",
+        "{}",
+    )
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        print(text, file=fh)
 
 
 def _write_outputs(out_dir: str, result: PipelineResult, graph_csv: bool) -> None:
+    """plans.json and leaders.json laid out byte for byte as json.dump(doc, fh,
+    indent=2, sort_keys=True) lays out their documents (tests/conftest.py's
+    _plan_to_doc and _leaders_doc), each plan formatted from its scalars' reprs.
+
+    Every plan written has passed validate, so its floats are finite and its
+    flags are the ints 0 and 1; leader-set objectives sum finite graph weights.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(
-        os.path.join(out_dir, "plans.json"),
-        [_plan_to_doc(truck, plan) for truck, plan in sorted(result.stage4_plans.items())],
-    )
-    _write_json(os.path.join(out_dir, "leaders.json"), _leaders_doc(result.leader_set))
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(result.report.to_json())
-        fh.write("\n")
+    plans = (_plan_json(truck, plan) for truck, plan in sorted(result.stage4_plans.items()))
+    _write_text(os.path.join(out_dir, "plans.json"), _indented(plans, ""))
+    _write_text(os.path.join(out_dir, "leaders.json"), _leaders_json(result.leader_set))
+    _write_text(os.path.join(out_dir, "report.json"), result.report.to_json())
     if graph_csv:
         save_graph_csv(result.graph, os.path.join(out_dir, "graph.csv"))
 
@@ -469,7 +491,7 @@ def cmd_exact(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid graph CSV {args.graph_csv}: {exc}") from exc
     leader_set = exact(graph, limit=args.limit)
-    _write_json(args.out, _leaders_doc(leader_set))
+    _write_text(args.out, _leaders_json(leader_set))
     _log("exact_done", nodes=len(graph.nodes), objective_kg=leader_set.objective)
     return EXIT_OK
 

@@ -62,16 +62,17 @@ class FuelModel:
 
     def clamp_speed(self, v: float) -> Optional[float]:
         """v snapped into [v_min, v_max], or None if it misses by more than
-        1e-9 * v_max (the rounding of closed-form and solver speeds)."""
+        1e-9 * v_max (the rounding of closed-form and solver speeds); NaN
+        misses."""
         guard = 1e-9 * self.v_max
-        if v < self.v_min - guard or v > self.v_max + guard:
+        if not self.v_min - guard <= v <= self.v_max + guard:
             return None
         return min(max(v, self.v_min), self.v_max)
 
     def clamp_speeds(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """clamp_speed over an array: (snapped speeds, mask of speeds it accepts)."""
         guard = 1e-9 * self.v_max
-        ok = ~((v < self.v_min - guard) | (v > self.v_max + guard))
+        ok = (self.v_min - guard <= v) & (v <= self.v_max + guard)
         return np.minimum(np.maximum(v, self.v_min), self.v_max), ok
 
     def solo_rate(self, v: float) -> float:

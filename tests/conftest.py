@@ -879,6 +879,32 @@ def reference_histogram(plans):
     return histogram
 
 
+def _plan_to_doc(truck: str, plan: VehiclePlan) -> dict:
+    """Oracle for cli's plans.json writer: one plan's document, which
+    json.dump(indent=2, sort_keys=True) lays out as the writer must."""
+    return {
+        "id": truck,
+        "route": {
+            "edges": list(plan.route.edges),
+            "start_offset_m": plan.route.start_offset,
+            "dest_offset_m": plan.route.dest_offset,
+        },
+        "speeds_ms": list(plan.speeds),
+        "breakpoints_s": list(plan.times),
+        "follower_flags": list(plan.follower_flags),
+        "leader_id": plan.platoon_leader_id,
+    }
+
+
+def _leaders_doc(leader_set) -> dict:
+    """Oracle for cli's leaders.json writer, as _plan_to_doc is for plans.json."""
+    return {
+        "leaders": sorted(leader_set.leaders),
+        "follower_of": dict(sorted(leader_set.follower_of.items())),
+        "objective_kg": leader_set.objective,
+    }
+
+
 def chain_network(segment_lengths, prefix="e"):
     """A one-way chain n0 -> n1 -> ... with the given edge lengths."""
     nodes = [f"n{i}" for i in range(len(segment_lengths) + 1)]

@@ -21,12 +21,16 @@ from platoonplan.cli import (
     run_pipeline,
     write_montecarlo_csv,
 )
+from platoonplan.coordination_graph import load_graph_csv
 from platoonplan.evaluation import RunReport, platoon_size_histogram
+from platoonplan.leader_selection import exact
 from platoonplan.planning import Assignment, validate
 from platoonplan.road_network import save_network, shortest_node_route
 from platoonplan.scenario import ScenarioConfig, ScenarioError, generate, grid_network
 
 from conftest import (
+    _leaders_doc,
+    _plan_to_doc,
     chain_network,
     make_route,
     reference_histogram,
@@ -152,6 +156,10 @@ def test_plan_rerun_reproduces_identical_outputs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _json_dump_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
 def test_plan_zero_assignments(tmp_path):
     cfg, network, assignments = _generate(
         tmp_path, rows=3, cols=3, edge_len_m=1000.0, n_assignments=0, seed=1
@@ -164,10 +172,51 @@ def test_plan_zero_assignments(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["saving_stage4"] == 0.0
-    assert json.loads((out / "plans.json").read_text()) == []
+    assert (out / "plans.json").read_bytes() == b"[]\n" == _json_dump_bytes([])
+    empty = {"leaders": [], "follower_of": {}, "objective_kg": 0.0}
+    assert (out / "leaders.json").read_bytes() == _json_dump_bytes(empty)
     # Every field but the counts and the histogram is a real, also for no trucks.
     reals = {k: v for k, v in report.items() if k not in (*cli.REPORT_COUNTS, "histogram")}
     assert reals and all(type(v) is float for v in reals.values()), reals
+
+
+def test_plan_with_integer_edge_ids_writes_the_json_dump_bytes(tmp_path, model):
+    """A network file may name its edges by integers; plans.json writes them
+    as json.dump does, beside the string truck ids."""
+    net = RoadNetwork([0, 1, 2, 3], [(10, 0, 1, 10_000.0), (11, 1, 2, 10_000.0),
+                                     (12, 2, 3, 10_000.0)])
+    network, assignments = tmp_path / "network.json", tmp_path / "assignments.json"
+    save_network(net, str(network))
+    assignments.write_text(json.dumps([
+        {"id": f"t{k}", "start": {"edge": 10, "offset_m": 0.0},
+         "dest": {"edge": 12, "offset_m": 10_000.0},
+         "t_start_s": 60.0 * k, "t_deadline_s": 60.0 * k + 30_000.0 / model.v_min}
+        for k in range(3)
+    ]))
+    out = tmp_path / "run"
+    assert main(["plan", "--network", str(network), "--assignments", str(assignments),
+                 "--out-dir", str(out), "--check"]) == 0
+    result = run_pipeline(cli.load_network(str(network)),
+                          cli.scenario.load_assignments(str(assignments)), load_config(None))
+    plans = [_plan_to_doc(n, p) for n, p in sorted(result.stage4_plans.items())]
+    assert any(p["leader_id"] is not None for p in plans)
+    assert (out / "plans.json").read_bytes() == _json_dump_bytes(plans)
+    assert (out / "leaders.json").read_bytes() == _json_dump_bytes(_leaders_doc(result.leader_set))
+
+
+def test_exact_out_is_the_json_dump_bytes(tmp_path):
+    """exact --out escapes node ids as json.dump does: quotes, backslashes
+    and non-ASCII letters."""
+    graph_csv = tmp_path / "graph.csv"
+    graph_csv.write_text(
+        'src,dst,saving_kg\nZürich,"a ""b""",2.0\nx\\y,"a ""b""",3.0\n"a ""b""",Zürich,1.0\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "leaders.json"
+    assert main(["exact", "--graph-csv", str(graph_csv), "--out", str(out)]) == 0
+    doc = _leaders_doc(exact(load_graph_csv(str(graph_csv))))
+    assert doc["leaders"] == ['a "b"'] and len(doc["follower_of"]) == 2
+    assert out.read_bytes() == _json_dump_bytes(doc)
 
 
 @pytest.mark.parametrize("slack", [0.0, 1800.0])
@@ -639,6 +688,43 @@ def test_a_failing_group_keeps_its_stage3_plans(tmp_path, capsys, monkeypatch):
     for m in members:
         assert result.stage4_plans[m] == result.stage3_plans[m]
     assert result.report.groups_fallback == 1
+
+
+def test_a_nan_solve_time_makes_its_group_fall_back(tmp_path, capsys, monkeypatch):
+    """A solve that returns a NaN time gives a NaN speed and breakpoint,
+    which validate reports: the group keeps its stage-3 plans and plans.json
+    stays JSON."""
+    from platoonplan.joint_optimization import solve
+
+    failed = []
+
+    def nan_solve(group, model, settings=None, start=None):
+        sol = solve(group, model, settings, start=start)
+        if not failed:  # the first group solved gets a NaN, in every run
+            failed.append(group.leader_id)
+        if group.leader_id != failed[0]:
+            return sol
+        times = {m: (math.nan, *t[1:]) for m, t in sol.times.items()}
+        return dataclasses.replace(sol, times=times)
+
+    monkeypatch.setattr(cli, "solve", nan_solve)
+    cfg, network, assignments = _generate(tmp_path, n_assignments=50, seed=7)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["plan", "--network", str(network), "--assignments", str(assignments),
+                 "--config", cfg, "--out-dir", str(out)]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    fallback = [e for e in events if e["event"] == "group_fallback"]
+    assert [e["leader"] for e in fallback] == failed
+    assert "nan" in fallback[0]["error"]
+
+    def no_constant(token):
+        raise ValueError(f"{token} is not JSON")
+
+    with open(out / "plans.json", encoding="utf-8") as fh:
+        plans = json.load(fh, parse_constant=no_constant)
+    assert all(isinstance(v, float) for p in plans for v in p["speeds_ms"])
+    assert json.loads((out / "report.json").read_text())["groups_fallback"] == 1
 
 
 def test_a_group_that_fails_to_build_keeps_its_stage3_plans(tmp_path, capsys, monkeypatch):

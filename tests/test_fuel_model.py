@@ -1,7 +1,9 @@
 """Fuel model: rate values, saving ratio, plan fuel against quadrature."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from platoonplan import FuelModel, VehiclePlan, per_distance, plan_fuel
@@ -37,6 +39,15 @@ def test_out_of_range_speed_rejected(model):
         per_distance(model, model.v_max * 1.01, False)
     with pytest.raises(ValueError):
         per_distance(model, model.v_min * 0.9, True)
+
+
+def test_nan_speed_rejected(model):
+    """NaN fails both comparisons, so the guard accepts only speeds inside the window."""
+    assert model.clamp_speed(math.nan) is None
+    with pytest.raises(ValueError):
+        per_distance(model, math.nan, False)
+    _, ok = model.clamp_speeds(np.array([math.nan, model.v_default, 2 * model.v_max]))
+    assert ok.tolist() == [False, True, False]
 
 
 def test_from_config_converts_kmh():

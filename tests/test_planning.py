@@ -275,6 +275,8 @@ def test_validate_catches_violations(model):
 
     too_fast = VehiclePlan(r, (model.v_max + 0.1,), (0.0, 10_000.0 / (model.v_max + 0.1)), (0,))
     assert any("speed" in p for p in validate(too_fast, a, model))
+    nan_speed = VehiclePlan(r, (math.nan,), good.times, (0,))
+    assert any("speed nan" in p for p in validate(nan_speed, a, model))
 
     short = VehiclePlan(r, (model.v_default,), (0.0, (10_000.0 - 1.0) / model.v_default), (0,))
     assert any("distance" in p for p in validate(short, a, model))

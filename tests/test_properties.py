@@ -38,8 +38,10 @@ from platoonplan.coordination_graph import (  # noqa: E402
     save_graph_csv,
 )
 from platoonplan.joint_optimization import _assemble  # noqa: E402
-from platoonplan.planning import Visits  # noqa: E402
+from platoonplan.leader_selection import LeaderSet  # noqa: E402
+from platoonplan.planning import VehiclePlan, Visits  # noqa: E402
 from platoonplan.road_network import (  # noqa: E402
+    Route,
     route_length,
     shortest_node_route,
     shortest_route,
@@ -48,6 +50,8 @@ from platoonplan.scenario import ScenarioConfig, grid_network  # noqa: E402
 
 from conftest import (  # noqa: E402
     SetCoverInstance,
+    _leaders_doc,
+    _plan_to_doc,
     _reference_prune_pairs,
     bisect_prune_pairs,
     check_assemble_matches_reference,
@@ -337,13 +341,81 @@ def test_shuffled_assignments_give_bit_identical_spontaneous_fuel(model, fleet, 
     for trucks in (given, shuffled):
         result = run_pipeline(NET, trucks, run)
         _check_report_sums(model, result)
-        plans = [cli._plan_to_doc(n, p) for n, p in sorted(result.stage4_plans.items())]
+        plans = [_plan_to_doc(n, p) for n, p in sorted(result.stage4_plans.items())]
         documents.append((
             json.dumps(plans, sort_keys=True),
-            json.dumps(cli._leaders_doc(result.leader_set), sort_keys=True),
+            json.dumps(_leaders_doc(result.leader_set), sort_keys=True),
             result.report.to_json(),
         ))
     assert documents[0] == documents[1]
+
+
+# Finite floats, with the corners of float.__repr__ drawn on purpose.
+WRITTEN_REALS = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def written_plans(draw):
+    """Plans as the writer sees them: any text for truck, leader and edge ids
+    (edges may also be the integers a network file can use), finite floats,
+    0/1 flags, and empty lists."""
+    plans = {}
+    for truck in draw(st.lists(st.text(), unique=True, max_size=4)):
+        k = draw(st.integers(0, 3))
+        route = Route(
+            edges=tuple(draw(st.lists(st.text() | st.integers(), max_size=3))),
+            lengths=(),
+            start_offset=draw(WRITTEN_REALS),
+            dest_offset=draw(WRITTEN_REALS),
+        )
+        plans[truck] = VehiclePlan(
+            route,
+            speeds=tuple(draw(st.lists(WRITTEN_REALS, min_size=k, max_size=k))),
+            times=tuple(draw(st.lists(WRITTEN_REALS, min_size=k + 1, max_size=k + 1))),
+            follower_flags=tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k))),
+            platoon_leader_id=draw(st.none() | st.text()),
+        )
+    return plans
+
+
+@st.composite
+def written_leader_sets(draw):
+    ids = draw(st.lists(st.text(), unique=True, max_size=6))
+    leaders = ids[: draw(st.integers(0, len(ids)))]
+    follower_of = {
+        f: draw(st.sampled_from(leaders)) for f in ids[len(leaders):] if draw(st.booleans())
+    } if leaders else {}
+    return LeaderSet(frozenset(leaders), follower_of, draw(WRITTEN_REALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_plans(), written_leader_sets())
+@example({}, LeaderSet(frozenset(), {}, 0.0))
+@example(
+    {'t"\\\x00é ': VehiclePlan(
+        Route(edges=("e\t1", 7), lengths=(), start_offset=-0.0, dest_offset=1e300),
+        speeds=(5e-324,), times=(0.0, 1.5), follower_flags=(1,), platoon_leader_id="λ",
+    )},
+    LeaderSet(frozenset({"λ"}), {'t"\\\x00é ': "λ"}, 2.5),
+)
+def test_plans_and_leaders_files_are_the_json_dump_bytes(plans, leader_set):
+    """plans.json and leaders.json are byte for byte what json.dump(indent=2,
+    sort_keys=True) writes of the oracle documents, newline included."""
+    result = SimpleNamespace(
+        stage4_plans=plans, leader_set=leader_set, report=SimpleNamespace(to_json=lambda: "{}")
+    )
+    expected = {
+        "plans.json": [_plan_to_doc(n, p) for n, p in sorted(plans.items())],
+        "leaders.json": _leaders_doc(leader_set),
+    }
+    with tempfile.TemporaryDirectory() as out:
+        cli._write_outputs(out, result, graph_csv=False)
+        for name, doc in expected.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                written = fh.read()
+            assert written == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def _check_block_starts(model, fleet):
