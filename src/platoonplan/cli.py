@@ -538,7 +538,7 @@ def write_montecarlo_csv(rows: list[dict], sizes: list[int], path: str) -> None:
                 continue
             mean_row = {"size": size, "seed": "mean"}
             for key in MONTECARLO_COLUMNS[2:]:
-                mean_row[key] = sum(r[key] for r in batch) / len(batch)
+                mean_row[key] = math.fsum(r[key] for r in batch) / len(batch)
             writer.writerow(mean_row)
 
 

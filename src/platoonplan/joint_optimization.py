@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -187,7 +187,7 @@ def build_group(
 
 
 # ---------------------------------------------------------------------------
-# Matrix assembly
+# The program
 # ---------------------------------------------------------------------------
 
 
@@ -196,78 +196,10 @@ class _Problem:
     x0: np.ndarray
     c2: np.ndarray  # objective terms c2_j / x_j
     c0: float  # constant fuel part
-    A: np.ndarray  # equality rows
-    b: np.ndarray  # equality right-hand sides
-    G: np.ndarray
-    h: np.ndarray
     var_slices: dict
 
     def objective(self, x: np.ndarray) -> float:
         return float((self.c2 / x).sum()) + self.c0
-
-
-def _assemble(group: CoordinationGroup, model: FuelModel) -> _Problem:
-    """The program over all members' segment times, concatenated in members() order.
-
-    G rows: speed boxes as -I and I, then one deadline indicator row per member.
-    A rows per follower: merge synchronization unless trivial, then platoon pairs.
-    """
-    members = group.members()
-    sizes = [len(group.distances[member]) for member in members]
-    ends = list(itertools.accumulate(sizes, initial=0))
-    var_slices = {member: slice(lo, hi) for member, lo, hi in zip(members, ends, ends[1:])}
-    n = ends[-1]
-
-    def stacked(per_member: dict) -> np.ndarray:
-        return np.fromiter(itertools.chain.from_iterable(per_member[m] for m in members), float)
-
-    w = stacked(group.distances)
-    platoon = stacked(group.platoon_flags) == 1
-    x0 = stacked(group.initial_times)
-    c2 = np.where(platoon, model.ap, model.a0) * w * w
-    constant = np.where(platoon, model.bp, model.b0) * w
-    c0 = sum(float(constant[sl].sum()) for sl in var_slices.values())
-
-    # Per follower: the merge row unless trivial, then one row per platoon
-    # segment; the leader's variables come first.
-    rows = len(group.follower_ids) + n  # bounds the merge and platoon rows
-    A = np.zeros((rows, n))
-    b = np.zeros(rows)
-    r = 0
-    for fid, f in zip(group.follower_ids, ends[1:]):
-        i_m, i_sp = group.merge_index[fid], group.split_index[fid]
-        head = int(group.platoon_flags[fid][0] == 0)
-        # Merge synchronization: follower start + head time equals the
-        # leader's arrival at the merge segment, i.e.
-        # T_head - sum(leader prefix) = t_start_leader - t_start_follower.
-        rhs = group.t_start[group.leader_id] - group.t_start[fid]
-        if head or i_m:
-            A[r, f : f + head] = 1.0
-            A[r, :i_m] = -1.0
-            b[r] = rhs
-            r += 1
-        elif abs(rhs) > 1e-6:
-            raise InconsistentGroupError(
-                f"follower {fid} merges at the leader's start but departs elsewhere in time"
-            )
-        # Equal traversal times while platooning.
-        j = np.arange(i_sp - i_m + 1)
-        A[r + j, f + head + j] = 1.0
-        A[r + j, i_m + j] = -1.0
-        r += j.size
-    A, b = A[:r], b[:r]
-
-    j = np.arange(n)
-    G = np.zeros((2 * n + len(members), n))
-    G[j, j] = -1.0
-    G[n + j, j] = 1.0
-    G[np.repeat(np.arange(2 * n, G.shape[0]), sizes), j] = 1.0
-    h = np.concatenate([
-        -w / model.v_max,
-        w / model.v_min,
-        [group.t_deadline[m] - group.t_start[m] for m in members],
-    ])
-    return _Problem(x0=x0, c2=c2, c0=c0, A=A, b=b, G=G, h=h, var_slices=var_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +231,14 @@ class _Reduced:
         return self.hy - self.Gy @ y
 
 
-def _reduce(prob: _Problem, base: np.ndarray, Z: np.ndarray) -> _Reduced:
+def _reduce(G: np.ndarray, h: np.ndarray, base: np.ndarray, Z: np.ndarray) -> _Reduced:
     """Project the inequality system onto the affine subspace base + range(Z).
 
     Rows insensitive to y must hold identically (they are runs of the
     equality structure); a violated constant row means the group is broken.
     """
-    Gy_full = prob.G @ Z
-    hy_full = prob.h - prob.G @ base
+    Gy_full = G @ Z
+    hy_full = h - G @ base
     constant = np.linalg.norm(Gy_full, axis=1) <= _ZERO_ROW
     broken = np.flatnonzero(constant & (hy_full < -1e-6))
     if broken.size:
@@ -460,37 +392,80 @@ GROUP_ERRORS = (InconsistentGroupError, InfeasibleGroupError, np.linalg.LinAlgEr
 
 
 def _set_up(group: CoordinationGroup, model: FuelModel):
-    """(problem without the dense G and A, reduced system), for the active set.
+    """(problem, reduced system) for the active set, read off the group's indices.
 
-    A platoon row only says that a follower's segment copies a leader segment,
-    so it is eliminated by index: col maps each variable to its free variable
-    (the leader's segments and each follower's head and tail), and the SVD
-    sees only the merge rows. Weighting the free variables by D^-1/2, D their
-    copy counts, keeps Z orthonormal; a copied segment's row of Z is its
-    leader segment's row, so its box rows, exact duplicates, are dropped.
+    The variables are the members' segment times in members() order. A
+    platoon equality only says that a follower's segment copies a leader
+    segment, so it goes by index: src maps each variable to the one it copies,
+    and col to its free variable (the leader's segments and each follower's
+    head and tail). The SVD sees only the merge rows over the free variables,
+    one per follower with a head or i_m > 0: its start plus its head time is
+    the leader's arrival at its merge segment, i.e. +1 on its head and -1 on
+    the leader's first i_m segments. Weighting the free variables by D^-1/2,
+    D their copy counts, keeps Z orthonormal. G has the speed boxes of the
+    free variables as -I and I (a copied segment's would repeat its leader
+    segment's), then one deadline indicator row per member; the deadline rows
+    share the products G @ Z and h - G @ x0 with the box rows, as a separate
+    product may round them differently in the last bit.
     """
-    prob = _assemble(group, model)
-    if prob.A.size:
-        residual = prob.A @ prob.x0 - prob.b
-        if np.max(np.abs(residual)) > 1e-6:
-            raise InconsistentGroupError(
-                f"initial plans violate synchronization by {np.max(np.abs(residual)):.3e} s"
-            )
-    n = prob.x0.size
-    col = np.arange(n)
-    for fid in group.follower_ids:
-        f = prob.var_slices[fid].start + int(group.platoon_flags[fid][0] == 0)
+    members = group.members()
+    sizes = [len(group.distances[member]) for member in members]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    var_slices = {member: slice(lo, hi) for member, lo, hi in zip(members, ends, ends[1:])}
+    n = ends[-1]
+
+    def stacked(per_member: dict) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(per_member[m] for m in members), float)
+
+    w = stacked(group.distances)
+    platoon = stacked(group.platoon_flags) == 1
+    x0 = stacked(group.initial_times)
+    c2 = np.where(platoon, model.ap, model.a0) * w * w
+    constant = np.where(platoon, model.bp, model.b0) * w
+    c0 = sum(float(constant[sl].sum()) for sl in var_slices.values())
+
+    src = np.arange(n)
+    merges = []  # (follower's first variable, head, i_m, right-hand side)
+    for fid, f in zip(group.follower_ids, ends[1:]):
         i_m, i_sp = group.merge_index[fid], group.split_index[fid]
-        col[f : f + i_sp - i_m + 1] = np.arange(i_m, i_sp + 1)
-    copied = col != np.arange(n)
-    col = np.unique(col, return_inverse=True)[1]
+        head = int(group.platoon_flags[fid][0] == 0)
+        rhs = group.t_start[group.leader_id] - group.t_start[fid]
+        if head or i_m:
+            merges.append((f, head, i_m, rhs))
+        elif abs(rhs) > 1e-6:
+            raise InconsistentGroupError(
+                f"follower {fid} merges at the leader's start but departs elsewhere in time"
+            )
+        src[f + head : f + head + i_sp - i_m + 1] = np.arange(i_m, i_sp + 1)
+    free = src == np.arange(n)
+    col = np.unique(src, return_inverse=True)[1]
     scale = 1.0 / np.sqrt(np.bincount(col))
-    merge = prob.A[~prob.A[:, copied].any(axis=1)][:, ~copied]
-    N = null_space(merge * scale) if merge.size else np.eye(scale.size)
+    k = scale.size
+    merge = np.zeros((len(merges), k))  # +0.0 zeros: the SVD sees the signs
+    for r, (f, head, i_m, _) in enumerate(merges):
+        merge[r, col[f : f + head]] = 1.0
+        merge[r, :i_m] = -1.0
+    residual = np.abs(np.concatenate([
+        merge @ x0[free] - [rhs for *_, rhs in merges], x0 - x0[src],
+    ]))
+    if np.max(residual) > 1e-6:
+        raise InconsistentGroupError(
+            f"initial plans violate synchronization by {np.max(residual):.3e} s"
+        )
+    N = null_space(merge * scale) if merge.size else np.eye(k)
     Z = (scale[:, None] * N)[col]
-    kept = np.concatenate([~copied, ~copied, np.ones(prob.G.shape[0] - 2 * n, bool)])
-    red = _reduce(replace(prob, G=prob.G[kept], h=prob.h[kept]), prob.x0, Z)
-    return replace(prob, A=None, G=None), red
+
+    j, cols = np.arange(k), np.flatnonzero(free)
+    G = np.zeros((2 * k + len(members), n))
+    G[j, cols] = -1.0
+    G[k + j, cols] = 1.0
+    G[np.repeat(np.arange(2 * k, G.shape[0]), sizes), np.arange(n)] = 1.0
+    h = np.concatenate([
+        -w[free] / model.v_max,
+        w[free] / model.v_min,
+        [group.t_deadline[m] - group.t_start[m] for m in members],
+    ])
+    return _Problem(x0=x0, c2=c2, c0=c0, var_slices=var_slices), _reduce(G, h, x0, Z)
 
 
 def start_points(

@@ -520,6 +520,6 @@ def validate(plan: VehiclePlan, a: Assignment, model: FuelModel) -> list[str]:
     ones = [i for i, f in enumerate(flags) if f]
     if ones and ones != list(range(ones[0], ones[-1] + 1)):
         problems.append("platoon episode is not contiguous")
-    if any(f not in (0, 1) for f in flags):
+    if any(type(f) is not int or f not in (0, 1) for f in flags):
         problems.append("follower flags must be 0 or 1")
     return problems

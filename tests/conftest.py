@@ -8,7 +8,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -37,7 +37,6 @@ from platoonplan.joint_optimization import (
     CoordinationGroup,
     InconsistentGroupError,
     _active_set,
-    _assemble,
     _interior_points,
     _Problem,
     _reduce,
@@ -484,15 +483,29 @@ def stage4_infeasibility(group, sol, model):
     Each row's excess is divided by 1 + |h|, so a feasible solution gives a
     value of at most 1e-9 even when rounding breaks a tight row slightly.
     """
-    prob = _assemble(group, model)
+    prob = reference_assemble(group, model)
     x = np.concatenate([sol.times[member] for member in group.members()])
     return float(np.max((prob.G @ x - prob.h) / (1.0 + np.abs(prob.h))))
 
 
+@dataclass
+class DenseProblem(_Problem):
+    """A group's program with its rows written out: A x = b holds the merge
+    and platoon equalities, G x <= h the speed boxes of every variable, then
+    the deadlines."""
+
+    A: np.ndarray
+    b: np.ndarray
+    G: np.ndarray
+    h: np.ndarray
+
+
 def reference_assemble(group, model):
-    """Oracle for joint_optimization._assemble: the equality rows built one at
-    a time from (+1 columns, -1 columns, right-hand side) tuples, the speed
-    boxes from np.diag and np.eye, and the deadline rows by np.repeat."""
+    """The group's program over all members' segment times, concatenated in
+    members() order, as a DenseProblem: the equality rows built one at a time
+    from (+1 columns, -1 columns, right-hand side) tuples, per follower its
+    merge row unless trivial, then its platoon rows; the speed boxes from
+    np.diag and np.eye, and the deadline rows by np.repeat."""
     members = group.members()
     sizes = [len(group.distances[member]) for member in members]
     ends = list(itertools.accumulate(sizes, initial=0))
@@ -534,25 +547,55 @@ def reference_assemble(group, model):
         w / model.v_min,
         [group.t_deadline[m] - group.t_start[m] for m in members],
     ])
-    return _Problem(x0=x0, c2=c2, c0=c0, A=A, b=b, G=G, h=h, var_slices=var_slices)
+    return DenseProblem(x0=x0, c2=c2, c0=c0, var_slices=var_slices, A=A, b=b, G=G, h=h)
 
 
-def check_assemble_matches_reference(group, model):
-    """_assemble gives reference_assemble's arrays, shapes and constant bit for bit."""
-    got, want = _assemble(group, model), reference_assemble(group, model)
-    for name in ("x0", "c2", "A", "b", "G", "h"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and np.array_equal(a, b), (group.leader_id, name)
+def dense_set_up(group, model):
+    """Byte-identity oracle for joint_optimization._set_up: its earlier form,
+    which found the merge rows, the copied columns and the kept box rows of
+    reference_assemble's dense A and G by masks."""
+    prob = reference_assemble(group, model)
+    if prob.A.size:
+        residual = prob.A @ prob.x0 - prob.b
+        if np.max(np.abs(residual)) > 1e-6:
+            raise InconsistentGroupError(
+                f"initial plans violate synchronization by {np.max(np.abs(residual)):.3e} s"
+            )
+    n = prob.x0.size
+    col = np.arange(n)
+    for fid in group.follower_ids:
+        f = prob.var_slices[fid].start + int(group.platoon_flags[fid][0] == 0)
+        i_m, i_sp = group.merge_index[fid], group.split_index[fid]
+        col[f : f + i_sp - i_m + 1] = np.arange(i_m, i_sp + 1)
+    copied = col != np.arange(n)
+    col = np.unique(col, return_inverse=True)[1]
+    scale = 1.0 / np.sqrt(np.bincount(col))
+    merge = prob.A[~prob.A[:, copied].any(axis=1)][:, ~copied]
+    N = null_space(merge * scale) if merge.size else np.eye(scale.size)
+    Z = (scale[:, None] * N)[col]
+    kept = np.concatenate([~copied, ~copied, np.ones(prob.G.shape[0] - 2 * n, bool)])
+    return prob, _reduce(prob.G[kept], prob.h[kept], prob.x0, Z)
+
+
+def check_set_up_is_dense_set_up(group, model):
+    """_set_up gives dense_set_up's x0, c2, Z, Gy, hy and base bit for bit,
+    the same shapes, var_slices and repr of c0."""
+    (got, got_red), (want, want_red) = _set_up(group, model), dense_set_up(group, model)
+    pairs = [(got.x0, want.x0), (got.c2, want.c2)]
+    pairs += [(getattr(got_red, name), getattr(want_red, name))
+              for name in ("Z", "Gy", "hy", "base")]
+    for a, b in pairs:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), group.leader_id
     assert repr(got.c0) == repr(want.c0) and got.var_slices == want.var_slices
 
 
 def reference_set_up(group, model):
-    """Parity oracle for joint_optimization._set_up: its earlier form, with
+    """Parity oracle for joint_optimization._set_up: an earlier form, with
     the SVD null space of every equality row, platoon rows included, and
     every row of G kept, so each copied segment keeps its own box rows."""
-    prob = _assemble(group, model)
+    prob = reference_assemble(group, model)
     Z = null_space(prob.A) if prob.A.size else np.eye(prob.x0.size)
-    return replace(prob, A=None, G=None), _reduce(prob, prob.x0, Z)
+    return prob, _reduce(prob.G, prob.h, prob.x0, Z)
 
 
 def reference_objective(group, model):
@@ -571,7 +614,7 @@ def reference_objective(group, model):
 
 def copied_segments(group):
     """(follower variable, leader variable) for every platoon segment a
-    follower copies, as indices into the stacked variables of _assemble."""
+    follower copies, as indices into the stacked variables of _set_up."""
     f = len(group.distances[group.leader_id])
     for fid in group.follower_ids:
         i_m, i_sp = group.merge_index[fid], group.split_index[fid]
@@ -581,12 +624,13 @@ def copied_segments(group):
 
 
 def check_set_up_matches_reference(group, model, objective):
-    """_set_up against reference_set_up on one group: Z is orthonormal and
-    spans null(A), both to 1e-12; a copied segment's row of Z is its leader
-    segment's bit for bit, and of the two equal box rows only the leader's
-    reaches red.Gy; the solved objective is within 1e-12 relative of the one
-    reached from reference_set_up."""
-    full = _assemble(group, model)
+    """_set_up against the oracles on one group: it equals dense_set_up bit
+    for bit; Z is orthonormal and spans null(A), both to 1e-12; a copied
+    segment's row of Z is its leader segment's bit for bit, and of the two
+    equal box rows only the leader's reaches red.Gy; the solved objective is
+    within 1e-12 relative of the one reached from reference_set_up."""
+    check_set_up_is_dense_set_up(group, model)
+    full = reference_assemble(group, model)
     _, red = _set_up(group, model)
     Z, n = red.Z, full.x0.size
     assert np.max(np.abs(Z.T @ Z - np.eye(red.dim)), initial=0.0) <= 1e-12
@@ -648,7 +692,7 @@ def dual_gap(group, model, times):
     lam >= 0 give a lower bound on the optimum, so the gap is at least the
     true one.
     """
-    prob = _assemble(group, model)
+    prob = reference_assemble(group, model)
     x = np.concatenate([times[member] for member in group.members()])
     n, m = x.size, prob.A.shape[0]
     tight = np.flatnonzero(prob.h - prob.G @ x <= 1e-9 * (1.0 + np.abs(prob.h)))

@@ -44,7 +44,7 @@ from platoonplan.cli import (
     validate_all,
 )
 from platoonplan.coordination_graph import CoordinationGraph
-from platoonplan.joint_optimization import CoordinationGroup, _assemble, _reduce
+from platoonplan.joint_optimization import CoordinationGroup, _reduce
 from platoonplan.planning import validate
 from platoonplan.scenario import ScenarioConfig, generate
 
@@ -54,6 +54,7 @@ from conftest import (
     min_set_cover_size,
     objective_value,
     reduce_set_cover,
+    reference_assemble,
 )
 
 MODEL = FuelModel()
@@ -134,7 +135,7 @@ def test_criterion_3_set_cover_identity():
 def _grid_search_minimum(prob):
     """Dense feasible-grid minimum of the reduced problem (dim <= 3)."""
     Z = null_space(prob.A) if prob.A.size else np.eye(prob.x0.size)
-    red = _reduce(prob, prob.x0, Z)
+    red = _reduce(prob.G, prob.h, prob.x0, Z)
     if red.dim == 0:
         return prob.objective(prob.x0), 0
     points_per_dim = {1: 20_001, 2: 351, 3: 61}[red.dim]
@@ -188,7 +189,7 @@ def test_criterion_4_joint_optimization_dominance():
                 result.default_plans[leader],
                 [(amap[f], result.stage3_plans[f]) for f in sorted(members)],
             )
-            prob = _assemble(group, MODEL)
+            prob = reference_assemble(group, MODEL)
             free = (
                 null_space(prob.A).shape[1] if prob.A.size else prob.x0.size
             )

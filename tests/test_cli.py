@@ -1213,6 +1213,19 @@ def test_montecarlo_rows_and_means(tmp_path):
     assert parsed[-1]["seed"] == "mean"
 
 
+def test_montecarlo_mean_cells_are_correctly_rounded(tmp_path):
+    """A mean cell is the fsum mean of its batch, so it does not depend on the
+    Python version: ten runs of 0.1 average to 0.1 (the builtin sum gives
+    0.09999999999999999 on 3.10 and 3.11, 0.1 on 3.12)."""
+    rows = [{**dict.fromkeys(MONTECARLO_COLUMNS, 0), "size": 10, "seed": seed,
+             "saving_stage3": 0.1} for seed in range(10)]
+    out = tmp_path / "mc.csv"
+    write_montecarlo_csv(rows, [10], str(out))
+    with open(out, newline="") as fh:
+        mean = list(csv.DictReader(fh))[-1]
+    assert mean["seed"] == "mean" and mean["saving_stage3"] == "0.1"
+
+
 def test_montecarlo_rows_equal_generate_then_plan_on_decimal_lengths(tmp_path):
     """montecarlo routes each generated fleet by position, as plan does.
 

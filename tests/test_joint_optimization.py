@@ -21,7 +21,6 @@ from platoonplan import (
 from platoonplan.joint_optimization import (
     CoordinationGroup,
     _active_set,
-    _assemble,
     _kkt_residual,
     _Problem,
     _reduce,
@@ -30,7 +29,6 @@ from platoonplan.joint_optimization import (
 
 from conftest import (
     chain_network,
-    check_assemble_matches_reference,
     check_copies_exact,
     check_set_up_matches_reference,
     checked_build_group,
@@ -38,6 +36,7 @@ from conftest import (
     group_objective,
     make_route,
     reference_active_set,
+    reference_assemble,
     reference_extract_plans,
     stage4_infeasibility,
 )
@@ -490,8 +489,8 @@ def test_solve_flat_group_from_a_degenerate_vertex(model):
         split_index={"F": 1},
         routes={"L": route, "F": route},
     )
-    prob = _assemble(group, model)
-    red = _reduce(prob, prob.x0, null_space(prob.A))
+    prob = reference_assemble(group, model)
+    red = _reduce(prob.G, prob.h, prob.x0, null_space(prob.A))
     tight = red.slack(np.zeros(red.dim)) <= 1e-9 * (1.0 + np.abs(red.hy))
     assert red.dim == 4 and int(tight.sum()) > red.dim
 
@@ -552,17 +551,8 @@ def test_crossover_step_stops_at_the_row_it_would_cross():
     would cross the upper bound, so the ratio test stops on it, the row joins
     the working set, and its positive multiplier ends the pass at x = 120.
     """
-    prob = _Problem(
-        x0=np.array([100.0]),
-        c2=np.array([1.0]),
-        c0=0.0,
-        A=np.zeros((0, 1)),
-        b=np.zeros(0),
-        G=np.array([[-1.0], [1.0]]),
-        h=np.array([-50.0, 120.0]),
-        var_slices={},
-    )
-    red = _reduce(prob, prob.x0, np.eye(1))
+    prob = _Problem(x0=np.array([100.0]), c2=np.array([1.0]), c0=0.0, var_slices={})
+    red = _reduce(np.array([[-1.0], [1.0]]), np.array([-50.0, 120.0]), prob.x0, np.eye(1))
     y, _ = _active_set(prob, red, np.zeros(1))
     x = red.x(y)
     assert x[0] == pytest.approx(120.0, rel=1e-12)
@@ -571,18 +561,10 @@ def test_crossover_step_stops_at_the_row_it_would_cross():
 
 def _plane_problem(G, h, c2):
     """min sum c2_j / x_j subject to G x <= h from x = (10, 10), unreduced."""
-    G = np.array(G, dtype=float)
-    prob = _Problem(
-        x0=np.array([10.0, 10.0]),
-        c2=np.array(c2, dtype=float),
-        c0=0.0,
-        A=np.zeros((0, 2)),
-        b=np.zeros(0),
-        G=G,
-        h=np.array(h, dtype=float),
-        var_slices={},
-    )
-    return prob, _reduce(prob, prob.x0, np.eye(2))
+    prob = _Problem(x0=np.array([10.0, 10.0]), c2=np.array(c2, dtype=float), c0=0.0,
+                    var_slices={})
+    G, h = np.array(G, dtype=float), np.array(h, dtype=float)
+    return prob, _reduce(G, h, prob.x0, np.eye(2))
 
 
 def test_a_row_parallel_to_the_one_that_left_joins_after_the_basis_rebuild():
@@ -634,8 +616,7 @@ def test_a_blocking_row_joins_only_outside_the_span_of_the_working_rows(eps, ref
 @pytest.mark.parametrize("slack", [0.0, 1800.0])
 def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model, slack):
     """On the 800-truck fleet of seed 101 and its 1800 s slack twin,
-    build_group equals the two-pass reference and _assemble the per-equality
-    build, bit for bit; from every group's start _active_set takes as many
+    build_group equals the two-pass reference bit for bit; from every group's start _active_set takes as many
     rounds as the least-squares reference, reaches its objective to 1e-12
     relative, satisfies G x <= h to 1e-9 and is
     stationary to 1e-8. _set_up's reduction passes
@@ -647,7 +628,6 @@ def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model
     groups = _seeded_fleet_groups(model, n=800, seed=101, deadline_slack_s=slack)
     assert len(groups) > 150
     for group, start in start_points(groups, model):
-        check_assemble_matches_reference(group, model)
         assert not isinstance(start, Exception), group.leader_id
         sol = solve(group, model, start=start)
         check_set_up_matches_reference(group, model, sol.objective)
@@ -666,7 +646,7 @@ def test_active_set_and_assembly_match_the_reference_on_an_800_truck_fleet(model
         assert rounds == rounds_ref, group.leader_id
         f, f_ref = prob.objective(red.x(y)), prob.objective(red.x(y_ref))
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref), group.leader_id
-        full = _assemble(group, model)
+        full = reference_assemble(group, model)
         assert np.max((full.G @ red.x(y) - full.h) / (1.0 + np.abs(full.h))) <= 1e-9
         assert _kkt_residual(prob, red, y) <= 1e-8, group.leader_id
 
@@ -692,7 +672,7 @@ def test_active_set_ends_optimal_on_every_group_of_a_slack_fleet(model):
         assert _kkt_residual(prob, red, y) <= 1e-8, group.leader_id
         times = {member: red.x(y)[prob.var_slices[member]] for member in group.members()}
         assert dual_gap(group, model, times) <= 1e-9, group.leader_id
-        full = _assemble(group, model)
+        full = reference_assemble(group, model)
         assert np.max((full.G @ red.x(y) - full.h) / (1.0 + np.abs(full.h))) <= 1e-9
         f, f_pairwise = prob.objective(red.x(y)), prob.objective(prob.x0)
         assert f <= f_pairwise * (1.0 + 1e-12), group.leader_id
@@ -756,7 +736,7 @@ def _seeded_fleet_groups(model, n=50, seed=7, deadline_slack_s=0.0):
 
 
 def test_assemble_matches_the_group_definition(model, worked_pair):
-    """_assemble's rows say what the group's fields say, checked row by row.
+    """reference_assemble's rows say what the group's fields say, row by row.
 
     For random times x (members' segments concatenated in members() order):
     G x <= h holds exactly on the rows where w / x lies within [v_min, v_max]
@@ -771,7 +751,7 @@ def test_assemble_matches_the_group_definition(model, worked_pair):
     all_held = set()
     for group in groups:
         members = group.members()
-        prob = _assemble(group, model)
+        prob = reference_assemble(group, model)
         ends = np.cumsum([0] + [len(group.distances[m]) for m in members])
         w = np.concatenate([group.distances[m] for m in members])
         window = [group.t_deadline[m] - group.t_start[m] for m in members]

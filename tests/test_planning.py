@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from platoonplan import (
@@ -277,6 +278,9 @@ def test_validate_catches_violations(model):
     assert any("speed" in p for p in validate(too_fast, a, model))
     nan_speed = VehiclePlan(r, (math.nan,), good.times, (0,))
     assert any("speed nan" in p for p in validate(nan_speed, a, model))
+    for flag in (True, 1.0, np.int64(1)):  # equal to 1, but not the int 1
+        odd_flag = VehiclePlan(r, good.speeds, good.times, (flag,))
+        assert validate(odd_flag, a, model) == ["follower flags must be 0 or 1"], flag
 
     short = VehiclePlan(r, (model.v_default,), (0.0, (10_000.0 - 1.0) / model.v_default), (0,))
     assert any("distance" in p for p in validate(short, a, model))

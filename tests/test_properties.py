@@ -37,7 +37,7 @@ from platoonplan.coordination_graph import (  # noqa: E402
     load_graph_csv,
     save_graph_csv,
 )
-from platoonplan.joint_optimization import _assemble  # noqa: E402
+from platoonplan.joint_optimization import CoordinationGroup  # noqa: E402
 from platoonplan.leader_selection import LeaderSet  # noqa: E402
 from platoonplan.planning import VehiclePlan, Visits  # noqa: E402
 from platoonplan.road_network import (  # noqa: E402
@@ -54,14 +54,15 @@ from conftest import (  # noqa: E402
     _plan_to_doc,
     _reference_prune_pairs,
     bisect_prune_pairs,
-    check_assemble_matches_reference,
     check_cluster_matches_reference,
     check_copies_exact,
+    check_set_up_is_dense_set_up,
     check_set_up_matches_reference,
     checked_build_group,
     dual_gap,
     prune_by_name,
     reduce_set_cover,
+    reference_assemble,
     reference_extract_plans,
     reference_node_route,
     reference_route,
@@ -217,7 +218,7 @@ def _check_stage4(model, fleet):
     assignments, _ = fleet
     for group in _fleet_groups(model, fleet):
         sol = solve(group, model)
-        start = _assemble(group, model)
+        start = reference_assemble(group, model)
         assert stage4_infeasibility(group, sol, model) <= 1e-9
         assert sol.objective <= start.objective(start.x0)
         assert sol.kkt_residual <= 1e-8
@@ -247,16 +248,63 @@ def test_stage4_flat_groups_are_feasible_stationary_and_no_worse(model, fleet):
 
 @settings(max_examples=100, deadline=None)
 @given(fleets())
-def test_assemble_equals_the_per_equality_build(model, fleet):
+def test_set_up_equals_the_dense_set_up(model, fleet):
+    """_set_up, which builds its rows by index, gives the bytes of the
+    earlier build over the dense A and G."""
     for group in _fleet_groups(model, fleet):
-        check_assemble_matches_reference(group, model)
+        check_set_up_is_dense_set_up(group, model)
 
 
 @settings(max_examples=100, deadline=None)
 @given(fleets(flat=True))
-def test_assemble_equals_the_per_equality_build_flat(model, fleet):
+def test_set_up_equals_the_dense_set_up_flat(model, fleet):
     for group in _fleet_groups(model, fleet):
-        check_assemble_matches_reference(group, model)
+        check_set_up_is_dense_set_up(group, model)
+
+
+@st.composite
+def coordination_groups(draw):
+    """A leader of 1-12 constant-speed segments and 1-8 followers, each with
+    or without a head, platooning from leader segment i_m through i_sp, with
+    or without a tail. A head ends when the leader reaches i_m, and a
+    follower with no head starts there; speeds lie within the default
+    bounds and deadlines have 0 or 300 s of slack. The fleets above seldom
+    give a group that merges at its leader's start or has many rows."""
+    model = FuelModel()
+    times = st.floats(min_value=60.0, max_value=3000.0)
+    speeds = st.floats(min_value=model.v_min, max_value=model.v_max)
+    lead_t = tuple(draw(st.lists(times, min_size=1, max_size=12)))
+    v_lead = draw(speeds)
+    t0 = draw(st.sampled_from([0.0, 30.0, 90.0]))
+    fids = tuple(f"f{k}" for k in range(draw(st.integers(min_value=1, max_value=8))))
+    group = CoordinationGroup(
+        leader_id="L", follower_ids=fids, distances={"L": tuple(t * v_lead for t in lead_t)},
+        platoon_flags={"L": (0,) * len(lead_t)}, initial_times={"L": lead_t},
+        t_start={"L": t0}, t_deadline={}, merge_index={}, split_index={},
+        routes=dict.fromkeys(("L", *fids)),
+    )
+    for fid in fids:
+        i_m = draw(st.integers(min_value=0, max_value=len(lead_t) - 1))
+        i_sp = draw(st.integers(min_value=i_m, max_value=len(lead_t) - 1))
+        head, tail = (draw(st.lists(times, max_size=1)) for _ in range(2))
+        v_head, v_tail = draw(speeds), draw(speeds)
+        group.initial_times[fid] = (*head, *lead_t[i_m : i_sp + 1], *tail)
+        group.distances[fid] = (*(t * v_head for t in head),
+                                *group.distances["L"][i_m : i_sp + 1],
+                                *(t * v_tail for t in tail))
+        group.platoon_flags[fid] = (0,) * len(head) + (1,) * (i_sp + 1 - i_m) + (0,) * len(tail)
+        group.t_start[fid] = t0 + sum(lead_t[:i_m]) - sum(head)
+        group.merge_index[fid], group.split_index[fid] = i_m, i_sp
+    for member in group.members():
+        group.t_deadline[member] = (group.t_start[member] + sum(group.initial_times[member])
+                                    + draw(st.sampled_from([0.0, 300.0])))
+    return group
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordination_groups())
+def test_set_up_equals_the_dense_set_up_on_drawn_groups(model, group):
+    check_set_up_is_dense_set_up(group, model)
 
 
 def _twin_trucks():
