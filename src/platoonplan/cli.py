@@ -40,7 +40,7 @@ from .joint_optimization import (
     solve,
     start_points,
 )
-from .leader_selection import EXACT_LIMIT, SizeLimitError, cluster, exact, upper_bound
+from .leader_selection import EXACT_LIMIT, RULES, SizeLimitError, cluster, exact, upper_bound
 from .planning import (
     Assignment,
     InfeasibleDeadlineError,
@@ -62,12 +62,9 @@ from .scenario import ScenarioConfig, ScenarioError, require_int, require_object
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
-SELECTION_RULES = ("greedy", "random")
 # montecarlo.csv columns; all but size, seed and wallclock_s are RunReport fields.
 MONTECARLO_COLUMNS = ("size", "seed", "saving_stage3", "saving_stage4", "saving_spontaneous",
                       "upper_bound_rel", "groups_fallback", "wallclock_s")
-# report.json fields that are counts; every other field but the histogram is a real.
-REPORT_COUNTS = ("n_assignments", "n_leaders", "n_followers", "groups_fallback")
 # route_assignments holds the distance rows of this many bytes of exit nodes
 # at a time (8 per node and source): every exit node of a 20x20 grid in one
 # csgraph call, but never a row per node of a large network. Rows become
@@ -78,10 +75,6 @@ TREE_BLOCK_BYTES = 2**21
 
 def _log(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}, sort_keys=True), file=sys.stderr)
-
-
-def _env_default(name: str, fallback):
-    return os.environ.get(f"PLATOON_{name}", fallback)
 
 
 def _env_int(name: str, given: Optional[int], fallback: Optional[int]) -> Optional[int]:
@@ -159,10 +152,8 @@ def _run_config(doc: dict, source: str) -> RunConfig:
         )
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid {source}: {exc}") from exc
-    if run.selection not in SELECTION_RULES:
+    if run.selection not in RULES:
         raise ScenarioError(f"invalid {source}: unknown selection {run.selection!r}")
-    if run.solver.max_iter < 1 or not 0 < run.solver.tol < math.inf:
-        raise ScenarioError(f"invalid {source}: solver needs max_iter >= 1 and a finite tol > 0")
     return run
 
 
@@ -508,6 +499,8 @@ def _montecarlo_run(run: RunConfig) -> dict:
         net, assignments = scenario.generate(run.scenario, run.model)
         result = run_pipeline(net, assignments, run)
         wallclock = time.perf_counter() - started
+        if problems := validate_all(result, run.model):  # `plan` exits 1 on these plans
+            raise ValueError(f"plan_invalid: {'; '.join(problems[:20])}")
     except Exception as exc:  # recorded, aggregation continues
         return {"size": size, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
     own = {"size": size, "seed": seed, "wallclock_s": wallclock}
@@ -572,23 +565,7 @@ def cmd_montecarlo(args) -> int:
 def cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
-            doc = require_object("the report", json.load(fh))
-        histogram = {}
-        for k, v in require_object("histogram", doc.pop("histogram", {})).items():
-            if not k.removeprefix("-").isdecimal():
-                raise ValueError(f"histogram size {k!r} is not an integer")
-            histogram[int(k)] = float(require_real(f"histogram[{k}]", v))
-        for key, value in doc.items():
-            (require_int if key in REPORT_COUNTS else require_real)(key, value)
-        rep = evaluation.RunReport(histogram=histogram, **doc)
-        out_of_range = [
-            key for key, value in doc.items()
-            if value < 0 and (key in REPORT_COUNTS or key.endswith("_kg"))
-            or value > 1 and (key.startswith("saving_") or key == "upper_bound_rel")
-        ]
-        out_of_range += [f"histogram[{k}]" for k, v in histogram.items() if k < 1 or v < 0]
-        if out_of_range:
-            raise ValueError(f"out of range: {', '.join(out_of_range)}")
+            rep = evaluation.RunReport.from_json(json.load(fh))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid report {args.report}: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
@@ -604,23 +581,23 @@ def make_parser() -> argparse.ArgumentParser:
         description="Plan fuel-efficient truck platoons en route.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags that several subcommands take, each declared once on a parent parser.
+    config, seed, selection, out_dir = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config", default=None)
+    seed.add_argument("--seed", type=int, default=None)
+    selection.add_argument("--selection", choices=RULES, default=os.getenv("PLATOON_SELECTION"))
+    out_dir.add_argument("--out-dir", default=os.getenv("PLATOON_OUT_DIR", "out"))
+    run_flags = [config, seed, selection, out_dir]
 
-    p_gen = sub.add_parser("generate", help="sample a scenario to files")
-    p_gen.add_argument("--config", default=None)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen = sub.add_parser(
+        "generate", parents=[config, seed, out_dir], help="sample a scenario to files"
+    )
     p_gen.add_argument("--size", type=int, default=None, help="assignment count override")
-    p_gen.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))
     p_gen.set_defaults(func=cmd_generate)
 
-    p_plan = sub.add_parser("plan", help="run the four-stage pipeline")
+    p_plan = sub.add_parser("plan", parents=run_flags, help="run the four-stage pipeline")
     p_plan.add_argument("--network", required=True)
     p_plan.add_argument("--assignments", required=True)
-    p_plan.add_argument("--config", default=None)
-    p_plan.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))
-    p_plan.add_argument(
-        "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", None)
-    )
-    p_plan.add_argument("--seed", type=int, default=None)
     p_plan.add_argument("--exact", action="store_true", help="exact leader selection")
     p_plan.add_argument("--exact-limit", type=int, default=None)
     p_plan.add_argument("--graph-csv", action="store_true", help="dump graph.csv")
@@ -635,21 +612,14 @@ def make_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--limit", type=int, default=EXACT_LIMIT)
     p_exact.set_defaults(func=cmd_exact)
 
-    p_mc = sub.add_parser("montecarlo", help="repeated seeded pipeline runs")
-    p_mc.add_argument("--config", default=None)
+    p_mc = sub.add_parser("montecarlo", parents=run_flags, help="repeated seeded pipeline runs")
     p_mc.add_argument("--runs", type=int, default=10)
     p_mc.add_argument("--sizes", default="50,200,800")
-    p_mc.add_argument("--seed", type=int, default=None)
-    p_mc.add_argument(
-        "--selection", choices=SELECTION_RULES, default=_env_default("SELECTION", None)
-    )
     p_mc.add_argument("--jobs", type=int, default=None)
-    p_mc.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))
     p_mc.set_defaults(func=cmd_montecarlo)
 
-    p_rep = sub.add_parser("report", help="expand a report JSON into CSVs")
+    p_rep = sub.add_parser("report", parents=[out_dir], help="expand a report JSON into CSVs")
     p_rep.add_argument("--report", required=True)
-    p_rep.add_argument("--out-dir", default=_env_default("OUT_DIR", "out"))
     p_rep.set_defaults(func=cmd_report)
     return parser
 

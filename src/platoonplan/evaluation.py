@@ -13,11 +13,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .fuel_model import FuelModel, plan_fuel
 from .planning import Visits
+from .scenario import require_int, require_object, require_real
 
 CHAIN_GAP_S = 60.0  # consecutive arrivals within this gap platoon spontaneously
 
@@ -112,6 +114,31 @@ class RunReport:
         doc = dict(self.__dict__)
         doc["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
         return json.dumps(doc, indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, doc) -> RunReport:
+        """The report of a parsed report.json. Fields annotated int are counts, the
+        rest finite reals; counts, *_kg and histogram meters must be >= 0, sizes
+        >= 1, saving_* and upper_bound_rel <= 1. Raises TypeError or ValueError."""
+        doc = dict(require_object("the report", doc))
+        histogram = {}
+        for k, v in require_object("histogram", doc.pop("histogram", {})).items():
+            if not k.removeprefix("-").isdecimal():
+                raise ValueError(f"histogram size {k!r} is not an integer")
+            histogram[int(k)] = float(require_real(f"histogram[{k}]", v))
+        counts = {name for name, kind in get_type_hints(cls).items() if kind is int}
+        for key, value in doc.items():
+            (require_int if key in counts else require_real)(key, value)
+        report = cls(histogram=histogram, **doc)
+        out_of_range = [
+            key for key, value in doc.items()
+            if value < 0 and (key in counts or key.endswith("_kg"))
+            or value > 1 and (key.startswith("saving_") or key == "upper_bound_rel")
+        ]
+        out_of_range += [f"histogram[{k}]" for k, v in histogram.items() if k < 1 or v < 0]
+        if out_of_range:
+            raise ValueError(f"out of range: {', '.join(out_of_range)}")
+        return report
 
 
 def relative_saving(fuel: float, default_fuel: float) -> float:

@@ -29,6 +29,7 @@ one at a time.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -58,6 +59,10 @@ class InfeasibleGroupError(ValueError):
 class SolverSettings:
     tol: float = 1e-8  # KKT residual at which a solution counts as converged
     max_iter: int = 200  # active-set rounds per group
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 1 or not 0 < self.tol < math.inf:
+            raise ValueError("solver needs max_iter >= 1 and a finite tol > 0")
 
 
 @dataclass

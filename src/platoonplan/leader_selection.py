@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -22,6 +23,7 @@ from typing import Callable, Optional
 from .coordination_graph import CoordinationGraph
 
 EXACT_LIMIT = 20  # default node limit of the exhaustive search in `exact`
+RULES = ("greedy", "random")  # the rules `cluster` picks its flips by
 
 
 class SizeLimitError(ValueError):
@@ -185,7 +187,7 @@ def cluster(
     `on_flip(node, objective)` is invoked after every flip (used by tests to
     audit the incremental objective).
     """
-    if rule not in ("greedy", "random"):
+    if rule not in RULES:
         raise ValueError(f"unknown selection rule {rule!r}")
     rng = random.Random(seed)
     state = _ClusterState(g, rule)
@@ -236,10 +238,5 @@ def exact(g: CoordinationGraph, limit: int = EXACT_LIMIT) -> LeaderSet:
 
 
 def upper_bound(g: CoordinationGraph) -> float:
-    """Sum of every node's best outgoing saving; bounds any leader set's objective."""
-    total = 0.0
-    for n in g.nodes:
-        edges = g.out_edges[n]
-        if edges:
-            total += edges[0][1]
-    return total
+    """math.fsum of every node's best outgoing saving; bounds any leader set's objective."""
+    return math.fsum(g.out_edges[n][0][1] for n in g.nodes if g.out_edges[n])

@@ -6,6 +6,7 @@ import json
 import math
 import random
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import pytest
 
@@ -175,8 +176,8 @@ def test_plan_zero_assignments(tmp_path):
     assert (out / "plans.json").read_bytes() == b"[]\n" == _json_dump_bytes([])
     empty = {"leaders": [], "follower_of": {}, "objective_kg": 0.0}
     assert (out / "leaders.json").read_bytes() == _json_dump_bytes(empty)
-    # Every field but the counts and the histogram is a real, also for no trucks.
-    reals = {k: v for k, v in report.items() if k not in (*cli.REPORT_COUNTS, "histogram")}
+    # Every field annotated float is a real, also for no trucks.
+    reals = {k: v for k, v in report.items() if get_type_hints(RunReport)[k] is float}
     assert reals and all(type(v) is float for v in reals.values()), reals
 
 
@@ -846,6 +847,26 @@ def test_montecarlo_rows_count_fallback_groups(tmp_path, monkeypatch):
     with open(out, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert [int(r["groups_fallback"]) for r in parsed[:-1]] == [r["groups_fallback"] for r in rows]
+
+
+def test_montecarlo_fails_a_run_whose_plans_plan_refuses(tmp_path, capsys, monkeypatch):
+    """A run with a plan that fails validate is logged as montecarlo_failed
+    and gives no row, as the same fleet makes `plan` exit 1 with plan_invalid."""
+    def flag_one(plan, assignment, model):
+        problems = validate(plan, assignment, model)
+        return [*problems, "injected problem"] if assignment.id == "a0000" else problems
+
+    monkeypatch.setattr(cli, "validate", flag_one)
+    cfg, network, assignments = _generate(tmp_path, n_assignments=50, seed=7)
+    capsys.readouterr()
+    assert run_montecarlo(_montecarlo_runs(cfg, 50, [7]), jobs=1) == []
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["event"] for e in events] == ["montecarlo_failed"]
+    assert "plan_invalid: stage3/a0000: injected problem" in events[0]["error"]
+    assert main(["plan", "--network", str(network), "--assignments", str(assignments),
+                 "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 1
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert {"event": "plan_invalid", "detail": "stage3/a0000: injected problem"} in events
 
 
 def test_report_without_groups_fallback_still_loads(tmp_path):

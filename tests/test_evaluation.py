@@ -1,5 +1,8 @@
 """Spontaneous baseline, platoon-size histogram, run reports."""
 
+import dataclasses
+import json
+
 import pytest
 
 from platoonplan import (
@@ -13,7 +16,7 @@ from platoonplan import (
     platoon_size_histogram,
 )
 from platoonplan.cli import route_assignments
-from platoonplan.evaluation import make_report, relative_saving
+from platoonplan.evaluation import RunReport, make_report, relative_saving
 from platoonplan.planning import VehiclePlan, Visits
 from platoonplan.scenario import ScenarioConfig, generate
 
@@ -241,3 +244,22 @@ def test_report_worked_pair_stage3_saving(model, worked_pair):
 
 def test_relative_saving_guards_zero_default():
     assert relative_saving(0.0, 0.0) == 0.0
+
+
+@dataclasses.dataclass
+class CountingReport(RunReport):
+    n_merges: int = 0  # a count that only its annotation names
+
+
+@pytest.mark.parametrize("value", [2.5, -3])
+def test_report_from_json_checks_a_count_by_its_annotation(value):
+    report = CountingReport(
+        n_assignments=3, default_fuel_kg=30.0, stage3_fuel_kg=29.0, stage4_fuel_kg=28.5,
+        spontaneous_fuel_kg=29.8, upper_bound_kg=2.0, saving_stage3=1 / 30,
+        saving_stage4=0.05, saving_spontaneous=0.2 / 30, upper_bound_rel=2 / 30,
+        n_leaders=1, n_followers=2, histogram={1: 100.0, 3: 5000.0}, n_merges=4,
+    )
+    doc = json.loads(report.to_json())
+    assert CountingReport.from_json(doc) == report
+    with pytest.raises(ValueError, match="n_merges"):
+        CountingReport.from_json({**doc, "n_merges": value})

@@ -325,6 +325,16 @@ def test_solver_runs_with_custom_settings(model, worked_pair):
     assert sol.objective <= group_objective(group, model, group.initial_times)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [{"max_iter": 0}, {"tol": 0.0}, {"tol": -1e-8}, {"tol": math.inf}, {"tol": math.nan}],
+    ids=["zero-max-iter", "zero-tol", "negative-tol", "infinite-tol", "nan-tol"],
+)
+def test_solver_settings_out_of_range_raise(settings):
+    with pytest.raises(ValueError, match="solver needs max_iter >= 1 and a finite tol > 0"):
+        SolverSettings(**settings)
+
+
 def _solve_fleet_checked(model, monkeypatch, seed, deadline_slack_s=0.0):
     """Run the 800-truck fleet of this seed and deadline slack; every group's
     solution must be feasible to 1e-9, stationary, converged and certified

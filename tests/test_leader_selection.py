@@ -195,6 +195,12 @@ def test_upper_bound_examples():
     assert upper_bound(_graph([("a", "b", 0.7)])) == 0.7
 
 
+def test_upper_bound_is_a_correctly_rounded_sum():
+    """Added in node order, 1.0 would absorb each 1e-16 in turn."""
+    g = _graph([("a", "x", 1.0), ("b", "y", 1e-16), ("c", "z", 1e-16)])
+    assert upper_bound(g) == 1.0000000000000002
+
+
 def test_oracle_sandwich_on_random_graphs():
     rng = random.Random(12)
     for _ in range(60):

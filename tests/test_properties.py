@@ -37,6 +37,7 @@ from platoonplan.coordination_graph import (  # noqa: E402
     load_graph_csv,
     save_graph_csv,
 )
+from platoonplan.evaluation import RunReport  # noqa: E402
 from platoonplan.joint_optimization import CoordinationGroup  # noqa: E402
 from platoonplan.leader_selection import LeaderSet  # noqa: E402
 from platoonplan.planning import VehiclePlan, Visits  # noqa: E402
@@ -343,6 +344,23 @@ def test_stage_fuel_falls_from_default_to_stage3_to_stage4(model, fleet):
     report = _pipeline(model, fleet).report
     assert report.stage3_fuel_kg <= report.default_fuel_kg * (1.0 + 1e-12)
     assert report.stage4_fuel_kg <= report.stage3_fuel_kg * (1.0 + 1e-12)
+
+
+def _check_report_round_trip(model, fleet):
+    report = _pipeline(model, fleet).report
+    assert RunReport.from_json(json.loads(report.to_json())) == report
+
+
+@settings(max_examples=30, deadline=None)
+@given(fleets())
+def test_report_json_round_trips(model, fleet):
+    _check_report_round_trip(model, fleet)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fleets(flat=True))
+def test_report_json_round_trips_flat(model, fleet):
+    _check_report_round_trip(model, fleet)
 
 
 def _check_spontaneous_baseline(model, fleet):
