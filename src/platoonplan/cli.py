@@ -362,11 +362,10 @@ def validate_all(result: PipelineResult, model: FuelModel) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _indented(tokens, pad: str, brackets: str = "[]") -> str:
-    """Encoded items laid out at indentation pad as json.dump(indent=2) lays
-    out a list (or, with brackets "{}", an object's "key": value items)."""
+def _indented(tokens, pad: str) -> str:
+    """Encoded items laid out at indentation pad as json.dump(indent=2) lays out a list."""
     body = f",\n{pad}  ".join(tokens)
-    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
 
 
 def _id_tokens(ids) -> list:
@@ -392,16 +391,9 @@ def _plan_json(truck: str, plan: VehiclePlan) -> str:
 
 
 def _leaders_json(leader_set) -> str:
-    pairs = (f"{_quote(f)}: {_quote(m)}" for f, m in sorted(leader_set.follower_of.items()))
-    return _indented(
-        (
-            f'"follower_of": {_indented(pairs, "  ", "{}")}',
-            f'"leaders": {_indented(map(_quote, sorted(leader_set.leaders)), "  ")}',
-            f'"objective_kg": {float.__repr__(leader_set.objective)}',
-        ),
-        "",
-        "{}",
-    )
+    doc = {"follower_of": leader_set.follower_of, "leaders": sorted(leader_set.leaders),
+           "objective_kg": leader_set.objective}
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -410,13 +402,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_outputs(out_dir: str, result: PipelineResult, graph_csv: bool) -> None:
-    """plans.json and leaders.json laid out byte for byte as json.dump(doc, fh,
-    indent=2, sort_keys=True) lays out their documents (tests/conftest.py's
-    _plan_to_doc and _leaders_doc), each plan formatted from its scalars' reprs.
-
-    Every plan written has passed validate, so its floats are finite and its
-    flags are the ints 0 and 1; leader-set objectives sum finite graph weights.
-    """
+    """plans.json laid out byte for byte as json.dump(doc, fh, indent=2, sort_keys=True)
+    lays out tests/conftest.py's _plan_to_doc, each plan formatted from its scalars'
+    reprs: validate has passed it, so its floats are finite and its flags the ints 0
+    and 1. The other files are written by json.dumps and csv."""
     os.makedirs(out_dir, exist_ok=True)
     plans = (_plan_json(truck, plan) for truck, plan in sorted(result.stage4_plans.items()))
     _write_text(os.path.join(out_dir, "plans.json"), _indented(plans, ""))

@@ -206,35 +206,16 @@ def exact(g: CoordinationGraph, limit: int = EXACT_LIMIT) -> LeaderSet:
     """Global maximizer of the objective by exhaustive subset enumeration.
 
     Ties break toward fewer leaders, then the lexicographically smallest
-    leader tuple. Guarded by `limit` since the search is exponential.
+    leader tuple of str ids. Guarded by `limit` since the search is exponential.
     """
     n_nodes = len(g.nodes)
     if n_nodes > limit:
         raise SizeLimitError(f"{n_nodes} nodes exceeds exact-search limit {limit}")
     nodes = sorted(g.nodes, key=str)
-    index = {n: i for i, n in enumerate(nodes)}
-    # Precompute per node: list of (out-neighbor bit, weight), heaviest first.
-    out_bits = []
-    for n in nodes:
-        out_bits.append([(1 << index[m], w) for m, w in g.out_edges[n]])
-
-    # Sets come by size, then in lexicographic order, so the first strict
-    # maximum is the tie-broken one.
-    best, best_obj = (), 0.0
-    for size in range(n_nodes + 1):
-        for combo in itertools.combinations(range(n_nodes), size):
-            mask = sum(1 << i for i in combo)
-            total = 0.0
-            for i, edges in enumerate(out_bits):
-                if (mask >> i) & 1:
-                    continue
-                for bit, w in edges:
-                    if mask & bit:
-                        total += w
-                        break
-            if total > best_obj:
-                best, best_obj = combo, total
-    return make_leader_set(g, {nodes[i] for i in best})
+    # Sets come by size, then in lexicographic order, and max keeps the first
+    # of largest objective: the tie-broken one.
+    subsets = (c for size in range(n_nodes + 1) for c in itertools.combinations(nodes, size))
+    return max((make_leader_set(g, s) for s in subsets), key=lambda s: s.objective)
 
 
 def upper_bound(g: CoordinationGraph) -> float:

@@ -279,10 +279,12 @@ def common_subpaths(a: Route, b: Route) -> list[SharedSegment]:
             # Only start a run at a maximal left end.
             if i > sa.start and j > sb.start and a.edges[i - 1] == b.edges[j - 1]:
                 continue
-            k = 1
+            # Added left to right as Route.prefix adds; 3.12's float sum() rounds otherwise.
+            k, length = 1, a.lengths[i]
             while i + k < sa.stop and j + k < sb.stop and a.edges[i + k] == b.edges[j + k]:
+                length += a.lengths[i + k]
                 k += 1
-            segments.append(SharedSegment(i, i + k - 1, j, j + k - 1, sum(a.lengths[i : i + k])))
+            segments.append(SharedSegment(i, i + k - 1, j, j + k - 1, length))
     return segments
 
 
@@ -311,6 +313,15 @@ def positions_coincide(net: RoadNetwork, p: Position, q: Position, tol: float = 
 # ---------------------------------------------------------------------------
 # Network file I/O: {"nodes": [{"id": ...}], "edges": [{"id", "from", "to", "length_m"}]}
 # ---------------------------------------------------------------------------
+
+
+FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() overflows on
+
+
+def is_finite_number(value) -> bool:
+    """Whether value is a JSON number a finite float holds; true, "0.5" and NaN are not."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) < FLOAT_OVERFLOW)
 
 
 def _edge_line(text: str, eid) -> Optional[int]:
@@ -358,7 +369,7 @@ def load_network(path: str) -> RoadNetwork:
             raise fail(f"edge entry {entry.get('id', entry)!r} missing {missing}", entry.get("id"))
         length = entry["length_m"]
         # bool is an int subclass: a JSON true must not load as a 1 m edge.
-        if isinstance(length, bool) or not isinstance(length, (int, float)) or not length > 0:
+        if not is_finite_number(length) or not length > 0:
             raise fail(f"edge {entry['id']!r} has invalid length_m {length!r}", entry["id"])
         edge_tuples.append((entry["id"], entry["from"], entry["to"], float(length)))
     try:

@@ -9,6 +9,7 @@ determines the output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,9 @@ from typing import Optional
 
 from .fuel_model import FuelModel
 from .planning import Assignment
-from .road_network import Position, RoadNetwork, load_network, route_length, shortest_node_route
+from .road_network import (
+    Position, RoadNetwork, is_finite_number, load_network, route_length, shortest_node_route
+)
 
 
 class ScenarioError(ValueError):
@@ -31,8 +34,8 @@ def require_int(name: str, value) -> int:
 
 
 def require_real(name: str, value):
-    """value if it is a finite JSON number; true and "0.5" are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """value if it is a finite JSON number; true, "0.5" and ints beyond float range are not."""
+    if not is_finite_number(value):
         raise ScenarioError(f"{name} must be a finite number, not {value!r}")
     return value
 
@@ -73,7 +76,7 @@ class ScenarioConfig:
         if self.node_weights is not None:
             require_object("node_weights", self.node_weights)
         for node, w in (self.node_weights or {}).items():
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
+            if not is_finite_number(w) or w < 0:
                 raise ScenarioError(f"node weight of {node} must be finite and >= 0, not {w!r}")
         if self.network_file is None and (self.rows < 2 or self.cols < 2):
             raise ScenarioError("grid needs rows >= 2 and cols >= 2")
@@ -128,9 +131,11 @@ def generate(cfg: ScenarioConfig, model: FuelModel) -> tuple[RoadNetwork, list[A
         unknown = set(cfg.node_weights) - set(map(str, nodes))
         if unknown:
             raise ScenarioError(f"weights reference unknown nodes: {sorted(unknown)[:5]}")
-        weights = [float(cfg.node_weights.get(str(n), 0.0)) for n in nodes]
-        if sum(weights) <= 0:
-            raise ScenarioError("node weights sum to zero")
+        # The cumulative weights random.choices draws by, summed as it sums them.
+        weights = list(itertools.accumulate(float(cfg.node_weights.get(str(n), 0.0))
+                                            for n in nodes))
+        if not 0 < weights[-1] < math.inf:
+            raise ScenarioError(f"node_weights must sum to a finite total > 0, not {weights[-1]}")
     else:
         weights = None
 
@@ -147,7 +152,7 @@ def generate(cfg: ScenarioConfig, model: FuelModel) -> tuple[RoadNetwork, list[A
         if weights is None:
             u, v = rng.choice(nodes), rng.choice(nodes)
         else:
-            u, v = rng.choices(nodes, weights=weights, k=2)
+            u, v = rng.choices(nodes, cum_weights=weights, k=2)
         if u == v:
             continue
         route = shortest_node_route(net, u, v)

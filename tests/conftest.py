@@ -362,6 +362,31 @@ def check_cluster_matches_reference(g, runs):
         assert repr(result.objective) == repr(expected.objective)
 
 
+def reference_exact(g: CoordinationGraph):
+    """Oracle for leader_selection.exact: the bitmask enumerator it had before it
+    scored subsets by make_leader_set. Each subset's objective is summed over the
+    nodes in str order; the first strict maximum by size, then lexicographic
+    order of str ids, wins."""
+    nodes = sorted(g.nodes, key=str)
+    index = {n: i for i, n in enumerate(nodes)}
+    out_bits = [[(1 << index[m], w) for m, w in g.out_edges[n]] for n in nodes]
+    best, best_obj = (), 0.0
+    for size in range(len(nodes) + 1):
+        for combo in itertools.combinations(range(len(nodes)), size):
+            mask = sum(1 << i for i in combo)
+            total = 0.0
+            for i, edges in enumerate(out_bits):
+                if (mask >> i) & 1:
+                    continue
+                for bit, w in edges:
+                    if mask & bit:
+                        total += w
+                        break
+            if total > best_obj:
+                best, best_obj = combo, total
+    return make_leader_set(g, {nodes[i] for i in best})
+
+
 def group_objective(group: CoordinationGroup, model: FuelModel, times: dict) -> float:
     """Fuel in kg of the group under the given traversal times."""
     total = 0.0

@@ -75,7 +75,14 @@ BAD_INPUT_ERRORS = {
     "report-a-list": "the report must be a JSON object, not [1]",
     "report-histogram-a-list": "histogram must be a JSON object, not [1]",
     "report-histogram-size-x": "histogram size 'x' is not an integer",
+    # An integer beyond float range is an input error, not an OverflowError.
+    "network-huge-int-length": "{path}:1: edge 'ab' has invalid length_m 1000",
+    "assignments-huge-int-start": "{path}: assignment entry 0: t_start_s must be a finite number",
+    "config-huge-int-tol": "solver.tol must be a finite number, not 1000",
+    "config-huge-int-weight": "node weight of n0_0 must be finite and >= 0, not 1000",
+    "report-huge-int-fuel": "stage4_fuel_kg must be a finite number, not 1000",
 }
+HUGE_INT = 10**400
 
 
 def _montecarlo_runs(cfg, size, seeds):
@@ -372,6 +379,10 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
         pytest.param("config", {"solver": {"max_iter": 0}}, id="config-zero-max-iter"),
         pytest.param("config", {"solver": {"tol": -1e-8}}, id="config-negative-tol"),
         pytest.param("config", {"solver": {"tol": math.inf}}, id="config-infinite-tol"),
+        pytest.param("config", {"solver": {"tol": HUGE_INT}}, id="config-huge-int-tol"),
+        pytest.param(
+            "config", {"scenario": {"node_weights": {"n0_0": HUGE_INT}}}, id="config-huge-int-weight"
+        ),
         # JSON true is a Python int and "0.5" parses as a float: neither is a number here.
         pytest.param("config", {"solver": {"tol": True}}, id="config-bool-tol"),
         pytest.param("config", {"solver": {"tol": "0.5"}}, id="config-numeric-string-tol"),
@@ -398,6 +409,7 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
         pytest.param("report", {**REPORT, "histogram": {"2": True}}, id="report-bool-histogram"),
         pytest.param("report", {**REPORT, "n_leaders": -4}, id="report-negative-count"),
         pytest.param("report", {**REPORT, "stage4_fuel_kg": -1.0}, id="report-negative-fuel"),
+        pytest.param("report", {**REPORT, "stage4_fuel_kg": HUGE_INT}, id="report-huge-int-fuel"),
         pytest.param("report", {**REPORT, "saving_stage3": 7.5}, id="report-saving-above-one"),
         pytest.param(
             "report", {**REPORT, "upper_bound_rel": 1.5}, id="report-upper-bound-rel-above-one"
@@ -448,6 +460,18 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
             },
             id="network-infinite-length",
         ),
+        pytest.param(
+            "network",
+            {
+                "nodes": [{"id": n} for n in ("X", "A", "B", "Y")],
+                "edges": [
+                    {"id": eid, "from": u, "to": v, "length_m": length}
+                    for eid, u, v, length in (("in", "X", "A", 10.0), ("ab", "A", "B", HUGE_INT),
+                                              ("out", "B", "Y", 10.0))
+                ],
+            },
+            id="network-huge-int-length",
+        ),
         pytest.param("network", ABSORBED_NETWORK, id="network-absorbed-length"),
         # The assignment's start and destination edges lie in two components.
         pytest.param(
@@ -462,6 +486,13 @@ def test_bad_assignment_exits_2(tmp_path, capsys, edit, message):
             id="network-no-route",
         ),
         pytest.param("assignments", "[", id="assignments-undecodable"),
+        pytest.param(
+            "assignments",
+            [{"id": "a0", "start": {"edge": "n0_0>n0_1", "offset_m": 0.0},
+              "dest": {"edge": "n0_1>n0_2", "offset_m": 1000.0},
+              "t_start_s": HUGE_INT, "t_deadline_s": 100.0}],
+            id="assignments-huge-int-start",
+        ),
     ],
 )
 def test_bad_input_exits_2_with_input_error(tmp_path, capsys, request, kind, content):
@@ -515,13 +546,17 @@ NOT_AN_OBJECT = [
     ("scenario-block-is-a-list", '{"scenario": [1]}', "scenario"),
 ]
 
-# (test id, config file text whose scenario key has the wrong JSON type, the
-# error it must give)
-MISTYPED_SCENARIO_KEYS = [
+# (test id, config file text with a bad scenario value, the error it must
+# give). Each node weight below is finite, but random.choices would refuse
+# their total.
+BAD_SCENARIO_KEYS = [
     ("network-file-not-a-string", '{"scenario": {"network_file": 5}}',
      "network_file must be a string or null, not 5"),
     ("node-weights-a-list", '{"scenario": {"node_weights": [1, 2]}}',
      "node_weights must be a JSON object, not [1, 2]"),
+    ("node-weights-total-overflows",
+     '{"scenario": {"rows": 3, "cols": 3, "node_weights": {"n0_0": 1e308, "n0_1": 1e308}}}',
+     "node_weights must sum to a finite total > 0, not inf"),
 ]
 
 
@@ -559,14 +594,14 @@ MISTYPED_SCENARIO_KEYS = [
         ),
         pytest.param({"exact-limit": 5}, ["plan"], id="plan-unknown-top-level-key"),
         *(pytest.param(text, ["generate"], id=case) for case, text, _ in NOT_AN_OBJECT),
-        *(pytest.param(text, ["generate"], id=case) for case, text, _ in MISTYPED_SCENARIO_KEYS),
+        *(pytest.param(text, ["generate"], id=case) for case, text, _ in BAD_SCENARIO_KEYS),
     ],
 )
 def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, config, argv):
     """Flags and PLATOON_* values get the checks of the config file, before any run.
 
     A config given as a string is the file's text, and the error names the
-    block that is not a JSON object or the scenario key of the wrong type.
+    block that is not a JSON object or the bad scenario value.
     """
     argv = argv + ["--out-dir", str(tmp_path / "x")]
     if argv[0] == "montecarlo" and "--runs" not in argv:
@@ -587,7 +622,7 @@ def test_bad_flag_or_config_value_exits_2_with_input_error(tmp_path, capsys, con
     assert [e["event"] for e in events] == ["input_error"]
     if isinstance(config, str):
         expected = {text: f"{block} must be a JSON object" for _, text, block in NOT_AN_OBJECT}
-        expected.update((text, message) for _, text, message in MISTYPED_SCENARIO_KEYS)
+        expected.update((text, message) for _, text, message in BAD_SCENARIO_KEYS)
         assert expected[config] in events[0]["error"]
     assert not (tmp_path / "x").exists()
 

@@ -1,6 +1,10 @@
 """Property checks on small random networks with partial first and last edges."""
 
+import contextlib
+import copy
 import csv
+import functools
+import io
 import itertools
 import json
 import math
@@ -25,6 +29,7 @@ from platoonplan import (  # noqa: E402
     cli,
     cluster,
     default_plan,
+    exact,
     extract_plans,
     plan_fuel,
     solve,
@@ -44,10 +49,16 @@ from platoonplan.planning import VehiclePlan, Visits  # noqa: E402
 from platoonplan.road_network import (  # noqa: E402
     Route,
     route_length,
+    save_network,
     shortest_node_route,
     shortest_route,
 )
-from platoonplan.scenario import ScenarioConfig, grid_network  # noqa: E402
+from platoonplan.scenario import (  # noqa: E402
+    ScenarioConfig,
+    generate,
+    grid_network,
+    save_assignments,
+)
 
 from conftest import (  # noqa: E402
     SetCoverInstance,
@@ -64,6 +75,7 @@ from conftest import (  # noqa: E402
     prune_by_name,
     reduce_set_cover,
     reference_assemble,
+    reference_exact,
     reference_extract_plans,
     reference_node_route,
     reference_route,
@@ -75,11 +87,19 @@ from conftest import (  # noqa: E402
 
 EDGE_M = 20_000.0
 NET = grid_network(2, 4, EDGE_M)
+# NET's grid with non-integral edge lengths. A shared run of 20000.1, 20000.2
+# and 20000.3 m sums to 60000.600000000006 left to right, as the array kernel
+# adds, but to 60000.6 by a compensated sum such as Python 3.12's sum().
+ODD_NET = RoadNetwork(
+    NET.nodes,
+    [(e, u, v, (20_000.1, 20_000.2, 20_000.3)[k % 3])
+     for k, (e, (u, v, _)) in enumerate(sorted(NET.edges.items()))],
+)
 V_MAX = FuelModel().v_max
 
 
 @st.composite
-def fleets(draw, flat=False):
+def fleets(draw, flat=False, net=NET):
     """A 2x4 grid and up to ten trucks whose trips start and end mid-edge.
 
     With flat, a window is the v_max travel time, which pins the truck and
@@ -87,15 +107,18 @@ def fleets(draw, flat=False):
     or with 1800 s of slack. Pinned members, and followers that catch a slow
     leader only at v_max, leave a group's feasible set without interior.
     """
-    edges = sorted(NET.edges)
-    offsets = st.sampled_from([0.0, 5000.0, 12_500.0, EDGE_M])
+    edges = sorted(net.edges)
+    # On NET: offsets 0, 5000, 12500 and 20000 m.
+    fractions = st.sampled_from([0.0, 0.25, 0.625, 1.0])
     trucks = draw(st.integers(min_value=2, max_value=10))
     assignments, routes = {}, {}
     for k in range(trucks):
-        frm = Position(draw(st.sampled_from(edges)), draw(offsets))
-        to = Position(draw(st.sampled_from(edges)), draw(offsets))
+        e, f = draw(st.sampled_from(edges)), draw(fractions)
+        frm = Position(e, f * net.edge_length(e))
+        e, f = draw(st.sampled_from(edges)), draw(fractions)
+        to = Position(e, f * net.edge_length(e))
         try:
-            route = shortest_route(NET, frm, to)
+            route = shortest_route(net, frm, to)
         except ValueError:  # start and destination coincide
             continue
         if route is None:
@@ -168,6 +191,14 @@ def test_pair_savings_equal_adapted_plan(model, fleet):
 @settings(max_examples=100, deadline=None)
 @given(fleets(flat=True))
 def test_pair_savings_equal_adapted_plan_flat(model, fleet):
+    _check_pair_savings(model, fleet)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(net=ODD_NET))
+def test_pair_savings_equal_adapted_plan_on_non_integral_edges(model, fleet):
+    """common_subpaths adds a shared run's length left to right, as the array
+    kernel does, so the savings agree bit for bit on every Python version."""
     _check_pair_savings(model, fleet)
 
 
@@ -516,19 +547,21 @@ def test_block_started_flat_solves_match_lone_solves(model, fleet):
 
 
 @st.composite
-def tie_graphs(draw):
-    """Up to 14 nodes with weights from {0.5, 1, 1.5}, so equal gains are common."""
-    n = draw(st.integers(min_value=1, max_value=14))
+def tie_graphs(draw, max_nodes=14, weights=(0.5, 1.0, 1.5), str_order=False):
+    """Up to max_nodes nodes with weights drawn from weights, so equal gains are
+    common. With str_order the graph lists its nodes in str order, as the
+    graphs of plan and load_graph_csv do ("v10" before "v2")."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
     nodes = [f"v{k}" for k in range(n)]
     arcs = draw(
         st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                      st.sampled_from([0.5, 1.0, 1.5])),
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(weights)),
             max_size=50,
             unique_by=lambda arc: arc[:2],
         )
     )
-    return CoordinationGraph(nodes, {(nodes[u], nodes[v]): w for u, v, w in arcs if u != v})
+    edges = {(nodes[u], nodes[v]): w for u, v, w in arcs if u != v}
+    return CoordinationGraph(sorted(nodes) if str_order else nodes, edges)
 
 
 @st.composite
@@ -542,6 +575,18 @@ def set_cover_graphs(draw):
 
 
 CLUSTER_RUNS = (("greedy", 0), ("random", 0), ("random", 1), ("random", 2))
+
+
+# 0.1 + 0.2 and 0.3 nearly tie, and 0.5 + 1.0 and 1.5 tie exactly.
+@settings(max_examples=100, deadline=None)
+@given(tie_graphs(max_nodes=12, weights=(0.1, 0.2, 0.3, 0.5, 1.0, 1.5), str_order=True))
+def test_exact_equals_the_bitmask_enumerator(g):
+    """exact, which scores every subset by make_leader_set, picks the leaders
+    and reports the objective bit for bit that the bitmask enumerator does."""
+    got, want = exact(g), reference_exact(g)
+    assert got.leaders == want.leaders
+    assert got.follower_of == want.follower_of
+    assert repr(got.objective) == repr(want.objective)
 
 
 @settings(max_examples=200, deadline=None)
@@ -613,3 +658,85 @@ def test_routes_equal_the_heap_dijkstra(graph):
             frm = Position(e, frm * net.edge_length(e))
             to = Position(f, to * net.edge_length(f))
             assert _outcome(shortest_route, net, frm, to) == _outcome(reference_route, net, frm, to)
+
+
+# Every key a config may hold, each at a valid value.
+FULL_CONFIG = {
+    "fuel": {"a0": 8.4159e-6, "b0": 4.8021e-5, "ap": 5.0495e-6, "bp": 8.5426e-5,
+             "v_min_kmh": 70.0, "v_max_kmh": 90.0, "v_default_kmh": 80.0},
+    "scenario": {"rows": 3, "cols": 3, "edge_len_m": 1000.0, "n_assignments": 3,
+                 "start_window_s": 600.0, "seed": 1, "deadline_slack_s": 0.0,
+                 "node_weights": {"n0_0": 1.0, "n2_2": 2.0}, "network_file": None},
+    "solver": {"tol": 1e-8, "max_iter": 200},
+    "selection": "greedy",
+    "seed": 0,
+    "exact_limit": 20,
+}
+DELETE = "(the key or item deleted)"
+MUTANTS = (DELETE, None, True, "x", [], {}, -1, 0, 0.5, 10**400, 1e308)
+
+
+@functools.lru_cache(maxsize=1)
+def _valid_inputs() -> dict:
+    """The parsed network.json and assignments.json of FULL_CONFIG's 3-truck
+    fleet, and FULL_CONFIG itself."""
+    net, assignments = generate(ScenarioConfig(**FULL_CONFIG["scenario"]), FuelModel())
+    docs = {"config": FULL_CONFIG}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, save, subject in (("network", save_network, net),
+                                    ("assignments", save_assignments, assignments)):
+            save(subject, os.path.join(tmp, name))
+            with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                docs[name] = json.load(fh)
+    return docs
+
+
+def _json_paths(doc, path=()):
+    """The path of doc and of every value inside it, as tuples of keys and indices."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, (*path, key))
+
+
+@st.composite
+def input_mutations(draw):
+    """(file, path, value): one key or item of a valid input deleted, or one
+    value replaced."""
+    docs = _valid_inputs()
+    name = draw(st.sampled_from(sorted(docs)))
+    path = draw(st.sampled_from(list(_json_paths(docs[name]))))
+    return name, path, draw(st.sampled_from(MUTANTS if path else MUTANTS[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(input_mutations())
+@example(("config", ("solver", "tol"), 10**400))
+@example(("assignments", (0, "start", "offset_m"), 10**400))
+@example(("network", ("edges", 0, "length_m"), 10**400))
+def test_plan_on_a_mutated_input_exits_0_1_or_2(mutation):
+    """plan on a valid 3-truck input with one mutation returns 0, 1 or 2 and
+    raises nothing; an exit 2 logs input_error."""
+    name, path, value = mutation
+    docs = dict(_valid_inputs())
+    if not path:
+        docs[name] = value
+    else:
+        docs[name] = copy.deepcopy(docs[name])
+        parent = functools.reduce(lambda doc, key: doc[key], path[:-1], docs[name])
+        if value is DELETE:
+            parent.pop(path[-1])
+        else:
+            parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["plan", "--out-dir", os.path.join(tmp, "out")]
+        for flag, doc in docs.items():
+            argv += [f"--{flag}", os.path.join(tmp, f"{flag}.json")]
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert "input_error" in [json.loads(line)["event"] for line in err.getvalue().splitlines()]
